@@ -213,7 +213,7 @@ let exec (t : t) (line : string) : (string, string) result =
         List.iter
           (fun c ->
             buf_printf b "checkpoint at step %d\n" c.Dr_pinplay.Replayer.c_steps)
-          (List.rev s.Session.checkpoints);
+          s.Session.checkpoints;
       Ok ()
     (* ---- breakpoints ---- *)
     | [ "break"; target ] -> (

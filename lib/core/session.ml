@@ -56,8 +56,11 @@ type t = {
   mutable prune : bool;  (** apply save/restore pruning to slices *)
   mutable refine : bool;  (** apply CFG refinement to control deps *)
   mutable checkpoints : Dr_pinplay.Replayer.checkpoint list;
-      (** auto-captured during replay, most recent first (reverse debugging) *)
+      (** auto-captured during replay, sorted by step (reverse debugging):
+          a ladder of at most {!ladder_rungs} periodic checkpoints plus
+          those that stops take *)
   mutable checkpoint_interval : int;
+      (** least distance between auto-captured checkpoints *)
   mutable stopped_at_bp : bool;
       (** gdb semantics: continuing from a breakpoint first steps off it *)
 }
@@ -215,24 +218,73 @@ let stop_of_reason (t : t) (m : Machine.t) (reason : Driver.stop_reason) : stop 
   | Driver.Deadlock -> mk 0 (Machine.thread m 0).Machine.pc "deadlock"
   | Driver.Stop_requested -> mk 0 (Machine.thread m 0).Machine.pc "stopped"
 
-(* capture a checkpoint if we've moved far enough past the last one *)
+(* ---- checkpoint ladder ----
+
+   Replay is deterministic, so a checkpoint taken on one replay of the
+   pinball is valid for every later one.  [continue_replay] runs in
+   chunks and captures a checkpoint at every rung it passes: the rungs
+   sit [ladder_spacing] steps apart, so a rewind re-runs at most one
+   spacing from the nearest checkpoint. *)
+
+(** Periodic checkpoints per replay, at most (the same records/16 ladder
+    as {!Dr_slicing.Reexec}). *)
+let ladder_rungs = 16
+
+let ladder_spacing (t : t) pb =
+  max 1
+    (max t.checkpoint_interval
+       (Dr_pinplay.Pinball.schedule_instructions pb / ladder_rungs))
+
+(* the checkpoint nearest at or before [step] (the list is sorted) *)
+let checkpoint_before (t : t) step =
+  List.fold_left
+    (fun acc c -> if c.Dr_pinplay.Replayer.c_steps <= step then Some c else acc)
+    None t.checkpoints
+
+let insert_checkpoint (t : t) (r : Dr_pinplay.Replayer.t) =
+  let c = Dr_pinplay.Replayer.checkpoint r in
+  let rec ins = function
+    | x :: rest when x.Dr_pinplay.Replayer.c_steps < c.Dr_pinplay.Replayer.c_steps
+      -> x :: ins rest
+    | l -> c :: l
+  in
+  t.checkpoints <- ins t.checkpoints
+
+(* at a stop: capture a checkpoint if we've moved far enough past the
+   nearest earlier one *)
 let maybe_checkpoint (t : t) (r : Dr_pinplay.Replayer.t) =
   let here = Dr_pinplay.Replayer.steps r in
   let last =
-    match t.checkpoints with
-    | c :: _ -> c.Dr_pinplay.Replayer.c_steps
-    | [] -> -t.checkpoint_interval
+    match checkpoint_before t here with
+    | Some c -> c.Dr_pinplay.Replayer.c_steps
+    | None -> -t.checkpoint_interval
   in
-  if here - last >= t.checkpoint_interval then
-    t.checkpoints <- Dr_pinplay.Replayer.checkpoint r :: t.checkpoints
+  if here - last >= t.checkpoint_interval then insert_checkpoint t r
+
+(* Resume [r] for at most [budget] steps, pausing at every rung on the
+   way to capture the rung's checkpoint unless the ladder has it. *)
+let resume_laddered ?stop_when ~break_at ~budget (t : t) pb r =
+  let spacing = ladder_spacing t pb in
+  let rec go budget =
+    let here = Dr_pinplay.Replayer.steps r in
+    (if here > 0 && here mod spacing = 0 then
+       match checkpoint_before t here with
+       | Some c when c.Dr_pinplay.Replayer.c_steps = here -> ()
+       | _ -> insert_checkpoint t r);
+    let chunk = min budget (spacing - (here mod spacing)) in
+    match Dr_pinplay.Replayer.resume ~max_steps:chunk ~break_at ?stop_when r with
+    | Driver.Max_steps when chunk < budget -> go (budget - chunk)
+    | reason -> reason
+  in
+  go budget
 
 (** Continue replay until a breakpoint, the end of the region, or (with
     [max_steps]) a step count.  Checkpoints for reverse debugging are
-    captured at every stop.  Continuing from a breakpoint first steps off
-    it (gdb semantics). *)
+    captured on the ladder's rungs and at every stop.  Continuing from a
+    breakpoint first steps off it (gdb semantics). *)
 let continue_replay ?max_steps (t : t) : (stop, string) result =
-  match t.mode with
-  | Replaying r -> (
+  match (t.mode, t.pinball) with
+  | Replaying r, Some pb -> (
     let finish reason =
       t.replay_steps <- Dr_pinplay.Replayer.steps r;
       maybe_checkpoint t r;
@@ -282,8 +334,8 @@ let continue_replay ?max_steps (t : t) : (stop, string) result =
         in
         try
           let reason =
-            Dr_pinplay.Replayer.resume ~max_steps:!budget
-              ~break_at:(break_at_fn t) ?stop_when r
+            resume_laddered ?stop_when ~break_at:(break_at_fn t) ~budget:!budget
+              t pb r
           in
           match (reason, !fired_watch) with
           | Driver.Stop_requested, Some (w, v, tid, pc) ->
@@ -308,8 +360,8 @@ let stepi (t : t) n = continue_replay ~max_steps:n t
 
    Replay is deterministic, so "going backwards" is: restart from the
    nearest checkpoint at or before the target step count and run forward
-   to the target.  Without a checkpoint this degrades to replaying from
-   the region start — still fast, because regions are small by design. *)
+   to the target.  Once a replay has passed the target, the ladder bounds
+   that run by one spacing; before, it starts at the region start. *)
 
 (** Move the replay to exactly [target] retired instructions. *)
 let goto_step (t : t) ~target : (stop, string) result =
@@ -318,11 +370,7 @@ let goto_step (t : t) ~target : (stop, string) result =
   | Some pb ->
     if target < 0 then Error "cannot step before the region start"
     else begin
-      let from =
-        List.find_opt
-          (fun c -> c.Dr_pinplay.Replayer.c_steps <= target)
-          t.checkpoints
-      in
+      let from = checkpoint_before t target in
       let r = Dr_pinplay.Replayer.create ?from t.prog pb in
       t.mode <- Replaying r;
       let already = Dr_pinplay.Replayer.steps r in

@@ -6,15 +6,16 @@
     - {!Seeded}: pseudo-random thread and quantum from a seed — the
       "native" non-deterministic schedule; different seeds give the
       run-to-run variation that makes cyclic debugging hard (paper §1).
-    - {!Scripted}: replay of a recorded schedule (RLE list of
-      [(tid, retired-instruction count)] slices); divergence raises.
+    - {!Scripted}: replay of a recorded schedule (RLE array of
+      [(tid, retired-instruction count)] slices), starting [start]
+      retired instructions in; divergence raises.
     - {!Custom}: externally controlled — used by Maple's active scheduler
       and by the interactive debugger. *)
 
 type policy =
   | Round_robin of { quantum : int }
   | Seeded of { seed : int; max_quantum : int }
-  | Scripted of (int * int) array
+  | Scripted of { schedule : (int * int) array; start : int }
   | Custom of (Machine.t -> last:int -> int option)
 
 type stop_reason =
@@ -78,8 +79,16 @@ let make_picker policy =
           cur := t;
           left := 1 + Random.State.int rng (max max_quantum 1);
           Some t)
-  | Scripted sched ->
-    let pos = ref 0 and left = ref 0 in
+  | Scripted { schedule = sched; start } ->
+    (* seek: the (entry, remaining) cursor [start] instructions in, found
+       by one scan over the counts — the schedule itself is not copied *)
+    let pos = ref 0 and left = ref 0 and skip = ref start in
+    while !pos < Array.length sched && !skip >= snd sched.(!pos) do
+      skip := !skip - snd sched.(!pos);
+      incr pos
+    done;
+    if !skip > 0 && !pos < Array.length sched then
+      left := snd sched.(!pos) - !skip;
     fun _m ~last ->
       ignore last;
       (* advance past empty slices *)
@@ -105,22 +114,28 @@ type session = {
   pick : Machine.t -> last:int -> int option;
   scripted : bool;
   mutable last : int;
+  mutable pending : int option;
+      (** the tid picked when a breakpoint stopped the run: the picker
+          has already spent that slot, so the next {!resume} steps this
+          tid instead of picking again *)
 }
 
 let session ?(nondet : Machine.nondet option) (m : Machine.t) (policy : policy)
     : session =
   let nondet = match nondet with Some f -> f | None -> Machine.native_nondet m in
   let scripted = match policy with Scripted _ -> true | _ -> false in
-  { m; nondet; pick = make_picker policy; scripted; last = 0 }
+  { m; nondet; pick = make_picker policy; scripted; last = 0; pending = None }
 
 (** Run the session until a stop condition.
 
     [break_at] is consulted {e before} executing an instruction
     (breakpoint semantics); [stop_when] is consulted on the event {e
     after} each retired instruction.  [max_steps] bounds retired
-    instructions across all threads.  For scripted policies, scheduling a
-    blocked thread or a bad tid raises {!Replay_divergence}: a correct
-    pinball never does this. *)
+    instructions across all threads.  A breakpoint stop keeps the thread
+    it picked, so the next call resumes with that thread (testing
+    [break_at] on it again) and the schedule stays in step.  For scripted
+    policies, scheduling a blocked thread or a bad tid raises
+    {!Replay_divergence}: a correct pinball never does this. *)
 let resume ?(hooks = no_hooks) ?(max_steps = max_int)
     ?(break_at : (tid:int -> pc:int -> bool) option)
     ?(stop_when : (Event.t -> bool) option) (s : session) : stop_reason =
@@ -133,7 +148,14 @@ let resume ?(hooks = no_hooks) ?(max_steps = max_int)
       result := Some (Terminated (Machine.outcome m))
     else if !steps >= max_steps then result := Some Max_steps
     else
-      match pick m ~last:!last with
+      let picked =
+        match s.pending with
+        | Some _ as p ->
+          s.pending <- None;
+          p
+        | None -> pick m ~last:!last
+      in
+      match picked with
       | None ->
         if scripted then result := Some Schedule_end
         else if Machine.all_finished m then
@@ -158,6 +180,7 @@ let resume ?(hooks = no_hooks) ?(max_steps = max_int)
           else begin
             match break_at with
             | Some f when f ~tid ~pc:th.Machine.pc ->
+              s.pending <- Some tid;
               result := Some (Breakpoint { tid; pc = th.Machine.pc })
             | _ ->
               let ev = Machine.step m ~tid ~nondet in

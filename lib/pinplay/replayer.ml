@@ -48,11 +48,15 @@ type t = {
 (** A mid-replay checkpoint: enough state to resume the {e same} replay
     from this point without re-executing the prefix.  This is the
     "user-level check-pointing" the paper's related-work section proposes
-    for reverse debugging (§8). *)
+    for reverse debugging (§8).  Unlike a pinball snapshot it carries the
+    output printed so far and the outcome, so a resumed replay prints and
+    stops as an uninterrupted one does. *)
 type checkpoint = {
   c_snapshot : Snapshot.t;
   c_steps : int;
   c_syscall_pos : int;
+  c_output : int array;
+  c_outcome : Machine.outcome;
 }
 
 (** A nondet source that feeds results from a recorded syscall log. *)
@@ -66,20 +70,13 @@ let log_nondet (syscalls : int array) (pos : int ref) : Machine.nondet =
       v
     end
 
-(* the RLE schedule with its first [n] retired instructions consumed *)
-let schedule_suffix (schedule : (int * int) array) n =
-  let remaining = ref n in
-  let out = ref [] in
-  Array.iter
-    (fun (tid, cnt) ->
-      if !remaining >= cnt then remaining := !remaining - cnt
-      else if !remaining > 0 then begin
-        out := (tid, cnt - !remaining) :: !out;
-        remaining := 0
-      end
-      else out := (tid, cnt) :: !out)
-    schedule;
-  Array.of_list (List.rev !out)
+(* the machine at a checkpoint: its snapshot plus the output and outcome
+   that the snapshot format leaves out *)
+let restore prog (c : checkpoint) =
+  let m = Snapshot.restore prog c.c_snapshot in
+  Array.iter (Dr_util.Vec.Int_vec.push m.Machine.output) c.c_output;
+  m.Machine.outcome <- c.c_outcome;
+  m
 
 (* first digest index strictly beyond [steps] retired instructions *)
 let digest_index (digests : Pinball.digest array) steps =
@@ -90,21 +87,24 @@ let digest_index (digests : Pinball.digest array) steps =
   !i
 
 (** Create a replayer for a region pinball, optionally resuming [from] a
-    checkpoint taken on an earlier replay of the {e same} pinball. *)
+    checkpoint taken on an earlier replay of the {e same} pinball.  The
+    scripted picker seeks into the recorded schedule in place, so
+    resuming costs a snapshot restore, not a copy of the schedule. *)
 let create ?(from : checkpoint option) (prog : Dr_isa.Program.t)
     (pinball : Pinball.t) : t =
   if pinball.Pinball.kind <> Pinball.Region then
     invalid_arg "Replayer.create: slice pinballs replay via Dr_exeslice";
-  let snapshot, steps, sys0 =
+  let machine, steps, sys0 =
     match from with
-    | None -> (pinball.Pinball.snapshot, 0, 0)
-    | Some c -> (c.c_snapshot, c.c_steps, c.c_syscall_pos)
+    | None -> (Snapshot.restore prog pinball.Pinball.snapshot, 0, 0)
+    | Some c -> (restore prog c, c.c_steps, c.c_syscall_pos)
   in
-  let machine = Snapshot.restore prog snapshot in
   let syscall_pos = ref sys0 in
   let nondet = log_nondet pinball.Pinball.syscalls syscall_pos in
-  let schedule = schedule_suffix pinball.Pinball.schedule steps in
-  let session = Driver.session ~nondet machine (Driver.Scripted schedule) in
+  let policy =
+    Driver.Scripted { schedule = pinball.Pinball.schedule; start = steps }
+  in
+  let session = Driver.session ~nondet machine policy in
   { machine; pinball; session; syscall_pos; steps;
     next_digest = digest_index pinball.Pinball.digests steps }
 
@@ -116,7 +116,9 @@ let steps t = t.steps
     instructions, i.e. not from inside a hook that mutates state). *)
 let checkpoint (t : t) : checkpoint =
   { c_snapshot = Snapshot.capture t.machine; c_steps = t.steps;
-    c_syscall_pos = !(t.syscall_pos) }
+    c_syscall_pos = !(t.syscall_pos);
+    c_output = Dr_util.Vec.Int_vec.to_array t.machine.Machine.output;
+    c_outcome = Machine.outcome t.machine }
 
 (* Recompute and compare the next recorded digest once the replay reaches
    its step.  Runs before user hooks so a divergence is reported against

@@ -31,22 +31,27 @@ type t
 
 (** A mid-replay checkpoint: enough state to resume the {e same} replay
     from this point without re-executing the prefix — the substrate for
-    reverse debugging (paper §8). *)
+    reverse debugging (paper §8).  [c_output] (the program output printed
+    before the checkpoint) and [c_outcome] live only in memory: pinball
+    snapshots carry neither. *)
 type checkpoint = {
   c_snapshot : Dr_machine.Snapshot.t;
   c_steps : int;
   c_syscall_pos : int;
+  c_output : int array;
+  c_outcome : Dr_machine.Machine.outcome;
 }
 
 (** A nondet source feeding results from a recorded syscall log; exposed
     for slice replay. *)
 val log_nondet : int array -> int ref -> Dr_machine.Machine.nondet
 
-(** The RLE schedule with its first [n] retired instructions consumed. *)
-val schedule_suffix : (int * int) array -> int -> (int * int) array
-
 (** Create a replayer for a region pinball, optionally resuming [from] a
-    checkpoint taken on an earlier replay of the {e same} pinball.
+    checkpoint taken on an earlier replay of the {e same} pinball.  The
+    recorded schedule is used in place: the picker seeks to the
+    checkpoint's step with one allocation-free scan of the RLE counts,
+    so creation costs a snapshot restore, not a copy of the schedule.
+    A resumed replay starts with the checkpoint's output and outcome.
     @raise Invalid_argument on slice pinballs (those replay via
     [Dr_exeslice.Slice_replay]). *)
 val create : ?from:checkpoint -> Dr_isa.Program.t -> Pinball.t -> t

@@ -285,6 +285,180 @@ fn main() {
   ignore (exec dbg "goto 5000");
   Alcotest.(check string) "goto deterministic" g5000 (exec dbg "print g")
 
+(* ---- rewinding: the checkpoint ladder and resuming from stops ---- *)
+
+module Session = Drdebug.Session
+
+(* a 32K-word image: every checkpoint copies the whole address space,
+   and these programs touch a few thousand words of it *)
+let small_image (p : Dr_isa.Program.t) =
+  { p with Dr_isa.Program.mem_size = 1 lsl 15; stack_words = 1 lsl 11;
+    max_threads = 8 }
+
+(* three threads printing as they go, ~40k steps *)
+let ladder_src = {|global int x;
+global int m;
+fn worker(int n) {
+  for (int i = 0; i < 300; i = i + 1) {
+    lock(&m);
+    x = x + n + rand() % 5;
+    unlock(&m);
+    print(x);
+  }
+}
+fn main() {
+  int a = spawn(worker, 1);
+  int b = spawn(worker, 2);
+  worker(3);
+  join(a);
+  join(b);
+  print(x);
+}|}
+
+let replay_session prog pb =
+  let s = Session.create prog in
+  Session.load_pinball s pb;
+  (match Session.start_replay s with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "start_replay: %s" e);
+  s
+
+let ok what = function
+  | Ok (st : Session.stop) -> st
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let session_machine s =
+  match Session.machine s with
+  | Some m -> m
+  | None -> Alcotest.fail "no machine"
+
+let ladder_pinball () =
+  let prog = small_image (compile ladder_src) in
+  match
+    Dr_pinplay.Logger.log
+      ~policy:(Dr_machine.Driver.Seeded { seed = 2; max_quantum = 5 })
+      prog Dr_pinplay.Logger.Whole
+  with
+  | Ok (pb, _) -> (prog, pb)
+  | Error e -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error e
+
+(* steps the replayer ran during [f], from the replay spans *)
+let replayed_steps f =
+  Dr_obs.Obs.reset ();
+  Dr_obs.Obs.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Dr_obs.Obs.set_enabled false) f in
+  let steps =
+    Array.fold_left
+      (fun acc sp ->
+        if sp.Dr_obs.Obs.sp_name <> "replayer.resume" then acc
+        else
+          match List.assoc_opt "steps" sp.Dr_obs.Obs.sp_attrs with
+          | Some (Dr_obs.Obs.Int n) -> acc + n
+          | _ -> acc)
+      0 (Dr_obs.Obs.spans ())
+  in
+  Dr_obs.Obs.reset ();
+  (r, steps)
+
+let check_rewind_distance ~interval () =
+  let prog, pb = ladder_pinball () in
+  let n = Dr_pinplay.Pinball.schedule_instructions pb in
+  let s = replay_session prog pb in
+  Option.iter (fun i -> s.Session.checkpoint_interval <- i) interval;
+  let spacing = max s.Session.checkpoint_interval (n / 16) in
+  ignore (ok "continue" (Session.continue_replay s));
+  Alcotest.(check int) "at the region end" n s.Session.replay_steps;
+  let rewind back =
+    let target = n - back in
+    let from =
+      match Session.checkpoint_before s target with
+      | Some c -> c.Dr_pinplay.Replayer.c_steps
+      | None -> 0
+    in
+    let _, ran = replayed_steps (fun () -> ok "rewind" (Session.reverse_stepi s back)) in
+    Alcotest.(check int) "rewound" target s.Session.replay_steps;
+    Alcotest.(check int) "ran from the chosen checkpoint" (target - from) ran;
+    if ran > spacing then
+      Alcotest.failf "rewind by %d replayed %d steps (spacing %d)" back ran spacing
+  in
+  rewind (n / 2);
+  (* forward again over rungs the ladder already has, then far back *)
+  ignore (ok "continue" (Session.continue_replay s));
+  rewind (n - 1);
+  let steps = List.map (fun c -> c.Dr_pinplay.Replayer.c_steps) s.Session.checkpoints in
+  Alcotest.(check (list int)) "sorted, no duplicates" (List.sort_uniq compare steps) steps;
+  (* the only stop checkpoint is the region end *)
+  let periodic = List.filter (fun st -> st <> n) steps in
+  List.iter
+    (fun st -> if st mod spacing <> 0 then Alcotest.failf "checkpoint off the ladder at %d" st)
+    periodic;
+  if List.length periodic > 16 then
+    Alcotest.failf "%d periodic checkpoints" (List.length periodic)
+
+let test_goto_end_output () =
+  (* checkpoints carry the output printed so far, so a replay resumed
+     late prints what an uninterrupted replay does *)
+  let prog, pb = ladder_pinball () in
+  let n = Dr_pinplay.Pinball.schedule_instructions pb in
+  let m_ref, _ = Dr_pinplay.Replayer.replay prog pb in
+  let out_ref = Dr_machine.Machine.output_list m_ref in
+  let s = replay_session prog pb in
+  ignore (ok "continue" (Session.continue_replay s));
+  ignore (ok "rewind" (Session.reverse_stepi s (n / 3)));
+  ignore (ok "goto end" (Session.goto_step s ~target:n));
+  Alcotest.(check (list int)) "output after goto to the end" out_ref
+    (Dr_machine.Machine.output_list (session_machine s));
+  ignore (ok "rewind" (Session.reverse_stepi s 10));
+  let st = ok "continue" (Session.continue_replay s) in
+  Alcotest.(check string) "same end" "exited(0)" st.Session.stop_reason;
+  Alcotest.(check (list int)) "output after continuing to the end" out_ref
+    (Dr_machine.Machine.output_list (session_machine s))
+
+let test_resume_after_every_breakpoint () =
+  (* a breakpoint stop must not spend a slot of the recorded schedule:
+     stop at every pc that retires, then continue to the end *)
+  let e = Option.get (Dr_workloads.Registry.find "fluidanimate") in
+  let prog = small_image (e.Dr_workloads.Registry.compile ~threads:4 ~iters:5) in
+  let pb =
+    match
+      Dr_pinplay.Logger.log
+        ~policy:(Dr_machine.Driver.Seeded { seed = 3; max_quantum = 6 })
+        prog Dr_pinplay.Logger.Whole
+    with
+    | Ok (pb, _) -> pb
+    | Error e -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error e
+  in
+  let pcs = Hashtbl.create 64 in
+  let hooks =
+    { Dr_machine.Driver.on_event =
+        (fun ev -> Hashtbl.replace pcs ev.Dr_machine.Event.pc ()) }
+  in
+  let m_ref, _ = Dr_pinplay.Replayer.replay ~hooks prog pb in
+  Alcotest.(check bool) "multi-threaded" true
+    (Dr_machine.Machine.num_threads m_ref > 1);
+  let end_reason =
+    (ok "reference" (Session.continue_replay (replay_session prog pb)))
+      .Session.stop_reason
+  in
+  let failures = ref [] in
+  Hashtbl.iter
+    (fun pc () ->
+      let s = replay_session prog pb in
+      let bp = Session.add_breakpoint_pc s pc in
+      let st = ok "to breakpoint" (Session.continue_replay s) in
+      Alcotest.(check string) "stopped" "breakpoint" st.Session.stop_reason;
+      ignore (Session.delete_breakpoint s bp.Session.bp_id);
+      match Session.continue_replay s with
+      | Ok st
+        when st.Session.stop_reason = end_reason
+             && Dr_machine.Machine.total_icount (session_machine s)
+                = Dr_machine.Machine.total_icount m_ref -> ()
+      | Ok st -> failures := Printf.sprintf "pc %d: %s" pc st.Session.stop_reason :: !failures
+      | Error e -> failures := Printf.sprintf "pc %d: %s" pc e :: !failures)
+    pcs;
+  Alcotest.(check bool) "stopped at many pcs" true (Hashtbl.length pcs > 100);
+  Alcotest.(check (list string)) "no failed resume" [] !failures
+
 let test_error_paths () =
   let dbg = Drdebug.Debugger.of_program (compile simple_src) in
   ignore (exec_err dbg "replay");
@@ -466,6 +640,14 @@ let () =
           Alcotest.test_case "reverse-continue" `Quick test_reverse_continue;
           Alcotest.test_case "goto + checkpoints" `Quick
             test_goto_and_checkpoints ] );
+      ( "rewind",
+        [ Alcotest.test_case "rewind distance" `Quick
+            (check_rewind_distance ~interval:None);
+          Alcotest.test_case "rewind distance, wide interval" `Quick
+            (check_rewind_distance ~interval:(Some 5000));
+          Alcotest.test_case "goto end output" `Quick test_goto_end_output;
+          Alcotest.test_case "resume after every breakpoint" `Quick
+            test_resume_after_every_breakpoint ] );
       ( "robustness",
         [ Alcotest.test_case "error paths" `Quick test_error_paths;
           Alcotest.test_case "precision toggles" `Quick test_precision_toggles;

@@ -258,12 +258,17 @@ let test_scripted_divergence () =
   Alcotest.check_raises "divergence"
     (Dr_machine.Driver.Replay_divergence "schedule names bad tid 3") (fun () ->
       ignore
-        (Dr_machine.Driver.run m (Dr_machine.Driver.Scripted [| (0, 1); (3, 1) |])))
+        (Dr_machine.Driver.run m
+           (Dr_machine.Driver.Scripted
+              { schedule = [| (0, 1); (3, 1) |]; start = 0 })))
 
 let test_scripted_exact () =
   let p = raw_prog [ Mov (0, Imm 1); Mov (0, Imm 2); Mov (0, Imm 3); Halt ] in
   let m = Dr_machine.Machine.create p in
-  let r = Dr_machine.Driver.run m (Dr_machine.Driver.Scripted [| (0, 2) |]) in
+  let r =
+    Dr_machine.Driver.run m
+      (Dr_machine.Driver.Scripted { schedule = [| (0, 2) |]; start = 0 })
+  in
   (match r with
   | Dr_machine.Driver.Schedule_end -> ()
   | _ -> Alcotest.fail "expected schedule end");
@@ -348,7 +353,8 @@ let test_snapshot_divergence_after_restore () =
     (Dr_machine.Driver.Replay_divergence "schedule names bad tid 7")
     (fun () ->
       ignore
-        (Dr_machine.Driver.run m3 (Dr_machine.Driver.Scripted [| (7, 1) |])))
+        (Dr_machine.Driver.run m3
+           (Dr_machine.Driver.Scripted { schedule = [| (7, 1) |]; start = 0 })))
 
 (* a multi-thread workload long enough that a mid-run snapshot lands
    while several threads are live and holding state *)

@@ -400,18 +400,153 @@ fn main() {
 
 (* ---- checkpoints (reverse-debugging substrate) ---- *)
 
-let test_schedule_suffix () =
-  let sched = [| (0, 5); (1, 3); (0, 2) |] in
-  Alcotest.(check bool) "suffix 0" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 0 = sched);
-  Alcotest.(check bool) "suffix 5" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 5 = [| (1, 3); (0, 2) |]);
-  Alcotest.(check bool) "suffix mid-slice" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 6 = [| (1, 2); (0, 2) |]);
-  Alcotest.(check bool) "suffix all" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 10 = [||]);
-  Alcotest.(check bool) "suffix 2" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 2 = [| (0, 3); (1, 3); (0, 2) |])
+(* ---- seek: a replay started at any step of the recorded schedule ---- *)
+
+(* the tids a scripted picker hands out from [start] until exhausted *)
+let scripted_picks schedule start =
+  let m = Dr_machine.Machine.create (compile racy_src) in
+  let s =
+    Dr_machine.Driver.session m (Dr_machine.Driver.Scripted { schedule; start })
+  in
+  let rec go acc =
+    match s.Dr_machine.Driver.pick m ~last:0 with
+    | None -> List.rev acc
+    | Some tid -> go (tid :: acc)
+  in
+  go []
+
+let expand_schedule schedule =
+  List.concat_map
+    (fun (tid, n) -> List.init n (fun _ -> tid))
+    (Array.to_list schedule)
+
+let test_seek_positions () =
+  (* seeking [k] steps in picks exactly the schedule's suffix: at 0, at
+     an entry boundary, mid-entry, at the end and past it, with and
+     without zero-count entries *)
+  let check sched =
+    List.iter
+      (fun k ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "seek %d" k)
+          (List.filteri (fun i _ -> i >= k) (expand_schedule sched))
+          (scripted_picks sched k))
+      [ 0; 5; 6; 10; 2; 11 ]
+  in
+  check [| (0, 5); (1, 3); (0, 2) |];
+  check [| (1, 0); (0, 5); (1, 0); (1, 3); (0, 0); (0, 2); (1, 0) |]
+
+(* several threads that print and draw rand() while they run, so a
+   checkpoint lands with output printed and syscall results consumed *)
+let seek_src =
+  {|
+global int x;
+global int m;
+fn worker(int n) {
+  for (int i = 0; i < 12; i = i + 1) {
+    lock(&m);
+    x = x + n + rand() % 7;
+    unlock(&m);
+    print(x);
+  }
+}
+fn main() {
+  int a = spawn(worker, 1);
+  int b = spawn(worker, 2);
+  worker(3);
+  join(a);
+  join(b);
+  print(x);
+}
+|}
+
+let seek_case =
+  lazy
+    (let prog = compile seek_src in
+     match
+       Dr_pinplay.Logger.log
+         ~policy:(Dr_machine.Driver.Seeded { seed = 4; max_quantum = 3 })
+         ~digest_interval:16 prog Dr_pinplay.Logger.Whole
+     with
+     | Ok (pb, _) -> (prog, pb)
+     | Error e -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error e)
+
+(* the same pinball with zero-count entries at the front, the back and
+   after every third entry: it must replay identically *)
+let with_zero_entries (pb : Dr_pinplay.Pinball.t) =
+  let sched = pb.Dr_pinplay.Pinball.schedule in
+  let out = ref [ (0, 0) ] in
+  Array.iteri
+    (fun i (tid, n) ->
+      out := (tid, n) :: !out;
+      if i mod 3 = 0 then out := (tid, 0) :: !out)
+    sched;
+  { pb with
+    Dr_pinplay.Pinball.schedule = Array.of_list (List.rev ((1, 0) :: !out)) }
+
+(* the end of a replay, everything an uninterrupted replay pins down *)
+let replay_end r =
+  match Dr_pinplay.Replayer.run r with
+  | exception Dr_pinplay.Replayer.Divergence d -> Error d
+  | reason ->
+    let m = Dr_pinplay.Replayer.machine r in
+    let threads =
+      Array.to_list (Dr_machine.Machine.threads m)
+      |> List.map (fun th ->
+             (th.Dr_machine.Machine.pc, Array.to_list th.Dr_machine.Machine.regs))
+    in
+    Ok
+      ( Format.asprintf "%a" Dr_machine.Driver.pp_stop_reason reason,
+        Dr_machine.Machine.total_icount m,
+        threads,
+        Dr_machine.Machine.output_list m )
+
+(* a copy of [pb] whose first digest beyond step [k] is wrong *)
+let corrupt_digest_after (pb : Dr_pinplay.Pinball.t) k =
+  let digests = Array.copy pb.Dr_pinplay.Pinball.digests in
+  Array.find_index (fun d -> d.Dr_pinplay.Pinball.dg_step > k) digests
+  |> Option.map (fun i ->
+         let d = digests.(i) in
+         digests.(i) <-
+           { d with Dr_pinplay.Pinball.dg_hash = d.Dr_pinplay.Pinball.dg_hash + 1 };
+         { pb with Dr_pinplay.Pinball.digests })
+
+let prop_seek_any_step =
+  let gen rand =
+    let _, pb = Lazy.force seek_case in
+    let n = Dr_pinplay.Pinball.schedule_instructions pb in
+    let boundaries =
+      Array.fold_left
+        (fun acc (_, c) -> (List.hd acc + c) :: acc)
+        [ 0 ] pb.Dr_pinplay.Pinball.schedule
+    in
+    let k =
+      QCheck.Gen.(
+        frequency
+          [ (1, return 0); (1, return n); (3, oneofl boundaries);
+            (3, int_bound n) ])
+        rand
+    in
+    (k, QCheck.Gen.bool rand)
+  in
+  QCheck.Test.make ~name:"seek from any step matches an uninterrupted replay"
+    ~count:40
+    (QCheck.make ~print:QCheck.Print.(pair int bool) gen)
+    (fun (k, zeros) ->
+      let prog, pb = Lazy.force seek_case in
+      let pb = if zeros then with_zero_entries pb else pb in
+      let r = Dr_pinplay.Replayer.create prog pb in
+      ignore (Dr_pinplay.Replayer.resume ~max_steps:k r);
+      let ck = Dr_pinplay.Replayer.checkpoint r in
+      let straight pb = replay_end (Dr_pinplay.Replayer.create prog pb) in
+      let seeked pb = replay_end (Dr_pinplay.Replayer.create ~from:ck prog pb) in
+      Result.is_ok (straight pb)
+      && straight pb = seeked pb
+      &&
+      (* a wrong digest past the seek point is caught at the same step *)
+      match corrupt_digest_after pb k with
+      | None -> true
+      | Some bad -> Result.is_error (straight bad) && straight bad = seeked bad)
 
 let test_checkpoint_resume_equivalence () =
   (* resuming from a checkpoint produces the same continuation as the
@@ -430,15 +565,9 @@ let test_checkpoint_resume_equivalence () =
   let r2 = Dr_pinplay.Replayer.create ~from:cp prog pb in
   Alcotest.(check int) "resumed at checkpoint" 40 (Dr_pinplay.Replayer.steps r2);
   let _ = Dr_pinplay.Replayer.resume r2 in
-  let out2 = Dr_machine.Machine.output_list (Dr_pinplay.Replayer.machine r2) in
-  (* the resumed machine only produces output from the checkpoint onward;
-     it must be a suffix of the reference output *)
-  let is_suffix small big =
-    let ls = List.length small and lb = List.length big in
-    ls <= lb
-    && small = List.filteri (fun i _ -> i >= lb - ls) big
-  in
-  Alcotest.(check bool) "suffix of reference output" true (is_suffix out2 ref_out)
+  (* the checkpoint carries the output printed before it *)
+  Alcotest.(check (list int)) "reference output" ref_out
+    (Dr_machine.Machine.output_list (Dr_pinplay.Replayer.machine r2))
 
 let prop_checkpoint_any_position =
   QCheck.Test.make ~name:"checkpoint/resume at any position" ~count:20
@@ -740,9 +869,11 @@ let () =
           Alcotest.test_case "two adjacent regions" `Quick
             test_relog_two_adjacent_regions;
           Alcotest.test_case "empty region" `Quick test_relog_empty_region ] );
+      ( "seek",
+        [ Alcotest.test_case "schedule positions" `Quick test_seek_positions;
+          QCheck_alcotest.to_alcotest prop_seek_any_step ] );
       ( "checkpoints",
-        [ Alcotest.test_case "schedule suffix" `Quick test_schedule_suffix;
-          Alcotest.test_case "resume equivalence" `Quick
+        [ Alcotest.test_case "resume equivalence" `Quick
             test_checkpoint_resume_equivalence;
           QCheck_alcotest.to_alcotest prop_checkpoint_any_position;
           Alcotest.test_case "skip boundary exact" `Quick test_logger_skip_exact ] ) ]
