@@ -514,7 +514,7 @@ let ablation () =
   printf "%-24s| %-12s| %-12s| %s\n" "configuration" "avg time" "avg visited"
     "avg blocks skipped";
   hr ();
-  let run_config name ~block_skipping =
+  let run_config name ~driver =
     let times = ref [] and visited = ref [] and skipped = ref [] in
     List.iter
       (fun pos ->
@@ -522,7 +522,7 @@ let ablation () =
           time (fun () ->
               (* scan driver on both sides: the ablation isolates LP
                  block skipping, not the indexed fast path *)
-              Dr_slicing.Slicer.compute ~lp ~block_skipping ~indexed:false gt
+              Dr_slicing.Slicer.compute ~lp ~driver gt
                 { Dr_slicing.Slicer.crit_pos = pos; crit_locs = None })
         in
         times := t :: !times;
@@ -537,8 +537,8 @@ let ablation () =
       (Dr_util.Stats.mean !skipped)
       lp.Dr_slicing.Lp.num_blocks
   in
-  run_config "LP skipping on" ~block_skipping:true;
-  run_config "LP skipping off" ~block_skipping:false;
+  run_config "LP skipping on" ~driver:`Scan_skip;
+  run_config "LP skipping off" ~driver:`Scan;
   printf
     "(broad slices touch most blocks, so skipping is a wash here; LP pays\n\
      \ off on narrow slices over long traces, below)\n";
@@ -574,17 +574,15 @@ fn main() {
   printf "\nnarrow slice over a %d-instruction trace:\n"
     (Dr_slicing.Global_trace.length ngt);
   List.iter
-    (fun (name, bs) ->
+    (fun (name, driver) ->
       let s, t =
-        time (fun () ->
-            Dr_slicing.Slicer.compute ~lp:nlp ~block_skipping:bs ~indexed:false
-              ngt ncrit)
+        time (fun () -> Dr_slicing.Slicer.compute ~lp:nlp ~driver ngt ncrit)
       in
       printf "%-24s| %9.4fs  | visited %7d  | skipped %d/%d blocks\n" name t
         s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.visited
         s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.skipped_blocks
         nlp.Dr_slicing.Lp.num_blocks)
-    [ ("LP skipping on", true); ("LP skipping off", false) ];
+    [ ("LP skipping on", `Scan_skip); ("LP skipping off", `Scan) ];
 
   section "Ablation: thread clustering in global trace construction (section 3(ii))";
   printf "%-24s| %-12s| %s\n" "configuration" "construct" "thread switches in order";

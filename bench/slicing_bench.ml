@@ -24,7 +24,7 @@ let log_or_fail ?policy prog spec =
 
 (* One prepared workload: its global trace, LP summaries + def index,
    and the slicing criteria (the last data loads, newest first, plus one
-   register-chasing criterion that exercises the static reach filter). *)
+   register-chasing criterion that exercises LP block skipping). *)
 type prepared = {
   w_name : string;
   w_kind : string;  (* "registry" | "generated" *)
@@ -60,8 +60,8 @@ let criteria_of gt ~n =
 (* One register-chasing criterion: slice the full trace for the defined
    register location with the fewest dynamic definitions (ties broken by
    encoding, for determinism).  A scarce register concentrates its defs
-   in few trace blocks, which is the shape the static reach filter
-   prunes; memory-chasing criteria rarely do, because almost every block
+   in few trace blocks, which is the shape LP block skipping prunes;
+   memory-chasing criteria rarely do, because almost every block
    contains a store. *)
 let register_criterion gt lp =
   let len = Dr_slicing.Global_trace.length gt in
@@ -159,11 +159,8 @@ type measured = {
   reps : int;
   indexed_s : float;
   scan_skip_s : float;
-  scan_static_s : float;
   scan_noskip_s : float;
-  static_prepare_s : float;
   blocks_skipped : int;
-  static_skips : int;
   total_blocks : int;
   visited_indexed : int;
   visited_scan : int;
@@ -223,18 +220,15 @@ let measure_spill (p : prepared) =
       { c with Dr_slicing.Collector.records = store }
   in
   let lp' = Dr_slicing.Lp.prepare gt' in
-  let clean ?static_filter ~indexed ~block_skipping crit =
-    Dr_slicing.Slicer.compute ?static_filter ~lp:p.lp ~indexed ~block_skipping
-      p.gt crit
-  in
-  let spilled ~indexed ~block_skipping crit =
-    Dr_slicing.Slicer.compute ~lp:lp' ~indexed ~block_skipping gt' crit
+  let clean crit = Dr_slicing.Slicer.compute ~lp:p.lp p.gt crit in
+  let spilled ?driver crit =
+    Dr_slicing.Slicer.compute ~lp:lp' ?driver gt' crit
   in
   let spill_identical =
     n = Dr_slicing.Segment_store.length store
     && List.for_all
          (fun crit ->
-           let base = clean ~indexed:true ~block_skipping:true crit in
+           let base = clean crit in
            let governed =
              Dr_slicing.Slicer.compute_governed ~budget gt' crit
            in
@@ -242,17 +236,14 @@ let measure_spill (p : prepared) =
              (fun s ->
                s.Dr_slicing.Slicer.positions = base.Dr_slicing.Slicer.positions
                && canonical_edges s = canonical_edges base)
-             [ spilled ~indexed:true ~block_skipping:true crit;
-               spilled ~indexed:false ~block_skipping:true crit;
-               spilled ~indexed:false ~block_skipping:false crit;
+             [ spilled crit;
+               spilled ~driver:`Scan_skip crit;
+               spilled ~driver:`Scan crit;
                governed.Dr_slicing.Slicer.g_slice ])
          p.criteria
   in
   let _, spill_read_s =
-    time (fun () ->
-        List.iter
-          (fun crit -> ignore (spilled ~indexed:true ~block_skipping:true crit))
-          p.criteria)
+    time (fun () -> List.iter (fun crit -> ignore (spilled crit)) p.criteria)
   in
   (* records-beyond-RAM tier: the same criteria answered by on-demand
      re-execution — record lookups replay forward from periodic
@@ -272,7 +263,7 @@ let measure_spill (p : prepared) =
   let reexec_identical =
     List.for_all
       (fun crit ->
-        let base = clean ~indexed:true ~block_skipping:true crit in
+        let base = clean crit in
         let s = reexec crit in
         s.Dr_slicing.Slicer.positions = base.Dr_slicing.Slicer.positions
         && canonical_edges s = canonical_edges base)
@@ -304,72 +295,41 @@ let measure_spill (p : prepared) =
 let measure ~reps ~pool (p : prepared) : measured =
   let gt = p.gt and lp = p.lp in
   let records = Dr_slicing.Global_trace.length gt in
-  let code = p.w_prog.Dr_isa.Program.code in
-  let ncode = Array.length code in
-  let sf, static_prepare_s =
-    time (fun () ->
-        Dr_slicing.Lp.prepare_static lp gt
-          ~reg_defs:(fun pc ->
-            if pc >= 0 && pc < ncode then Dr_static.Defuse.def_mask code.(pc)
-            else 0)
-          ~writes_mem:(fun pc ->
-            pc >= 0 && pc < ncode && Dr_static.Defuse.writes_mem code.(pc)))
-  in
-  let compute ?static_filter ~indexed ~block_skipping crit =
-    Dr_slicing.Slicer.compute ?static_filter ~lp ~indexed ~block_skipping gt
-      crit
-  in
-  (* correctness first: all four drivers must agree on every criterion *)
+  let compute ?driver crit = Dr_slicing.Slicer.compute ~lp ?driver gt crit in
+  (* correctness first: all three stored-trace drivers must agree on
+     every criterion *)
   let identical =
     List.for_all
       (fun crit ->
-        let fast = compute ~indexed:true ~block_skipping:true crit in
-        let skip = compute ~indexed:false ~block_skipping:true crit in
-        let sskip =
-          compute ~static_filter:sf ~indexed:false ~block_skipping:true crit
-        in
-        let noskip = compute ~indexed:false ~block_skipping:false crit in
+        let fast = compute crit in
+        let skip = compute ~driver:`Scan_skip crit in
+        let noskip = compute ~driver:`Scan crit in
         fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions
-        && skip.Dr_slicing.Slicer.positions
-           = sskip.Dr_slicing.Slicer.positions
         && skip.Dr_slicing.Slicer.positions
            = noskip.Dr_slicing.Slicer.positions
         && canonical_edges fast = canonical_edges skip
-        && canonical_edges skip = canonical_edges sskip
         && canonical_edges skip = canonical_edges noskip)
       p.criteria
   in
   (* stats from one pass per driver *)
-  let stats ?static_filter ~indexed ~block_skipping () =
+  let stats ?driver () =
     List.fold_left
-      (fun (v, sk, st, sz) crit ->
-        let s = compute ?static_filter ~indexed ~block_skipping crit in
+      (fun (v, sk, sz) crit ->
+        let s = compute ?driver crit in
         ( v + s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.visited,
           sk + s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.skipped_blocks,
-          st
-          + s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.static_skipped_blocks,
           sz + Dr_slicing.Slicer.size s ))
-      (0, 0, 0, 0) p.criteria
+      (0, 0, 0) p.criteria
   in
-  let visited_indexed, _, _, slice_size_total =
-    stats ~indexed:true ~block_skipping:true ()
-  in
-  let visited_scan, blocks_skipped, _, _ =
-    stats ~indexed:false ~block_skipping:true ()
-  in
-  let _, _, static_skips, _ =
-    stats ~static_filter:sf ~indexed:false ~block_skipping:true ()
-  in
+  let visited_indexed, _, slice_size_total = stats () in
+  let visited_scan, blocks_skipped, _ = stats ~driver:`Scan_skip () in
   (* timed runs: tracing off, so the measured loops stay comparable to
      pre-observability baselines (the gate is a single field check) *)
-  let timed ?static_filter ~indexed ~block_skipping () =
+  let timed ?driver () =
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
-            List.iter
-              (fun crit ->
-                ignore (compute ?static_filter ~indexed ~block_skipping crit))
-              p.criteria
+            List.iter (fun crit -> ignore (compute ?driver crit)) p.criteria
           done)
     in
     t
@@ -380,7 +340,7 @@ let measure ~reps ~pool (p : prepared) : measured =
   let par_identical =
     List.for_all2
       (fun crit par_s ->
-        let seq = compute ~indexed:true ~block_skipping:true crit in
+        let seq = compute crit in
         par_s.Dr_slicing.Slicer.positions = seq.Dr_slicing.Slicer.positions
         && canonical_edges par_s = canonical_edges seq)
       p.criteria par
@@ -390,12 +350,9 @@ let measure ~reps ~pool (p : prepared) : measured =
   in
   let was_enabled = Dr_obs.Obs.enabled () in
   Dr_obs.Obs.set_enabled false;
-  let indexed_s = timed ~indexed:true ~block_skipping:true () in
-  let scan_skip_s = timed ~indexed:false ~block_skipping:true () in
-  let scan_static_s =
-    timed ~static_filter:sf ~indexed:false ~block_skipping:true ()
-  in
-  let scan_noskip_s = timed ~indexed:false ~block_skipping:false () in
+  let indexed_s = timed () in
+  let scan_skip_s = timed ~driver:`Scan_skip () in
+  let scan_noskip_s = timed ~driver:`Scan () in
   let _, par_slice_s =
     time (fun () ->
         for _ = 1 to reps do
@@ -416,8 +373,7 @@ let measure ~reps ~pool (p : prepared) : measured =
     measure_spill p
   in
   { records; n_criteria = List.length p.criteria; reps; indexed_s;
-    scan_skip_s; scan_static_s; scan_noskip_s; static_prepare_s;
-    blocks_skipped; static_skips;
+    scan_skip_s; scan_noskip_s; blocks_skipped;
     total_blocks = lp.Dr_slicing.Lp.num_blocks; visited_indexed;
     visited_scan; slice_size_total; identical; spilled_segments;
     spill_read_s; degradations; spill_identical; par_slice_s;
@@ -439,17 +395,14 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("collect_s", J.Num p.collect_s);
       ("construct_s", J.Num p.construct_s);
       ("lp_prepare_s", J.Num p.lp_s);
-      ("static_prepare_s", J.Num m.static_prepare_s);
       ("indexed_s", J.Num m.indexed_s);
       ("scan_skip_s", J.Num m.scan_skip_s);
-      ("scan_static_s", J.Num m.scan_static_s);
       ("scan_noskip_s", J.Num m.scan_noskip_s);
       ("speedup_vs_scan_skip", J.Num (ratio m.scan_skip_s m.indexed_s));
       ("speedup_vs_scan_noskip", J.Num (ratio m.scan_noskip_s m.indexed_s));
       ( "records_per_s_indexed",
         J.Num (ratio (float_of_int m.records) per_slice_indexed) );
       ("blocks_skipped", J.int m.blocks_skipped);
-      ("static_skips", J.int m.static_skips);
       ("total_blocks", J.int m.total_blocks);
       ( "visited_ratio_indexed",
         J.Num
@@ -478,16 +431,6 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("reexec_identical", J.Bool m.reexec_identical);
       ("segstore_hit_rate", J.Num m.segstore_hit_rate);
       ("reexec_window_hit_rate", J.Num m.reexec_window_hit_rate) ]
-
-let metrics_json () : J.t =
-  J.Obj
-    (List.map
-       (fun (name, v) ->
-         match v with
-         | `Counter n -> (name, J.int n)
-         | `Timer (s, e) ->
-           (name, J.Obj [ ("seconds", J.Num s); ("events", J.int e) ]))
-       (Dr_obs.Metrics.report ()))
 
 (* Per-slot pool utilization from the always-on scalar metrics: how many
    tasks each pool slot (0 = caller, 1.. = workers) claimed across the
@@ -536,21 +479,19 @@ let run ~quick ?(domains = 2) ~out () =
       registry_names
     @ prepare_generated ~seeds ~keep ~n_criteria
   in
-  printf "%-16s %-10s %9s %10s %10s %10s %10s %8s %7s %6s %s\n" "workload"
-    "kind" "records" "indexed" "scan+skip" "scan+stat" "scan" "speedup"
-    "sskips" "spill" "identical";
+  printf "%-16s %-10s %9s %10s %10s %10s %8s %6s %s\n" "workload" "kind"
+    "records" "indexed" "scan+skip" "scan" "speedup" "spill" "identical";
   let domains = max 1 domains in
   let pool = Dr_util.Pool.create ~domains () in
   let rows =
     List.map
       (fun p ->
         let m = measure ~reps ~pool p in
-        printf
-          "%-16s %-10s %9d %9.4fs %9.4fs %9.4fs %9.4fs %7.1fx %7d %6d %b/%b\n"
+        printf "%-16s %-10s %9d %9.4fs %9.4fs %9.4fs %7.1fx %6d %b/%b\n"
           p.w_name p.w_kind m.records m.indexed_s m.scan_skip_s
-          m.scan_static_s m.scan_noskip_s
+          m.scan_noskip_s
           (ratio m.scan_skip_s m.indexed_s)
-          m.static_skips m.spilled_segments m.identical m.spill_identical;
+          m.spilled_segments m.identical m.spill_identical;
         (p, m))
       prepared
   in
@@ -576,7 +517,6 @@ let run ~quick ?(domains = 2) ~out () =
         ("workloads", J.List (List.map (fun (p, m) -> workload_json p m) rows));
         ("largest_generated", largest_generated);
         ("pool_utilization", pool_utilization_json ~domains ());
-        ("metrics", metrics_json ());
         ("report", Dr_obs.Report.document ~label:"slicing-bench" ()) ]
   in
   Dr_obs.Obs.set_enabled false;

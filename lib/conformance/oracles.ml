@@ -157,30 +157,25 @@ let slice_signature (s : Slicer.t) =
          (fun e -> (e.Slicer.from_pos, e.Slicer.to_pos, e.Slicer.kind))
          (Array.to_list s.Slicer.edges)) )
 
-(* Five drivers: indexed, scan+LP-skip, plain scan, scan with the
-   static pre-filter, and on-demand re-execution (record lookups
-   replayed from checkpoints — no stored-record walk).  Returns the
-   indexed slice so the caller can reuse it. *)
-let check_agreement gt ~lp ~pairs ~sf ~rx crit =
-  let a = Slicer.compute ~lp ~pairs ~indexed:true gt crit in
-  let b = Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:true gt crit in
-  let c = Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:false gt crit in
-  let d =
-    Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:true
-      ~static_filter:sf gt crit
-  in
-  let e = Slicer.compute ~lp ~pairs ~driver:(`Reexec rx) gt crit in
+(* Four drivers: indexed, scan+LP-skip, plain scan, and on-demand
+   re-execution (record lookups replayed from checkpoints — no
+   stored-record walk).  Returns the indexed slice so the caller can
+   reuse it. *)
+let check_agreement gt ~lp ~pairs ~rx crit =
+  let a = Slicer.compute ~lp ~pairs gt crit in
+  let b = Slicer.compute ~lp ~pairs ~driver:`Scan_skip gt crit in
+  let c = Slicer.compute ~lp ~pairs ~driver:`Scan gt crit in
+  let d = Slicer.compute ~lp ~pairs ~driver:(`Reexec rx) gt crit in
   let sa = slice_signature a
   and sb = slice_signature b
   and sc = slice_signature c
-  and sd = slice_signature d
-  and se = slice_signature e in
-  if sa <> sb || sb <> sc || sc <> sd || sd <> se then
+  and sd = slice_signature d in
+  if sa <> sb || sb <> sc || sc <> sd then
     fail Driver_agreement
       "drivers disagree at crit_pos %d: indexed %d, scan+skip %d, scan %d, \
-       scan+static %d, reexec %d positions"
+       reexec %d positions"
       crit.Slicer.crit_pos (Slicer.size a) (Slicer.size b) (Slicer.size c)
-      (Slicer.size d) (Slicer.size e);
+      (Slicer.size d);
   a
 
 (* ---- oracle 6: static slice as a soundness bound ---- *)
@@ -674,13 +669,8 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     let gt = Global_trace.construct { c with Collector.records = store } in
     let s =
       match driver with
-      | `Indexed -> Slicer.compute ~pairs:c.Collector.pairs ~indexed:true gt crit
-      | `Scan_skip ->
-        Slicer.compute ~pairs:c.Collector.pairs ~indexed:false
-          ~block_skipping:true gt crit
-      | `Scan ->
-        Slicer.compute ~pairs:c.Collector.pairs ~indexed:false
-          ~block_skipping:false gt crit
+      | (`Indexed | `Scan_skip | `Scan) as driver ->
+        Slicer.compute ~pairs:c.Collector.pairs ~driver gt crit
       | `Governed budget ->
         (Slicer.compute_governed ~pairs:c.Collector.pairs ~budget gt crit)
           .Slicer.g_slice
@@ -822,16 +812,6 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
       let crits = List.sort_uniq compare [ n / 4; n / 2; n - 1; crit_pos ] in
       let slices =
         oracle_span Driver_agreement @@ fun () ->
-        let code = prog.Dr_isa.Program.code in
-        let ncode = Array.length code in
-        let sf =
-          Lp.prepare_static lp gt
-            ~reg_defs:(fun pc ->
-              if pc >= 0 && pc < ncode then Dr_static.Defuse.def_mask code.(pc)
-              else 0)
-            ~writes_mem:(fun pc ->
-              pc >= 0 && pc < ncode && Dr_static.Defuse.writes_mem code.(pc))
-        in
         (* the refined CFG the collector used, so re-derived control
            dependences match the stored records exactly *)
         let rx =
@@ -841,7 +821,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
         List.map
           (fun p ->
             ( p,
-              check_agreement gt ~lp ~pairs ~sf ~rx
+              check_agreement gt ~lp ~pairs ~rx
                 { Slicer.crit_pos = p; crit_locs = None } ))
           crits
       in
@@ -889,10 +869,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
          re-execution.  The closure still goes through [mutate_slice],
          so a slicer that drops a real dependence is caught here. *)
       let closure =
-        let s =
-          Slicer.compute ~lp ~indexed:true gt
-            { Slicer.crit_pos; crit_locs = None }
-        in
+        let s = Slicer.compute ~lp gt { Slicer.crit_pos; crit_locs = None } in
         match mutate_slice with None -> s | Some f -> f s
       in
       let in_closure = Dr_util.Bitset.create nrec in

@@ -122,9 +122,4 @@ let latest_at_or_before t ~loc ~pos : int =
       a.(!lo)
     end
 
-(** Does [loc] have a definition inside [\[lo, hi\]]? *)
-let defines_in_range t ~loc ~lo ~hi : bool =
-  let p = latest_at_or_before t ~loc ~pos:hi in
-  p >= lo
-
 let iter t f = Hashtbl.iter (fun loc a -> f loc a) t.defs_by_loc

@@ -34,9 +34,6 @@ val positions : t -> loc:int -> int array
     [-1] when none exists. *)
 val latest_at_or_before : t -> loc:int -> pos:int -> int
 
-(** Does [loc] have a definition inside [\[lo, hi\]]? *)
-val defines_in_range : t -> loc:int -> lo:int -> hi:int -> bool
-
 (** Iterate over (location, ascending def positions) pairs, in
     unspecified order. *)
 val iter : t -> (int -> int array -> unit) -> unit

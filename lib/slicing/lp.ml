@@ -64,8 +64,8 @@ let prepare ?pool ?(block_size = default_block_size) (gt : Global_trace.t) : t =
       { block_size; num_blocks; summaries; index })
 
 (** A degraded LP: correct block geometry but {e empty} summaries and an
-    empty {!Def_index} — built in O(1) memory.  Only valid for the scan
-    driver with [block_skipping:false], which never consults either; the
+    empty {!Def_index} — built in O(1) memory.  Only valid for the
+    [`Scan] and [`Reexec] drivers, which never consult either; the
     memory-budget degradation rung in {!Slicer.compute_governed} uses it
     when the full index would not fit. *)
 let prepare_lite ?(block_size = default_block_size) (gt : Global_trace.t) : t =
@@ -95,69 +95,6 @@ let defines t ~block ~loc =
     else hi := mid - 1
   done;
   !found
-
-(* ---- static reach filter ---- *)
-
-type static_filter = {
-  sf_reg_masks : int array;
-      (** per block: union of static register-def masks of the pcs whose
-          records fall in the block (bit [r] = some pc may define [r]) *)
-  sf_mem : bool array;  (** per block: some pc in the block may write memory *)
-}
-
-let t_static = Dr_obs.Metrics.timer "lp.static_prepare"
-
-(** Per-block static definition signatures: which register {e numbers}
-    and whether memory can be defined by the code executed in each trace
-    block, per the {e static} def sets of the pcs occurring there.  The
-    callbacks come from [Dr_static.Defuse] (passed in by the caller so
-    this library stays independent of it); because static register defs
-    are a superset of dynamic ones per pc and static memory-writers cover
-    every dynamic memory def, "the signature cannot satisfy any wanted
-    location" implies the exact {!may_satisfy} summary cannot either —
-    the skip is sound and the slice unchanged. *)
-let prepare_static ?pool (t : t) (gt : Global_trace.t)
-    ~(reg_defs : int -> int) ~(writes_mem : int -> bool) : static_filter =
-  Dr_obs.Metrics.time t_static (fun () ->
-      let n = Global_trace.length gt in
-      let scan (lo, hi) =
-        let masks = Array.make t.num_blocks 0 in
-        let mem = Array.make t.num_blocks false in
-        for pos = lo to hi - 1 do
-          let r = Global_trace.record gt pos in
-          let b = pos / t.block_size in
-          masks.(b) <- masks.(b) lor reg_defs r.Trace.pc;
-          if writes_mem r.Trace.pc then mem.(b) <- true
-        done;
-        (masks, mem)
-      in
-      match pool with
-      | Some p when Dr_util.Pool.size p > 1 && n > 1 ->
-        (* per-shard masks merge with [lor] / [||] — commutative and
-           associative, so the merged filter is shard-order independent
-           and equal to the sequential scan *)
-        let parts =
-          Dr_util.Pool.map p scan
-            (Dr_util.Pool.split ~chunks:(Dr_util.Pool.size p) ~len:n)
-        in
-        let masks = Array.make t.num_blocks 0 in
-        let mem = Array.make t.num_blocks false in
-        Array.iter
-          (fun (pm, pb) ->
-            for b = 0 to t.num_blocks - 1 do
-              masks.(b) <- masks.(b) lor pm.(b);
-              mem.(b) <- mem.(b) || pb.(b)
-            done)
-          parts;
-        { sf_reg_masks = masks; sf_mem = mem }
-      | _ ->
-        let masks, mem = scan (0, n) in
-        { sf_reg_masks = masks; sf_mem = mem })
-
-(** Can block [b] statically satisfy a want set summarised as a register
-    bit mask plus a wants-memory flag? *)
-let static_may_satisfy (sf : static_filter) ~block ~reg_mask ~wants_mem =
-  sf.sf_reg_masks.(block) land reg_mask <> 0 || (wants_mem && sf.sf_mem.(block))
 
 exception Found
 

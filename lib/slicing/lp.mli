@@ -24,9 +24,9 @@ type t = {
 val prepare : ?pool:Dr_util.Pool.t -> ?block_size:int -> Global_trace.t -> t
 
 (** A degraded LP with correct block geometry but empty summaries and an
-    empty index, built in O(1) memory.  Only valid for the scan driver
-    with [block_skipping:false] (which consults neither) — the
-    memory-budget rung of {!Slicer.compute_governed}. *)
+    empty index, built in O(1) memory.  Only valid for the [`Scan] and
+    [`Reexec] drivers (which consult neither) — the memory-budget rung
+    of {!Slicer.compute_governed}. *)
 val prepare_lite : ?block_size:int -> Global_trace.t -> t
 
 (** The per-location definition index built by {!prepare}. *)
@@ -44,38 +44,3 @@ val defines : t -> block:int -> loc:int -> bool
 (** Can the block satisfy any currently wanted location?  Iterates the
     smaller of the two sets, stopping at the first hit. *)
 val may_satisfy : t -> block:int -> wanted:(int, 'a) Hashtbl.t -> bool
-
-(** Per-block {e static} definition signatures: which register numbers
-    (as a bit mask over the register file) and whether memory may be
-    defined by the pcs executed in each trace block.  A cheaper,
-    conservative pre-filter in front of {!may_satisfy}: static per-pc
-    def sets are supersets of the dynamic ones, so a statically
-    unsatisfiable block is exactly unsatisfiable too. *)
-type static_filter = {
-  sf_reg_masks : int array;
-  sf_mem : bool array;
-}
-
-(** Build the signatures in one pass over the trace.  [reg_defs pc] is
-    the static register-def bit mask of the instruction at [pc] and
-    [writes_mem pc] its may-write-memory flag (e.g.
-    [Dr_static.Defuse.def_mask] / [writes_mem] — passed as callbacks to
-    keep this library independent of [dr_static]).
-
-    With [pool] the pass is sharded by position range and the per-block
-    masks merged with [lor]/[(||)] — commutative, so the filter is
-    identical to a sequential build.  The callbacks must then be safe to
-    call from several domains (the [Dr_static.Defuse] ones are: pure
-    lookups in tables frozen before slicing). *)
-val prepare_static :
-  ?pool:Dr_util.Pool.t ->
-  t ->
-  Global_trace.t ->
-  reg_defs:(int -> int) ->
-  writes_mem:(int -> bool) ->
-  static_filter
-
-(** Can the block statically satisfy a want set summarised as a register
-    bit mask plus a wants-memory flag? *)
-val static_may_satisfy :
-  static_filter -> block:int -> reg_mask:int -> wants_mem:bool -> bool

@@ -37,8 +37,6 @@ let m_computes = Dr_obs.Metrics.counter "slicer.computes"
 let h_slice_size = Dr_obs.Histogram.get "slicer.slice_size"
 let m_visited = Dr_obs.Metrics.counter "slicer.records_visited"
 let m_skipped = Dr_obs.Metrics.counter "slicer.blocks_skipped"
-let m_static_checks = Dr_obs.Metrics.counter "slicer.static_checks"
-let m_static_skips = Dr_obs.Metrics.counter "slicer.static_skips"
 let m_edges = Dr_obs.Metrics.counter "slicer.edges"
 let m_heap_pops = Dr_obs.Metrics.counter "slicer.heap_pops"
 let m_stale_pops = Dr_obs.Metrics.counter "slicer.heap_stale_pops"
@@ -69,8 +67,6 @@ type criterion = {
 type stats = {
   visited : int;  (** records examined *)
   skipped_blocks : int;
-  static_skipped_blocks : int;
-      (** subset of [skipped_blocks] decided by the static filter alone *)
   total_blocks : int;
   slice_time : float;
   truncated : bool;
@@ -128,53 +124,47 @@ type cand_kind =
   | Cand_inc  (** valid iff key is still in [to_include] *)
   | Cand_defer of deferred  (** valid iff still pending *)
 
+type driver = [ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ]
+
+let driver_name : driver -> string = function
+  | `Indexed -> "indexed"
+  | `Scan_skip -> "scan+skip"
+  | `Scan -> "scan"
+  | `Reexec _ -> "reexec"
+
 (** Compute the backwards dynamic slice for [criterion].
 
     [lp]: reuse precomputed block summaries and definition index (they
     are valid for any slice over the same global trace).  [pairs]:
-    enable save/restore bypassing (§5.2).  [indexed] (default [true]):
-    use the definition-index fast path; disable to run the backwards
-    scan.  [block_skipping]: LP block skipping for the scan path
-    (ignored when [indexed]); disable to measure the LP optimisation's
-    effect (ablation).  The slice is identical on every path.
-    [watchdog]: a polled wall-clock deadline; when it fires mid-walk the
-    traversal stops and the result is marked [stats.truncated] — the
-    positions found so far are a sound subset of the full slice.
-    [driver] names the traversal backend explicitly and supersedes the
-    [indexed]/[block_skipping] ablation flags: [`Indexed], [`Scan_skip]
-    and [`Scan] are the stored-trace drivers; [`Reexec rx] answers
-    record lookups by on-demand re-execution from checkpoints (see
-    {!Reexec}) and walks the scan path with skipping off — record
-    contents come from [rx], only [gt]'s merge order is consulted. *)
+    enable save/restore bypassing (§5.2).  [watchdog]: a polled
+    wall-clock deadline; when it fires mid-walk the traversal stops and
+    the result is marked [stats.truncated] — the positions found so far
+    are a sound subset of the full slice.  [driver] (default
+    [`Indexed]) names the traversal backend: [`Indexed] is the
+    definition-index fast path; [`Scan_skip] the backwards scan with LP
+    block skipping and [`Scan] the scan without it (the LP ablation);
+    [`Reexec rx] answers record lookups by on-demand re-execution from
+    checkpoints (see {!Reexec}) and walks the scan path with skipping
+    off — record contents come from [rx], only [gt]'s merge order is
+    consulted.  The slice is identical on every driver. *)
 let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
-    ?(block_skipping = true) ?(indexed = true)
-    ?(static_filter : Lp.static_filter option)
-    ?(watchdog : Dr_util.Budget.watchdog option)
-    ?(driver : [ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ] option)
+    ?(watchdog : Dr_util.Budget.watchdog option) ?(driver : driver = `Indexed)
     (gt : Global_trace.t) (criterion : criterion) : t =
   Dr_obs.Metrics.bump m_computes;
   let t0 = Dr_util.Timer.now () in
   let n = Global_trace.length gt in
   if criterion.crit_pos < 0 || criterion.crit_pos >= n then
     invalid_arg "Slicer.compute: criterion out of range";
-  let drv =
-    match driver with
-    | Some d -> d
-    | None ->
-      if indexed then `Indexed
-      else if block_skipping then `Scan_skip
-      else `Scan
-  in
-  let indexed = drv = `Indexed in
-  let block_skipping = drv = `Scan_skip in
+  let indexed = driver = `Indexed in
+  let block_skipping = driver = `Scan_skip in
   Dr_obs.Obs.with_span ~cat:"slice" "slicer.compute" @@ fun sp ->
   Dr_obs.Obs.add_attr sp "crit_pos" (Dr_obs.Obs.Int criterion.crit_pos);
-  Dr_obs.Obs.add_attr sp "indexed" (Dr_obs.Obs.Bool indexed);
+  Dr_obs.Obs.add_attr sp "driver" (Dr_obs.Obs.Str (driver_name driver));
   let lp =
     match lp with
     | Some l -> l
     | None -> (
-      match drv with
+      match driver with
       (* the re-execution driver must not walk the stored records to
          build summaries — that would defeat its purpose *)
       | `Reexec _ -> Lp.prepare_lite gt
@@ -182,47 +172,13 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
   in
   (* record lookups: from the stored trace, or re-derived on demand *)
   let fetch =
-    match drv with
+    match driver with
     | `Reexec rx ->
       fun pos -> Reexec.record rx ~gseq:(Global_trace.gseq_at gt pos)
     | _ -> Global_trace.record gt
   in
   let index = Lp.def_index lp in
   let wanted : (int, want_entry) Hashtbl.t = Hashtbl.create 256 in
-  (* incremental want-set summary for the static pre-filter: per-register-
-     number entry counts plus a wanted-memory count, kept in sync with
-     [wanted] so a block check is a mask test instead of a hash iteration *)
-  let track = static_filter <> None in
-  let wreg_counts = Array.make Dr_isa.Reg.file_size 0 in
-  let wmem = ref 0 in
-  let track_add loc =
-    if track then
-      match Dr_isa.Loc.view loc with
-      | Dr_isa.Loc.Reg { reg; _ } -> wreg_counts.(reg) <- wreg_counts.(reg) + 1
-      | Dr_isa.Loc.Mem _ -> incr wmem
-  in
-  let track_remove loc =
-    if track then
-      match Dr_isa.Loc.view loc with
-      | Dr_isa.Loc.Reg { reg; _ } -> wreg_counts.(reg) <- wreg_counts.(reg) - 1
-      | Dr_isa.Loc.Mem _ -> decr wmem
-  in
-  let wanted_reg_mask () =
-    let m = ref 0 in
-    for r = 0 to Dr_isa.Reg.file_size - 1 do
-      if wreg_counts.(r) > 0 then m := !m lor (1 lsl r)
-    done;
-    !m
-  in
-  let static_cannot b =
-    match static_filter with
-    | None -> false
-    | Some sf ->
-      Dr_obs.Metrics.bump m_static_checks;
-      not
-        (Lp.static_may_satisfy sf ~block:b ~reg_mask:(wanted_reg_mask ())
-           ~wants_mem:(!wmem > 0))
-  in
   let deferred : deferred list ref = ref [] in
   let heap = Dr_util.Heap.create ~dummy:Cand_inc in
   let to_include = Dr_util.Bitset.create n in
@@ -230,7 +186,7 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
   let in_slice = Dr_util.Bitset.create n in
   let slice_positions = Dr_util.Vec.Int_vec.create () in
   let edges = Dr_util.Vec.create ~dummy:{ from_pos = 0; to_pos = 0; kind = Control } in
-  let visited = ref 0 and skipped = ref 0 and static_skipped = ref 0 in
+  let visited = ref 0 and skipped = ref 0 in
   let truncated = ref false in
   (* polled every 2048 steps: one clock read, no cost on the happy path *)
   let steps = ref 0 in
@@ -264,7 +220,6 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
         if indexed then Def_index.latest_at_or_before index ~loc ~pos:cap
         else -1
       in
-      track_add loc;
       Hashtbl.replace wanted loc { reqs = [ (requester, bypassed) ]; cand };
       if indexed && cand >= 0 then
         Dr_util.Heap.push heap cand (Cand_want loc)
@@ -366,7 +321,6 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
                     kind = (if via_bypass then Data_bypassed d else Data d) })
               e.reqs;
             included := true);
-          track_remove d;
           Hashtbl.remove wanted d)
       r.Trace.defs;
     if !included then include_record pos
@@ -407,21 +361,15 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
          trace end (the final block is partial) and to the walk's
          start below the criterion *)
       let block_top = min (min hi (n - 1)) (criterion.crit_pos - 1) in
-      let skippable =
-        block_skipping && !pos = block_top && to_include_in_block.(b) = 0
-      in
-      (* the static pre-filter short-circuits the exact summary check *)
-      let sskip = skippable && static_cannot b in
       let can_skip =
-        skippable
-        && (sskip || not (Lp.may_satisfy lp ~block:b ~wanted))
+        block_skipping && !pos = block_top && to_include_in_block.(b) = 0
+        && not (Lp.may_satisfy lp ~block:b ~wanted)
         && List.for_all
              (fun d -> d.d_save_pos <= lo || not (Lp.defines lp ~block:b ~loc:d.d_loc))
              !deferred
       in
       if can_skip then begin
         incr skipped;
-        if sskip then incr static_skipped;
         pos := lo - 1
       end
       else begin
@@ -435,7 +383,6 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
   let edges = Dr_util.Vec.to_array edges in
   Dr_obs.Metrics.add m_visited !visited;
   Dr_obs.Metrics.add m_skipped !skipped;
-  Dr_obs.Metrics.add m_static_skips !static_skipped;
   Dr_obs.Metrics.add m_edges (Array.length edges);
   let slice_time = Dr_util.Timer.now () -. t0 in
   Dr_obs.Metrics.record t_compute slice_time;
@@ -449,9 +396,7 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
   { gt; criterion; positions; edges;
     stats =
       { visited = !visited; skipped_blocks = !skipped;
-        static_skipped_blocks = !static_skipped;
-        total_blocks = lp.Lp.num_blocks; slice_time;
-        truncated = !truncated };
+        total_blocks = lp.Lp.num_blocks; slice_time; truncated = !truncated };
     adj = None }
 
 (* ---- parallel fan-out over independent criteria ---- *)
@@ -473,8 +418,8 @@ let m_par_criteria = Dr_obs.Metrics.counter "slicer.parallel_criteria"
     The LP preparation (unless passed in) happens once, up front, with
     the scan itself sharded over the pool ({!Lp.prepare}). *)
 let compute_many ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
-    ?(static_filter : Lp.static_filter option) ?(pool : Dr_util.Pool.t option)
-    (gt : Global_trace.t) (criteria : criterion list) : t list =
+    ?(pool : Dr_util.Pool.t option) (gt : Global_trace.t)
+    (criteria : criterion list) : t list =
   Dr_obs.Metrics.bump m_par_batches;
   Dr_obs.Metrics.add m_par_criteria (List.length criteria);
   Dr_obs.Obs.with_span ~cat:"slice" "slicer.compute_many" @@ fun sp ->
@@ -485,7 +430,7 @@ let compute_many ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
      contended path.) *)
   ignore (Global_trace.pc_index gt);
   let crits = Array.of_list criteria in
-  let one c = compute ~lp ?pairs ?static_filter gt c in
+  let one c = compute ~lp ?pairs gt c in
   let results =
     (* always route a provided pool through Pool.map, even at size 1:
        the inline path runs the same instrumented task wrapper, so a
@@ -534,7 +479,7 @@ let index_estimate_bytes gt = 40 * Global_trace.length gt
     of the ladder: when the definition index does not fit, record
     lookups come from checkpointed re-execution (O(ckpt interval)
     resident records) instead of a stored-trace scan. *)
-let compute_governed ?lp ?pairs ?static_filter ?(reexec : Reexec.t option)
+let compute_governed ?lp ?pairs ?(reexec : Reexec.t option)
     ~(budget : Dr_util.Budget.t) (gt : Global_trace.t)
     (criterion : criterion) : governed =
   let watchdog = Dr_util.Budget.watchdog_of budget ~what:"slicer.compute" in
@@ -562,14 +507,13 @@ let compute_governed ?lp ?pairs ?static_filter ?(reexec : Reexec.t option)
   let slice =
     match rung with
     | Rung_indexed ->
-      compute ~lp ?pairs ?static_filter ?watchdog ~indexed:true gt criterion
+      compute ~lp ?pairs ?watchdog gt criterion
     | Rung_reexec ->
       compute ~lp ?pairs ?watchdog
         ~driver:(`Reexec (Option.get reexec))
         gt criterion
     | Rung_scan ->
-      compute ~lp ?pairs ?watchdog ~indexed:false ~block_skipping:false gt
-        criterion
+      compute ~lp ?pairs ?watchdog ~driver:`Scan gt criterion
   in
   if slice.stats.truncated then
     Dr_util.Budget.note_degradation budget ~what:"slicer"

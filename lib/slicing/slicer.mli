@@ -35,8 +35,6 @@ type criterion = {
 type stats = {
   visited : int;  (** records examined *)
   skipped_blocks : int;
-  static_skipped_blocks : int;
-      (** subset of [skipped_blocks] decided by the static filter alone *)
   total_blocks : int;
   slice_time : float;  (** wall-clock seconds *)
   truncated : bool;
@@ -62,30 +60,25 @@ val size : t -> int
 (** Is the record at this global-trace position in the slice? *)
 val mem : t -> int -> bool
 
+(** The traversal backend: [`Indexed] jumps between candidate
+    positions via the {!Def_index}; [`Scan_skip] walks every position
+    backwards with LP block skipping, [`Scan] without it (the LP
+    ablation); [`Reexec rx] answers every record lookup by on-demand
+    re-execution from checkpoints ({!Reexec}) — only the trace's merge
+    order is consulted, never its stored records. *)
+type driver = [ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ]
+
 (** Compute the slice.  [lp]: reuse precomputed block summaries and
     definition index.  [pairs]: enable save/restore bypassing (§5.2).
-    [indexed] (default [true]): use the definition-index fast path;
-    disable to run the backwards scan.  [block_skipping]: LP block
-    skipping for the scan path (ignored when [indexed]); disable to
-    measure the LP optimisation.  [static_filter] (scan path): consult
-    per-block static definition signatures ({!Lp.prepare_static}) before
-    the exact summary check, skipping blocks that statically cannot
-    define any pending use.  The slice is identical on every path.
     [watchdog]: polled wall-clock deadline; on expiry the traversal
-    stops and the result is marked [stats.truncated].  [driver] names
-    the traversal backend explicitly (superseding the
-    [indexed]/[block_skipping] ablation flags); [`Reexec rx] answers
-    every record lookup by on-demand re-execution from checkpoints
-    ({!Reexec}) — only [gt]'s merge order is consulted, never its
-    stored records. *)
+    stops and the result is marked [stats.truncated].  [driver]
+    (default [`Indexed]) picks the traversal; the slice is identical on
+    every driver. *)
 val compute :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?block_skipping:bool ->
-  ?indexed:bool ->
-  ?static_filter:Lp.static_filter ->
   ?watchdog:Dr_util.Budget.watchdog ->
-  ?driver:[ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ] ->
+  ?driver:driver ->
   Global_trace.t ->
   criterion ->
   t
@@ -100,7 +93,6 @@ val compute :
 val compute_many :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?static_filter:Lp.static_filter ->
   ?pool:Dr_util.Pool.t ->
   Global_trace.t ->
   criterion list ->
@@ -135,7 +127,6 @@ val index_estimate_bytes : Global_trace.t -> int
 val compute_governed :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?static_filter:Lp.static_filter ->
   ?reexec:Reexec.t ->
   budget:Dr_util.Budget.t ->
   Global_trace.t ->

@@ -106,12 +106,12 @@ let test_broken_slicer_caught () =
         (Dr_conformance.Oracles.kind_name f_kind)
         f_detail)
 
-(* ---- broken reexec driver: a disagreement only driver five shows ---- *)
+(* ---- broken reexec driver: a disagreement only driver four shows ---- *)
 
 (* The corruption a buggy re-execution backend would produce: re-derived
    records lose their definitions, so only the reexec slice drops every
-   data dependence.  The other four drivers read the stored trace and
-   stay correct — the five-way agreement oracle is the only one that can
+   data dependence.  The other three drivers read the stored trace and
+   stay correct — the four-way agreement oracle is the only one that can
    see it, and the shrinker must still converge re-running that same
    clobbered pipeline. *)
 let clobber_rederived_defs (r : Dr_slicing.Trace.record) :

@@ -86,7 +86,6 @@ let canonical_edges (s : Slicer.t) =
 let stats_eq (a : Slicer.stats) (b : Slicer.stats) =
   a.Slicer.visited = b.Slicer.visited
   && a.Slicer.skipped_blocks = b.Slicer.skipped_blocks
-  && a.Slicer.static_skipped_blocks = b.Slicer.static_skipped_blocks
   && a.Slicer.total_blocks = b.Slicer.total_blocks
   && a.Slicer.truncated = b.Slicer.truncated
 
@@ -148,10 +147,10 @@ let prop_compute_many_shuffled =
               && slice_eq (List.assoc crit seq) p)
             shuffled par))
 
-(* ---- sharded LP / def-index / static-filter preparation ---- *)
+(* ---- sharded LP / def-index preparation ---- *)
 
 let test_sharded_prep_matches_sequential () =
-  let prog, _, gt, crits, _ = Lazy.force fixture in
+  let _, _, gt, crits, _ = Lazy.force fixture in
   let seq_lp = Dr_slicing.Lp.prepare gt in
   let dump_index lp =
     let acc = ref [] in
@@ -159,15 +158,6 @@ let test_sharded_prep_matches_sequential () =
       (fun loc positions -> acc := (loc, Array.copy positions) :: !acc);
     List.sort compare !acc
   in
-  let code = prog.Dr_isa.Program.code in
-  let ncode = Array.length code in
-  let reg_defs pc =
-    if pc >= 0 && pc < ncode then Dr_static.Defuse.def_mask code.(pc) else 0
-  in
-  let writes_mem pc =
-    pc >= 0 && pc < ncode && Dr_static.Defuse.writes_mem code.(pc)
-  in
-  let seq_sf = Dr_slicing.Lp.prepare_static seq_lp gt ~reg_defs ~writes_mem in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
@@ -176,22 +166,13 @@ let test_sharded_prep_matches_sequential () =
             (Printf.sprintf "%d domains: def index identical" domains)
             true
             (dump_index seq_lp = dump_index par_lp);
-          let par_sf =
-            Dr_slicing.Lp.prepare_static ~pool par_lp gt ~reg_defs ~writes_mem
-          in
-          (* the sharded preparations must drive every traversal to the
-             sequential result, block-skip and static-skip stats
-             included (those prove the summaries and masks agree) *)
+          (* the sharded preparation must drive every traversal to the
+             sequential result, block-skip stats included (those prove
+             the summaries agree) *)
           List.iter
             (fun crit ->
-              let a =
-                Slicer.compute ~lp:seq_lp ~static_filter:seq_sf ~indexed:false
-                  ~block_skipping:true gt crit
-              in
-              let b =
-                Slicer.compute ~lp:par_lp ~static_filter:par_sf ~indexed:false
-                  ~block_skipping:true gt crit
-              in
+              let a = Slicer.compute ~lp:seq_lp ~driver:`Scan_skip gt crit in
+              let b = Slicer.compute ~lp:par_lp ~driver:`Scan_skip gt crit in
               Alcotest.(check bool)
                 (Printf.sprintf "%d domains: scan identical" domains)
                 true (slice_eq a b);
@@ -371,7 +352,7 @@ let () =
             test_compute_many_matches_sequential;
           QCheck_alcotest.to_alcotest prop_compute_many_shuffled ] );
       ( "sharded prep",
-        [ Alcotest.test_case "lp/def-index/static filter" `Quick
+        [ Alcotest.test_case "lp/def-index" `Quick
             test_sharded_prep_matches_sequential ] );
       ( "core safety",
         [ Alcotest.test_case "pc_index concurrent first build" `Quick

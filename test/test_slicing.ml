@@ -263,7 +263,7 @@ let prop_lp_equals_naive =
       (* tiny blocks stress the skipping logic *)
       let lp = Dr_slicing.Lp.prepare ~block_size:(8 lsl block_exp) gt in
       let reference = naive_slice gt crit in
-      let scan = Dr_slicing.Slicer.compute ~lp ~indexed:false gt crit in
+      let scan = Dr_slicing.Slicer.compute ~lp ~driver:`Scan_skip gt crit in
       let fast = Dr_slicing.Slicer.compute ~lp gt crit in
       Array.to_list scan.Dr_slicing.Slicer.positions = reference
       && Array.to_list fast.Dr_slicing.Slicer.positions = reference)
@@ -282,7 +282,8 @@ fn main() {
   let gt = Dr_slicing.Global_trace.construct c in
   let lp = Dr_slicing.Lp.prepare ~block_size:256 gt in
   let slice =
-    Dr_slicing.Slicer.compute ~lp ~indexed:false gt (assert_criterion prog gt)
+    Dr_slicing.Slicer.compute ~lp ~driver:`Scan_skip gt
+      (assert_criterion prog gt)
   in
   Alcotest.(check bool) "blocks were skipped" true
     (slice.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.skipped_blocks > 0);
@@ -577,7 +578,7 @@ let prop_block_size_irrelevant =
       let s1 =
         Dr_slicing.Slicer.compute
           ~lp:(Dr_slicing.Lp.prepare ~block_size:(1 lsl exp) gt)
-          ~indexed:false gt crit
+          ~driver:`Scan_skip gt crit
       in
       let s2 = Dr_slicing.Slicer.compute gt crit in
       s1.Dr_slicing.Slicer.positions = s2.Dr_slicing.Slicer.positions)
@@ -593,6 +594,32 @@ let test_slice_stats_sane () =
   Alcotest.(check bool) "slice smaller than visited+1" true
     (Dr_slicing.Slicer.size slice <= st.Dr_slicing.Slicer.visited + 1);
   Alcotest.(check bool) "time nonneg" true (st.Dr_slicing.Slicer.slice_time >= 0.0)
+
+(* a traced slice names the driver that ran in its [slicer.compute]
+   span, so traces of the four drivers are told apart *)
+let test_span_names_driver () =
+  let prog = compile fig5_src in
+  let c = collect prog in
+  let gt = Dr_slicing.Global_trace.construct c in
+  let crit = assert_criterion prog gt in
+  let was_enabled = Dr_obs.Obs.enabled () in
+  List.iter
+    (fun (driver, name) ->
+      Dr_obs.Obs.reset ();
+      Dr_obs.Obs.set_enabled true;
+      ignore (Dr_slicing.Slicer.compute ~driver gt crit);
+      Dr_obs.Obs.set_enabled was_enabled;
+      let attrs =
+        Array.to_list (Dr_obs.Obs.spans ())
+        |> List.filter (fun s -> s.Dr_obs.Obs.sp_name = "slicer.compute")
+        |> List.map (fun s -> List.assoc_opt "driver" s.Dr_obs.Obs.sp_attrs)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "one slicer.compute span with driver = %S" name)
+        true
+        (attrs = [ Some (Dr_obs.Obs.Str name) ]))
+    [ (`Indexed, "indexed"); (`Scan_skip, "scan+skip"); (`Scan, "scan") ];
+  Dr_obs.Obs.reset ()
 
 let test_no_clustering_same_slice () =
   (* the clustering heuristic must not change slice contents *)
@@ -627,12 +654,10 @@ let canonical_edges (s : Dr_slicing.Slicer.t) =
   |> List.sort compare
 
 let check_drivers_agree ?pairs ~lp gt crit =
-  let compute ~indexed ~block_skipping =
-    Dr_slicing.Slicer.compute ~lp ?pairs ~indexed ~block_skipping gt crit
-  in
-  let fast = compute ~indexed:true ~block_skipping:true in
-  let skip = compute ~indexed:false ~block_skipping:true in
-  let noskip = compute ~indexed:false ~block_skipping:false in
+  let compute driver = Dr_slicing.Slicer.compute ~lp ?pairs ~driver gt crit in
+  let fast = compute `Indexed in
+  let skip = compute `Scan_skip in
+  let noskip = compute `Scan in
   Alcotest.(check bool) "skip/noskip positions identical" true
     (skip.Dr_slicing.Slicer.positions = noskip.Dr_slicing.Slicer.positions);
   Alcotest.(check bool) "indexed positions identical" true
@@ -740,13 +765,13 @@ let prop_drivers_agree_on_generated =
         { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length gt - 1;
           crit_locs = None }
       in
-      let compute ~indexed ~block_skipping =
+      let compute driver =
         Dr_slicing.Slicer.compute ~lp ~pairs:c.Dr_slicing.Collector.pairs
-          ~indexed ~block_skipping gt crit
+          ~driver gt crit
       in
-      let fast = compute ~indexed:true ~block_skipping:true in
-      let skip = compute ~indexed:false ~block_skipping:true in
-      let noskip = compute ~indexed:false ~block_skipping:false in
+      let fast = compute `Indexed in
+      let skip = compute `Scan_skip in
+      let noskip = compute `Scan in
       fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions
       && skip.Dr_slicing.Slicer.positions = noskip.Dr_slicing.Slicer.positions
       && canonical_edges fast = canonical_edges skip
@@ -1171,6 +1196,8 @@ let () =
           Alcotest.test_case "nondet in slice" `Quick test_slice_of_nondet_value;
           QCheck_alcotest.to_alcotest prop_block_size_irrelevant;
           Alcotest.test_case "stats sane" `Quick test_slice_stats_sane;
+          Alcotest.test_case "span names the driver" `Quick
+            test_span_names_driver;
           Alcotest.test_case "clustering invariant" `Quick
             test_no_clustering_same_slice ] );
       ( "prune units",
