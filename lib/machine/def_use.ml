@@ -13,88 +13,87 @@
 
 open Dr_isa
 
+(* Top-level helpers rather than local closures: [collect] runs once per
+   retired instruction during collection and must not allocate. *)
+
+let push_reg v ~tid r =
+  if r <> Reg.sp && r <> Reg.fp then Dr_util.Vec.Int_vec.push v (Loc.reg ~tid r)
+
+let push_operand v ~tid = function
+  | Instr.Reg r -> push_reg v ~tid r
+  | Instr.Imm _ -> ()
+
+let push_mem v a = if a >= 0 then Dr_util.Vec.Int_vec.push v (Loc.mem a)
+
 (** Appends the defs and uses of [ev] to the two vectors (they are not
-    cleared first).  Locations are {!Dr_isa.Loc} encodings. *)
+    cleared first).  Locations are {!Dr_isa.Loc} encodings.  Allocates
+    nothing except when a vector grows. *)
 let collect (ev : Event.t) ~(defs : Dr_util.Vec.Int_vec.t)
     ~(uses : Dr_util.Vec.Int_vec.t) : unit =
   let tid = ev.Event.tid in
-  let tracked r = r <> Reg.sp && r <> Reg.fp in
-  let reg r = Loc.reg ~tid r in
-  let flags = Loc.flags ~tid in
-  let def l = Dr_util.Vec.Int_vec.push defs l in
-  let use l = Dr_util.Vec.Int_vec.push uses l in
-  let def_reg r = if tracked r then def (reg r) in
-  let use_reg r = if tracked r then use (reg r) in
-  let use_operand = function
-    | Instr.Reg r -> use_reg r
-    | Instr.Imm _ -> ()
-  in
-  let mem_read () = if ev.Event.mem_read >= 0 then use (Loc.mem ev.Event.mem_read) in
-  let mem_write () =
-    if ev.Event.mem_write >= 0 then def (Loc.mem ev.Event.mem_write)
-  in
   match ev.Event.instr with
   | Instr.Nop | Instr.Halt -> ()
   | Instr.Mov (rd, op) ->
-    use_operand op;
-    def_reg rd
+    push_operand uses ~tid op;
+    push_reg defs ~tid rd
   | Instr.Bin (_, rd, rs, op) ->
-    use_reg rs;
-    use_operand op;
-    def_reg rd
+    push_reg uses ~tid rs;
+    push_operand uses ~tid op;
+    push_reg defs ~tid rd
   | Instr.Load (rd, rb, _) ->
-    use_reg rb;
-    mem_read ();
-    def_reg rd
+    push_reg uses ~tid rb;
+    push_mem uses ev.Event.mem_read;
+    push_reg defs ~tid rd
   | Instr.Store (rb, _, rs) ->
-    use_reg rb;
-    use_reg rs;
-    mem_write ()
+    push_reg uses ~tid rb;
+    push_reg uses ~tid rs;
+    push_mem defs ev.Event.mem_write
   | Instr.Push r ->
-    use_reg r;
-    mem_write ()
+    push_reg uses ~tid r;
+    push_mem defs ev.Event.mem_write
   | Instr.Pop r ->
-    mem_read ();
-    def_reg r
+    push_mem uses ev.Event.mem_read;
+    push_reg defs ~tid r
   | Instr.Cmp (r, op) ->
-    use_reg r;
-    use_operand op;
-    def flags
+    push_reg uses ~tid r;
+    push_operand uses ~tid op;
+    Dr_util.Vec.Int_vec.push defs (Loc.flags ~tid)
   | Instr.Setcc (_, rd) ->
-    use flags;
-    def_reg rd
+    Dr_util.Vec.Int_vec.push uses (Loc.flags ~tid);
+    push_reg defs ~tid rd
   | Instr.Jmp _ -> ()
-  | Instr.Jcc _ -> use flags
-  | Instr.Jind r -> use_reg r
-  | Instr.Call _ -> mem_write ()
+  | Instr.Jcc _ -> Dr_util.Vec.Int_vec.push uses (Loc.flags ~tid)
+  | Instr.Jind r -> push_reg uses ~tid r
+  | Instr.Call _ -> push_mem defs ev.Event.mem_write
   | Instr.Callind r ->
-    use_reg r;
-    mem_write ()
-  | Instr.Ret -> mem_read ()
-  | Instr.Assert (r, _) -> use_reg r
+    push_reg uses ~tid r;
+    push_mem defs ev.Event.mem_write
+  | Instr.Ret -> push_mem uses ev.Event.mem_read
+  | Instr.Assert (r, _) -> push_reg uses ~tid r
   | Instr.Sys sys -> (
+    (* sys arguments and results live in r0–r2, never sp/fp *)
     match sys with
-    | Instr.Exit -> use (reg Reg.r1)
-    | Instr.Print -> use (reg Reg.r1)
-    | Instr.Rand | Instr.Time | Instr.Read -> def (reg Reg.r0)
+    | Instr.Exit -> push_reg uses ~tid Reg.r1
+    | Instr.Print -> push_reg uses ~tid Reg.r1
+    | Instr.Rand | Instr.Time | Instr.Read -> push_reg defs ~tid Reg.r0
     | Instr.Spawn ->
-      use (reg Reg.r1);
-      use (reg Reg.r2);
-      def (reg Reg.r0);
+      push_reg uses ~tid Reg.r1;
+      push_reg uses ~tid Reg.r2;
+      push_reg defs ~tid Reg.r0;
       (* the child's argument register is written by the spawn: the
          inter-thread dependence from parent arg to child body *)
       (match ev.Event.sys with
-      | Event.Sys_spawn { child; _ } -> def (Loc.reg ~tid:child Reg.r1)
+      | Event.Sys_spawn { child; _ } -> push_reg defs ~tid:child Reg.r1
       | _ -> ())
     | Instr.Join ->
-      use (reg Reg.r1);
-      def (reg Reg.r0)
-    | Instr.Lock | Instr.Unlock -> use (reg Reg.r1)
+      push_reg uses ~tid Reg.r1;
+      push_reg defs ~tid Reg.r0
+    | Instr.Lock | Instr.Unlock -> push_reg uses ~tid Reg.r1
     | Instr.Yield -> ()
     | Instr.Alloc ->
-      use (reg Reg.r1);
-      def (reg Reg.r0)
+      push_reg uses ~tid Reg.r1;
+      push_reg defs ~tid Reg.r0
     | Instr.Wait ->
-      use (reg Reg.r1);
-      use (reg Reg.r2)
-    | Instr.Signal | Instr.Broadcast -> use (reg Reg.r1))
+      push_reg uses ~tid Reg.r1;
+      push_reg uses ~tid Reg.r2
+    | Instr.Signal | Instr.Broadcast -> push_reg uses ~tid Reg.r1)

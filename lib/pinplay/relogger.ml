@@ -29,13 +29,23 @@ type per_thread = {
   pending_mem : (int, int) Hashtbl.t;
   pending_regs : int array;  (** register file after the last excluded instr *)
   mutable dirty : bool;  (** an excluded instruction has executed *)
-  instance_of_pc : (int, int) Hashtbl.t;
+  instances : Instance_count.t;
 }
 
-let fresh_thread_state queue =
+let fresh_thread_state ~code_size queue =
   { flag = false; queue; pending_mem = Hashtbl.create 16;
     pending_regs = Array.make Dr_isa.Reg.file_size 0; dirty = false;
-    instance_of_pc = Hashtbl.create 64 }
+    instances = Instance_count.create ~code_size }
+
+(* An included write supersedes any pending excluded write to the same
+   cell: injecting the excluded (earlier) value at region end would
+   clobber this one.  The included instruction re-executes during slice
+   replay, so the cell needs no injection at all. *)
+let drop_pending_write per_thread addr =
+  for i = 0 to Array.length per_thread - 1 do
+    let other = per_thread.(i) in
+    if other.dirty then Hashtbl.remove other.pending_mem addr
+  done
 
 (** Replay [pinball] (a region pinball) and produce the slice pinball that
     skips the given exclusion regions.  The exclusions of each thread must
@@ -51,13 +61,13 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
   in
   let per_thread =
     Array.init max_tid (fun tid ->
-        fresh_thread_state
+        fresh_thread_state ~code_size:(Dr_isa.Program.code_size prog)
           (List.filter (fun x -> x.x_tid = tid) exclusions))
   in
   let events = Dr_util.Vec.create ~dummy:(Pinball.Inject (-1)) in
   let injections = Dr_util.Vec.create ~dummy:{ Pinball.inj_tid = 0; inj_mem = []; inj_regs = [] } in
   let syscalls = Dr_util.Vec.Int_vec.create () in
-  let schedule = Dr_util.Vec.create ~dummy:(0, 0) in
+  let schedule = Schedule_rle.create () in
   let replayer = Replayer.create prog pinball in
   let m = Replayer.machine replayer in
   (* Flush the side effects of a just-finished exclusion region: the final
@@ -80,25 +90,21 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
       st.dirty <- false
     end
   in
+  (* exclusion end: the end instruction itself is included *)
+  let check_end tid (st : per_thread) ~pc ~instance =
+    if st.flag then
+      match st.queue with
+      | { x_end = Some (epc, einst); _ } :: rest when epc = pc && einst = instance ->
+        st.flag <- false;
+        st.queue <- rest;
+        flush_injection tid st
+      | _ -> ()
+  in
   let on_event (ev : Event.t) =
     let tid = ev.Event.tid and pc = ev.Event.pc in
     let st = per_thread.(tid) in
-    let instance =
-      let i = 1 + Option.value ~default:0 (Hashtbl.find_opt st.instance_of_pc pc) in
-      Hashtbl.replace st.instance_of_pc pc i;
-      i
-    in
-    (* exclusion end: the end instruction itself is included *)
-    let check_end () =
-      if st.flag then
-        match st.queue with
-        | { x_end = Some (epc, einst); _ } :: rest when epc = pc && einst = instance ->
-          st.flag <- false;
-          st.queue <- rest;
-          flush_injection tid st
-        | _ -> ()
-    in
-    check_end ();
+    let instance = Instance_count.next st.instances pc in
+    check_end tid st ~pc ~instance;
     (* exclusion start: the start instruction itself is excluded.  An
        empty region [p:i, p:i) has its end marker on the same
        instruction: re-checking the end right after the start keeps that
@@ -108,7 +114,7 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
        | { x_start_pc; x_start_instance; _ } :: _
          when x_start_pc = pc && x_start_instance = instance ->
          st.flag <- true;
-         check_end ()
+         check_end tid st ~pc ~instance
        | _ -> ());
     if st.flag then begin
       (* side-effect detection for the excluded instruction *)
@@ -121,8 +127,8 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
              (Printf.sprintf
                 "synchronization instruction excluded at tid=%d pc=%d" tid pc))
       | _ -> ());
-      (match Dr_isa.Program.instr prog pc with
-      | Some Dr_isa.Instr.Ret when ev.Event.mem_read_value = Machine.ret_sentinel ->
+      (match ev.Event.instr with
+      | Dr_isa.Instr.Ret when ev.Event.mem_read_value = Machine.ret_sentinel ->
         raise
           (Relog_error
              (Printf.sprintf "thread-final return excluded at tid=%d pc=%d" tid pc))
@@ -135,21 +141,9 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
     end
     else begin
       (* included instruction *)
-      (* An included write supersedes any pending excluded write to the
-         same cell: injecting the excluded (earlier) value at region end
-         would clobber this one.  The included instruction re-executes
-         during slice replay, so the cell needs no injection at all. *)
-      if ev.Event.mem_write >= 0 then
-        Array.iter
-          (fun (other : per_thread) ->
-            if other.dirty then Hashtbl.remove other.pending_mem ev.Event.mem_write)
-          per_thread;
+      if ev.Event.mem_write >= 0 then drop_pending_write per_thread ev.Event.mem_write;
       Dr_util.Vec.push events (Pinball.Step { tid; pc });
-      let n = Dr_util.Vec.length schedule in
-      (if n > 0 && fst (Dr_util.Vec.get schedule (n - 1)) = tid then
-         let t', c = Dr_util.Vec.get schedule (n - 1) in
-         Dr_util.Vec.set schedule (n - 1) (t', c + 1)
-       else Dr_util.Vec.push schedule (tid, 1));
+      Schedule_rle.step schedule tid;
       match ev.Event.sys with
       | Event.Sys_nondet { result; _ } -> Dr_util.Vec.Int_vec.push syscalls result
       | _ -> ()
@@ -168,7 +162,7 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
      replay does not follow — they would all misfire, so drop them *)
   { pinball with
     Pinball.kind = Pinball.Slice;
-    schedule = Dr_util.Vec.to_array schedule;
+    schedule = Schedule_rle.to_array schedule;
     syscalls = Dr_util.Vec.Int_vec.to_array syscalls;
     injections = Dr_util.Vec.to_array injections;
     slice_events = Dr_util.Vec.to_array events;

@@ -16,7 +16,8 @@
     Because replay is deterministic, collection can run in two passes:
     pass 1 gathers indirect-jump targets, the CFG is refined, and pass 2
     collects the trace with precise control dependences (the [refine]
-    flag; §5.1). *)
+    flag; §5.1).  Pass 1 runs only when the program has indirect jumps
+    or calls: without them its target table is empty. *)
 
 open Dr_machine
 
@@ -27,16 +28,18 @@ type result = {
   indirect_targets : (int * int list) list;
   pairs : Prune.pairs;
   cfg : Dr_cfg.Cfg.t;  (** the CFG used in the final pass *)
-  collect_time : float;  (** wall-clock seconds for trace collection *)
 }
 
 (* per-thread control-dependence stack entry *)
 type cd_entry = { branch_gseq : int; ipdom_pc : int; cd_depth : int }
 (* ipdom_pc = -1 means "pops at function return" *)
 
-type thread_cd = {
-  mutable stack : cd_entry list;
-  mutable depth : int;
+(* per-thread derivation state *)
+type thread_st = {
+  mutable stack : cd_entry list;  (* innermost region first *)
+  mutable depth : int;  (* call depth *)
+  mutable lidx : int;  (* records of this thread so far *)
+  instances : Instance_count.t;
 }
 
 (** The record-derivation state machine, factored out of the collection
@@ -57,72 +60,92 @@ type thread_cd = {
     the replay plus this shared core. *)
 module Derive = struct
   type t = {
-    cfg : Dr_cfg.Cfg.t;  (* shared, read-only *)
     nline : int;
     line_of_pc : int array;  (* shared, read-only *)
-    cd_threads : (int, thread_cd) Hashtbl.t;
-    instance_counts : (int, int) Hashtbl.t;  (* (tid lsl 32) lor pc *)
-    lidx_counts : (int, int) Hashtbl.t;  (* tid -> records so far *)
+    region_end : Dr_cfg.Cfg.region_end array;
+        (* shared, read-only: [Cfg.branch_region_end] of every branch pc *)
+    threads : thread_st array;
+        (* tid-indexed (the machine numbers threads below [max_threads]);
+           [no_thread] = not seen yet *)
     scratch_defs : Dr_util.Vec.Int_vec.t;  (* per-copy, never shared *)
     scratch_uses : Dr_util.Vec.Int_vec.t;
   }
 
+  let no_thread =
+    { stack = []; depth = 0; lidx = 0;
+      instances = Instance_count.create ~code_size:0 }
+
   let create ~(cfg : Dr_cfg.Cfg.t) (prog : Dr_isa.Program.t) : t =
-    let nline = Array.length prog.Dr_isa.Program.code in
+    let code = prog.Dr_isa.Program.code in
+    let nline = Array.length code in
     let line_of_pc =
       Array.init nline (fun pc ->
           Option.value ~default:(-1)
             (Dr_isa.Debug_info.line_of_pc prog.Dr_isa.Program.debug pc))
     in
-    { cfg; nline; line_of_pc;
-      cd_threads = Hashtbl.create 8;
-      instance_counts = Hashtbl.create 4096;
-      lidx_counts = Hashtbl.create 8;
+    let region_end =
+      Array.init nline (fun pc ->
+          if Dr_isa.Instr.is_branch code.(pc) then
+            Dr_cfg.Cfg.branch_region_end cfg ~pc
+          else Dr_cfg.Cfg.Unknown)
+    in
+    { nline; line_of_pc; region_end;
+      threads = Array.make prog.Dr_isa.Program.max_threads no_thread;
       scratch_defs = Dr_util.Vec.Int_vec.create ();
       scratch_uses = Dr_util.Vec.Int_vec.create () }
 
-  (* Deep copy, safe to resume independently: the hashtables are copied,
-     the per-thread cd records are re-allocated (their stacks are
-     immutable lists and can be shared), the read-only cfg and line
-     table are shared. *)
+  (* Deep copy, safe to resume independently: the per-thread records
+     and their counters are re-allocated (the cd stacks are immutable
+     lists and can be shared), the read-only tables are shared. *)
   let copy (t : t) : t =
-    let cd_threads = Hashtbl.create (Hashtbl.length t.cd_threads) in
-    Hashtbl.iter
-      (fun tid (st : thread_cd) ->
-        Hashtbl.replace cd_threads tid { stack = st.stack; depth = st.depth })
-      t.cd_threads;
-    { cfg = t.cfg; nline = t.nline; line_of_pc = t.line_of_pc;
-      cd_threads;
-      instance_counts = Hashtbl.copy t.instance_counts;
-      lidx_counts = Hashtbl.copy t.lidx_counts;
+    { t with
+      threads =
+        Array.map
+          (fun st ->
+            if st == no_thread then st
+            else { st with instances = Instance_count.copy st.instances })
+          t.threads;
       scratch_defs = Dr_util.Vec.Int_vec.create ();
       scratch_uses = Dr_util.Vec.Int_vec.create () }
 
-  let thread_cd t tid =
-    match Hashtbl.find_opt t.cd_threads tid with
-    | Some st -> st
-    | None ->
-      let st = { stack = []; depth = 0 } in
-      Hashtbl.replace t.cd_threads tid st;
+  let thread t tid =
+    let st = t.threads.(tid) in
+    if st != no_thread then st
+    else begin
+      let st =
+        { stack = []; depth = 0; lidx = 0;
+          instances = Instance_count.create ~code_size:t.nline }
+      in
+      t.threads.(tid) <- st;
       st
+    end
+
+  (* close the control-dependence regions ending at [pc] *)
+  let rec pop_ipdoms st pc =
+    match st.stack with
+    | e :: rest when e.cd_depth = st.depth && e.ipdom_pc = pc ->
+      st.stack <- rest;
+      pop_ipdoms st pc
+    | _ -> ()
+
+  (* Drop the regions of frame [d].  Entries are pushed at the current
+     depth and a return drops every entry of the returning frame, so
+     depths never increase from the top of the stack down: the frame's
+     entries are a prefix. *)
+  let rec drop_frame d = function
+    | e :: rest when e.cd_depth = d -> drop_frame d rest
+    | stack -> stack
 
   (** Derive the trace record for the [gseq]-th retired instruction and
       advance the derivation state.  Must be called exactly once per
       event, in execution order. *)
   let next (t : t) ~(gseq : int) (ev : Event.t) : Trace.record =
     let tid = ev.Event.tid and pc = ev.Event.pc in
-    let cd_st = thread_cd t tid in
+    let st = thread t tid in
     (* 1. close control-dependence regions ending at this pc *)
-    let rec pop_ipdoms () =
-      match cd_st.stack with
-      | e :: rest when e.cd_depth = cd_st.depth && e.ipdom_pc = pc ->
-        cd_st.stack <- rest;
-        pop_ipdoms ()
-      | _ -> ()
-    in
-    pop_ipdoms ();
+    pop_ipdoms st pc;
     (* 2. current control dependence *)
-    let cd = match cd_st.stack with e :: _ -> e.branch_gseq | [] -> -1 in
+    let cd = match st.stack with e :: _ -> e.branch_gseq | [] -> -1 in
     (* 3. def/use *)
     Dr_util.Vec.Int_vec.clear t.scratch_defs;
     Dr_util.Vec.Int_vec.clear t.scratch_uses;
@@ -131,8 +154,11 @@ module Derive = struct
     let uses = Dr_util.Vec.Int_vec.to_array t.scratch_uses in
     (* 4. flags and instance *)
     let instr = ev.Event.instr in
+    let is_branch = Dr_isa.Instr.is_branch instr in
     let is_final_ret =
-      instr = Dr_isa.Instr.Ret && ev.Event.mem_read_value = Machine.ret_sentinel
+      match instr with
+      | Dr_isa.Instr.Ret -> ev.Event.mem_read_value = Machine.ret_sentinel
+      | _ -> false
     in
     let flags =
       (match ev.Event.sys with
@@ -143,46 +169,38 @@ module Derive = struct
       | Event.Sys_nondet _ -> Trace.flag_nondet
       | _ -> 0)
       lor (if is_final_ret then Trace.flag_final_ret lor Trace.flag_sync else 0)
-      lor (if Dr_isa.Instr.is_branch instr then Trace.flag_branch else 0)
+      lor (if is_branch then Trace.flag_branch else 0)
       lor (if ev.Event.mem_read >= 0 then Trace.flag_load else 0)
       lor if ev.Event.mem_write >= 0 then Trace.flag_store else 0
     in
-    let key = (tid lsl 32) lor pc in
-    let instance =
-      let i = 1 + Option.value ~default:0 (Hashtbl.find_opt t.instance_counts key) in
-      Hashtbl.replace t.instance_counts key i;
-      i
-    in
-    let lidx = Option.value ~default:0 (Hashtbl.find_opt t.lidx_counts tid) in
-    Hashtbl.replace t.lidx_counts tid (lidx + 1);
+    let instance = Instance_count.next st.instances pc in
+    let lidx = st.lidx in
+    st.lidx <- lidx + 1;
     let record =
       { Trace.gseq; tid; pc; instance; lidx; defs; uses; cd; flags;
         line = (if pc < t.nline then t.line_of_pc.(pc) else -1) }
     in
     (* 5. maintain CD frame depth (the record above is already built) *)
     (match instr with
-    | Dr_isa.Instr.Call _ | Dr_isa.Instr.Callind _ ->
-      cd_st.depth <- cd_st.depth + 1
+    | Dr_isa.Instr.Call _ | Dr_isa.Instr.Callind _ -> st.depth <- st.depth + 1
     | Dr_isa.Instr.Ret ->
       (* close regions belonging to the returning frame *)
-      let d = cd_st.depth in
-      cd_st.stack <- List.filter (fun e -> e.cd_depth <> d) cd_st.stack;
-      cd_st.depth <- max 0 (d - 1)
+      let d = st.depth in
+      st.stack <- drop_frame d st.stack;
+      st.depth <- max 0 (d - 1)
     | _ -> ());
     (* 6. push a CD region for branches *)
-    if Dr_isa.Instr.is_branch instr then begin
-      match Dr_cfg.Cfg.branch_region_end t.cfg ~pc with
+    if is_branch then begin
+      match t.region_end.(pc) with
       | Dr_cfg.Cfg.Unknown ->
         (* unresolved indirect jump: control dependence is lost (§5.1) *)
         ()
       | Dr_cfg.Cfg.To_exit ->
-        cd_st.stack <-
-          { branch_gseq = gseq; ipdom_pc = -1; cd_depth = cd_st.depth }
-          :: cd_st.stack
+        st.stack <-
+          { branch_gseq = gseq; ipdom_pc = -1; cd_depth = st.depth } :: st.stack
       | Dr_cfg.Cfg.At p ->
-        cd_st.stack <-
-          { branch_gseq = gseq; ipdom_pc = p; cd_depth = cd_st.depth }
-          :: cd_st.stack
+        st.stack <-
+          { branch_gseq = gseq; ipdom_pc = p; cd_depth = st.depth } :: st.stack
     end;
     record
 end
@@ -194,20 +212,44 @@ type addr_state = {
   mutable readers : (int * int) list;  (** (gseq, tid) since last write *)
 }
 
+let has_indirect (prog : Dr_isa.Program.t) =
+  Array.exists
+    (function Dr_isa.Instr.Jind _ | Dr_isa.Instr.Callind _ -> true | _ -> false)
+    prog.Dr_isa.Program.code
+
+(* Pass 1 records only at indirect jumps and calls, so a program without
+   any has an empty target table and the replay is skipped. *)
 let collect_indirect_targets prog pinball : (int, int list) Hashtbl.t =
   let targets = Hashtbl.create 32 in
-  let on_event (ev : Event.t) =
-    match ev.Event.instr with
-    | Dr_isa.Instr.Jind _ | Dr_isa.Instr.Callind _ ->
-      let pc = ev.Event.pc in
-      let old = Option.value ~default:[] (Hashtbl.find_opt targets pc) in
-      if not (List.mem ev.Event.next_pc old) then
-        Hashtbl.replace targets pc (ev.Event.next_pc :: old)
-    | _ -> ()
-  in
-  let replayer = Dr_pinplay.Replayer.create prog pinball in
-  ignore (Dr_pinplay.Replayer.resume ~hooks:{ Driver.on_event } replayer);
+  if has_indirect prog then begin
+    let on_event (ev : Event.t) =
+      match ev.Event.instr with
+      | Dr_isa.Instr.Jind _ | Dr_isa.Instr.Callind _ ->
+        let pc = ev.Event.pc in
+        let old = Option.value ~default:[] (Hashtbl.find_opt targets pc) in
+        if not (List.mem ev.Event.next_pc old) then
+          Hashtbl.replace targets pc (ev.Event.next_pc :: old)
+      | _ -> ()
+    in
+    let replayer = Dr_pinplay.Replayer.create prog pinball in
+    ignore (Dr_pinplay.Replayer.resume ~hooks:{ Driver.on_event } replayer)
+  end;
   targets
+
+let addr_state addr_states a =
+  match Hashtbl.find_opt addr_states a with
+  | Some s -> s
+  | None ->
+    let s = { last_writer = -1; last_writer_tid = -1; readers = [] } in
+    Hashtbl.replace addr_states a s;
+    s
+
+(* WAR edges from every other thread's read since the last write *)
+let rec push_war_edges order_edges ~tid ~gseq = function
+  | [] -> ()
+  | (rg, rt) :: rest ->
+    if rt <> tid then Dr_util.Vec.push order_edges (rg, gseq);
+    push_war_edges order_edges ~tid ~gseq rest
 
 (** Collect the full region trace.  [refine] (default true) enables the
     two-pass CFG refinement of §5.1; [max_save] is the save/restore
@@ -220,6 +262,8 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
     result =
   Dr_obs.Obs.with_span ~cat:"trace" "collector.collect" @@ fun sp ->
   Dr_obs.Obs.add_attr sp "refine" (Dr_obs.Obs.Bool refine);
+  Dr_obs.Obs.add_attr sp "indirect_pass"
+    (Dr_obs.Obs.Bool (refine && has_indirect prog));
   let indirect_tbl =
     if refine then collect_indirect_targets prog pinball else Hashtbl.create 1
   in
@@ -234,17 +278,14 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
   let watchdog =
     Option.bind budget (Dr_util.Budget.watchdog_of ~what:"collector.collect")
   in
-  let per_thread = Hashtbl.create 8 in
+  (* tid -> gseqs; the machine numbers threads below [max_threads] *)
+  let per_thread =
+    Array.init prog.Dr_isa.Program.max_threads (fun _ ->
+        Dr_util.Vec.Int_vec.create ())
+  in
+  let max_tid = ref 0 in
   let order_edges = Dr_util.Vec.create ~dummy:(0, 0) in
   let addr_states : (int, addr_state) Hashtbl.t = Hashtbl.create 4096 in
-  let thread_gseqs tid =
-    match Hashtbl.find_opt per_thread tid with
-    | Some v -> v
-    | None ->
-      let v = Dr_util.Vec.Int_vec.create () in
-      Hashtbl.replace per_thread tid v;
-      v
-  in
   let on_event (ev : Event.t) =
     let tid = ev.Event.tid and pc = ev.Event.pc in
     let gseq = Segment_store.built_length records in
@@ -254,29 +295,20 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
        core (also replayed window-by-window by {!Reexec}) *)
     let record = Derive.next derive ~gseq ev in
     Segment_store.append records record;
-    Dr_util.Vec.Int_vec.push (thread_gseqs tid) gseq;
+    Dr_util.Vec.Int_vec.push per_thread.(tid) gseq;
+    if tid > !max_tid then max_tid := tid;
     (* 5. shared-memory access order edges *)
-    let addr_state a =
-      match Hashtbl.find_opt addr_states a with
-      | Some s -> s
-      | None ->
-        let s = { last_writer = -1; last_writer_tid = -1; readers = [] } in
-        Hashtbl.replace addr_states a s;
-        s
-    in
     if ev.Event.mem_read >= 0 then begin
-      let s = addr_state ev.Event.mem_read in
+      let s = addr_state addr_states ev.Event.mem_read in
       if s.last_writer >= 0 && s.last_writer_tid <> tid then
         Dr_util.Vec.push order_edges (s.last_writer, gseq);
       s.readers <- (gseq, tid) :: s.readers
     end;
     if ev.Event.mem_write >= 0 then begin
-      let s = addr_state ev.Event.mem_write in
+      let s = addr_state addr_states ev.Event.mem_write in
       if s.last_writer >= 0 && s.last_writer_tid <> tid then
         Dr_util.Vec.push order_edges (s.last_writer, gseq);
-      List.iter
-        (fun (rg, rt) -> if rt <> tid then Dr_util.Vec.push order_edges (rg, gseq))
-        s.readers;
+      push_war_edges order_edges ~tid ~gseq s.readers;
       s.last_writer <- gseq;
       s.last_writer_tid <- tid;
       s.readers <- []
@@ -296,24 +328,18 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
     | _ -> ())
   in
   let replayer = Dr_pinplay.Replayer.create prog pinball in
-  let t0 = Dr_util.Timer.now () in
   ignore (Dr_pinplay.Replayer.resume ~hooks:{ Driver.on_event } replayer);
-  let collect_time = Dr_util.Timer.now () -. t0 in
-  let max_tid = Hashtbl.fold (fun k _ acc -> max k acc) per_thread 0 in
-  let per_thread_arr =
-    Array.init (max_tid + 1) (fun tid ->
-        match Hashtbl.find_opt per_thread tid with
-        | Some v -> Dr_util.Vec.Int_vec.to_array v
-        | None -> [||])
+  let per_thread =
+    Array.init (!max_tid + 1) (fun tid ->
+        Dr_util.Vec.Int_vec.to_array per_thread.(tid))
   in
   let records = Segment_store.seal records in
   Dr_obs.Obs.add_attr sp "records" (Dr_obs.Obs.Int (Segment_store.length records));
   Dr_obs.Obs.add_attr sp "spilled_segments"
     (Dr_obs.Obs.Int (Segment_store.spilled_segments records));
   { records;
-    per_thread = per_thread_arr;
+    per_thread;
     order_edges = Dr_util.Vec.to_array order_edges;
     indirect_targets;
     pairs = prune_state.Prune.pairs;
-    cfg;
-    collect_time }
+    cfg }

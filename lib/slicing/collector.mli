@@ -6,7 +6,9 @@
     dynamically observed indirect-jump targets, and confirmed
     save/restore pairs.  With [refine] (§5.1) collection runs twice:
     pass 1 gathers indirect-jump targets, the CFG is refined, pass 2
-    collects the precise trace — sound because replay is deterministic. *)
+    collects the precise trace — sound because replay is deterministic.
+    The indirect-target pass runs only when the program has indirect
+    jumps or calls; without them its table is provably empty. *)
 
 type result = {
   records : Segment_store.t;  (** indexed by gseq = execution order *)
@@ -17,7 +19,6 @@ type result = {
       (** observed targets per indirect jump/call pc *)
   pairs : Prune.pairs;  (** confirmed save/restore pairs *)
   cfg : Dr_cfg.Cfg.t;  (** the CFG used in the final pass *)
-  collect_time : float;  (** wall-clock seconds for trace collection *)
 }
 
 (** The record-derivation state machine shared between collection and
@@ -46,7 +47,8 @@ module Derive : sig
 end
 
 (** Pass-1 helper: the dynamically observed targets of every indirect
-    jump/call in the region. *)
+    jump/call in the region.  Returns an empty table without replaying
+    when the program has no indirect jump or call. *)
 val collect_indirect_targets :
   Dr_isa.Program.t -> Dr_pinplay.Pinball.t -> (int, int list) Hashtbl.t
 

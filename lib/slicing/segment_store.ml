@@ -328,7 +328,9 @@ type builder = {
   mutable b_nsegs : int;
   mutable b_resident : (int * int) list;
       (** completed resident segments as (index, bytes), oldest last *)
-  mutable b_cur : Trace.record list;  (** current segment, newest first *)
+  mutable b_cur : Trace.record array;
+      (** current segment, filled up to [b_cur_count]; [[||]] until
+          its first record *)
   mutable b_cur_count : int;
   mutable b_cur_bytes : int;
   mutable b_total : int;
@@ -345,7 +347,7 @@ let builder ?budget ?(seg_records = default_seg_records)
   let id = 1 + Atomic.fetch_and_add store_ids 1 in
   { b_seg_records = seg_records; b_cache_cap = max 1 cache_segments;
     b_budget = budget; b_store_id = id; b_segs = []; b_nsegs = 0;
-    b_resident = []; b_cur = []; b_cur_count = 0; b_cur_bytes = 0;
+    b_resident = []; b_cur = [||]; b_cur_count = 0; b_cur_bytes = 0;
     b_total = 0; b_spilled = false }
 
 let built_length b = b.b_total
@@ -402,20 +404,23 @@ let rebalance b =
 
 let finish_segment b =
   if b.b_cur_count > 0 then begin
-    let a = Array.make b.b_cur_count Trace.dummy in
-    List.iteri (fun i r -> a.(b.b_cur_count - 1 - i) <- r) b.b_cur;
+    let a =
+      if b.b_cur_count = Array.length b.b_cur then b.b_cur
+      else Array.sub b.b_cur 0 b.b_cur_count
+    in
     let index = b.b_nsegs in
     b.b_segs <- Resident a :: b.b_segs;
     b.b_nsegs <- b.b_nsegs + 1;
     b.b_resident <- (index, b.b_cur_bytes) :: b.b_resident;
-    b.b_cur <- [];
+    b.b_cur <- [||];
     b.b_cur_count <- 0;
     b.b_cur_bytes <- 0;
     rebalance b
   end
 
 let append b (r : Trace.record) =
-  b.b_cur <- r :: b.b_cur;
+  if b.b_cur_count = 0 then b.b_cur <- Array.make b.b_seg_records Trace.dummy;
+  b.b_cur.(b.b_cur_count) <- r;
   b.b_cur_count <- b.b_cur_count + 1;
   b.b_total <- b.b_total + 1;
   let bytes = record_bytes r in

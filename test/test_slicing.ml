@@ -1136,8 +1136,7 @@ let test_cycle_structured_error () =
       order_edges = [| (0, 1); (1, 0) |];
       indirect_targets = [];
       pairs = Hashtbl.create 1;
-      cfg;
-      collect_time = 0.0 }
+      cfg }
   in
   match Dr_slicing.Global_trace.construct c with
   | _ -> Alcotest.fail "cyclic edges must not merge"
@@ -1156,6 +1155,189 @@ let test_cycle_structured_error () =
     let msg = Dr_slicing.Global_trace.cycle_message info in
     Alcotest.(check bool) "message names the stall" true
       (String.length msg > 0)
+
+(* ---- collection: pass-1 skipping and dense derivation state ---- *)
+
+let record_list (c : Dr_slicing.Collector.result) =
+  let acc = ref [] in
+  Dr_slicing.Segment_store.iter c.Dr_slicing.Collector.records (fun _ r ->
+      acc := r :: !acc);
+  List.rev !acc
+
+let pair_bindings (c : Dr_slicing.Collector.result) =
+  List.sort compare
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.Dr_slicing.Collector.pairs [])
+
+(* the [indirect_pass] attr of the one collector.collect span *)
+let traced_collect ~refine prog pb =
+  let was_enabled = Dr_obs.Obs.enabled () in
+  Dr_obs.Obs.reset ();
+  Dr_obs.Obs.set_enabled true;
+  let c = Dr_slicing.Collector.collect ~refine prog pb in
+  Dr_obs.Obs.set_enabled was_enabled;
+  let attrs =
+    Array.to_list (Dr_obs.Obs.spans ())
+    |> List.filter (fun s -> s.Dr_obs.Obs.sp_name = "collector.collect")
+    |> List.map (fun s -> List.assoc_opt "indirect_pass" s.Dr_obs.Obs.sp_attrs)
+  in
+  Dr_obs.Obs.reset ();
+  (c, attrs)
+
+(* No registry program has an indirect jump or call, so refinement has
+   nothing to refine: the pass-1 replay is skipped and the refined trace
+   equals the unrefined one, field for field. *)
+let test_pass1_skip_exact () =
+  List.iter
+    (fun (e : Dr_workloads.Registry.entry) ->
+      let name = e.Dr_workloads.Registry.name in
+      let prog = e.Dr_workloads.Registry.compile ~threads:3 ~iters:6 in
+      let pb = log_whole prog in
+      let refined, attrs = traced_collect ~refine:true prog pb in
+      let plain = Dr_slicing.Collector.collect ~refine:false prog pb in
+      Alcotest.(check bool) (name ^ ": pass 1 skipped") true
+        (attrs = [ Some (Dr_obs.Obs.Bool false) ]);
+      Alcotest.(check bool) (name ^ ": no indirect targets") true
+        (refined.Dr_slicing.Collector.indirect_targets = []);
+      Alcotest.(check bool) (name ^ ": records") true
+        (record_list refined = record_list plain);
+      Alcotest.(check bool) (name ^ ": per_thread") true
+        (refined.Dr_slicing.Collector.per_thread
+        = plain.Dr_slicing.Collector.per_thread);
+      Alcotest.(check bool) (name ^ ": order_edges") true
+        (refined.Dr_slicing.Collector.order_edges
+        = plain.Dr_slicing.Collector.order_edges);
+      Alcotest.(check bool) (name ^ ": pairs") true
+        (pair_bindings refined = pair_bindings plain))
+    Dr_workloads.Registry.all
+
+let test_fig7_runs_pass1 () =
+  let prog = fig7_prog () in
+  let pb = log_whole ~input:[| 0; 1 |] prog in
+  let c, attrs = traced_collect ~refine:true prog pb in
+  Alcotest.(check bool) "pass 1 ran" true
+    (attrs = [ Some (Dr_obs.Obs.Bool true) ]);
+  Alcotest.(check (list (pair int (list int)))) "both switch targets observed"
+    [ (6, [ 7; 9 ]) ]
+    (List.map
+       (fun (pc, ts) -> (pc, List.sort compare ts))
+       c.Dr_slicing.Collector.indirect_targets)
+
+(* the retired events of a replay, copied out of the scratch event *)
+let replay_events prog pb =
+  let evs = ref [] in
+  let on_event (ev : Dr_machine.Event.t) =
+    evs := { ev with Dr_machine.Event.tid = ev.Dr_machine.Event.tid } :: !evs
+  in
+  let r = Dr_pinplay.Replayer.create prog pb in
+  ignore (Dr_pinplay.Replayer.run ~hooks:{ Dr_machine.Driver.on_event } r);
+  Array.of_list (List.rev !evs)
+
+let test_derive_copy_deep () =
+  let e = Option.get (Dr_workloads.Registry.find "streamcluster") in
+  let prog = e.Dr_workloads.Registry.compile ~threads:3 ~iters:6 in
+  let pb = log_whole prog in
+  let evs = replay_events prog pb in
+  let total = Array.length evs in
+  let k = total / 3 and n = total / 2 in
+  let c = Dr_slicing.Collector.collect prog pb in
+  let d = Dr_slicing.Collector.Derive.create ~cfg:c.Dr_slicing.Collector.cfg prog in
+  for g = 0 to k - 1 do
+    ignore (Dr_slicing.Collector.Derive.next d ~gseq:g evs.(g))
+  done;
+  let copy = Dr_slicing.Collector.Derive.copy d in
+  let advance d =
+    List.init n (fun i -> Dr_slicing.Collector.Derive.next d ~gseq:(k + i) evs.(k + i))
+  in
+  let from_original = advance d in
+  let from_copy = advance copy in
+  Alcotest.(check bool) "several threads" true
+    (Array.length c.Dr_slicing.Collector.per_thread > 1);
+  Alcotest.(check bool) "copy yields the original's records" true
+    (from_copy = from_original);
+  Alcotest.(check bool) "and the collected ones" true
+    (from_copy
+    = List.init n (fun i -> Dr_slicing.Segment_store.get c.Dr_slicing.Collector.records (k + i)))
+
+(* a thread that runs off the end of its code retires a fault event at
+   pc = code length, outside the dense per-pc counters *)
+let test_pc_past_code_end () =
+  let prog =
+    Dr_isa.Program.make ~name:"falls-off" ~entry:0
+      Dr_isa.Instr.[ Mov (1, Imm 1); Mov (2, Imm 2) ]
+  in
+  let pb = log_whole prog in
+  let c = Dr_slicing.Collector.collect prog pb in
+  Alcotest.(check int) "three records" 3
+    (Dr_slicing.Segment_store.length c.Dr_slicing.Collector.records);
+  let r = Dr_slicing.Segment_store.get c.Dr_slicing.Collector.records 2 in
+  Alcotest.(check string) "fault record" "#2 t0 pc=2 i=1 line=-1"
+    (Printf.sprintf "#%d t%d pc=%d i=%d line=%d" r.Dr_slicing.Trace.gseq
+       r.Dr_slicing.Trace.tid r.Dr_slicing.Trace.pc r.Dr_slicing.Trace.instance
+       r.Dr_slicing.Trace.line);
+  let slice =
+    Dr_pinplay.Relogger.relog prog pb
+      ~exclusions:
+        [ { Dr_pinplay.Relogger.x_tid = 0; x_start_pc = 1; x_start_instance = 1;
+            x_end = Some (2, 1) } ]
+  in
+  Alcotest.(check bool) "end marker at pc 2 matched: inject, then step pc 2" true
+    (match slice.Dr_pinplay.Pinball.slice_events with
+    | [| Dr_pinplay.Pinball.Step { tid = 0; pc = 0 }; Dr_pinplay.Pinball.Inject 0;
+         Dr_pinplay.Pinball.Step { tid = 0; pc = 2 } |] -> true
+    | _ -> false)
+
+let test_def_use_no_alloc () =
+  let open Dr_isa.Instr in
+  let mk instr ~mem_read ~mem_write =
+    let ev = Dr_machine.Event.create () in
+    Dr_machine.Event.reset ev ~tid:1 ~pc:0 ~instr;
+    ev.Dr_machine.Event.mem_read <- mem_read;
+    ev.Dr_machine.Event.mem_write <- mem_write;
+    ev
+  in
+  let evs =
+    [| mk Nop ~mem_read:(-1) ~mem_write:(-1);
+       mk (Mov (1, Reg 2)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Mov (1, Imm 2)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Bin (Add, 1, 2, Reg 3)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Load (1, 2, 0)) ~mem_read:40 ~mem_write:(-1);
+       mk (Store (2, 0, 1)) ~mem_read:(-1) ~mem_write:41;
+       mk (Push 6) ~mem_read:(-1) ~mem_write:900;
+       mk (Pop 6) ~mem_read:900 ~mem_write:(-1);
+       mk (Cmp (1, Imm 0)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Setcc (Eq, 3)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Jmp 0) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Jcc (Eq, 0)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Jind 4) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Call 0) ~mem_read:(-1) ~mem_write:899;
+       mk (Callind 4) ~mem_read:(-1) ~mem_write:899;
+       mk Ret ~mem_read:899 ~mem_write:(-1);
+       mk (Assert (1, 0)) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Sys Read) ~mem_read:(-1) ~mem_write:(-1);
+       mk (Sys Join) ~mem_read:(-1) ~mem_write:(-1) |]
+  in
+  let defs = Dr_util.Vec.Int_vec.with_capacity 16 in
+  let uses = Dr_util.Vec.Int_vec.with_capacity 16 in
+  let iters = 10_000 in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to iters do
+      f evs.(i mod Array.length evs)
+    done;
+    Gc.minor_words () -. w0
+  in
+  let empty = measure (fun _ -> ()) in
+  let calls =
+    measure (fun ev ->
+        Dr_util.Vec.Int_vec.clear defs;
+        Dr_util.Vec.Int_vec.clear uses;
+        Dr_machine.Def_use.collect ev ~defs ~uses)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "no allocation over %d calls (empty %.0f, collect %.0f words)"
+       iters empty calls)
+    true
+    (calls -. empty < 16.)
 
 let () =
   Alcotest.run "slicing"
@@ -1178,6 +1360,14 @@ let () =
             test_fig7_imprecise_without_refinement;
           Alcotest.test_case "precise with refinement" `Quick
             test_fig7_precise_with_refinement ] );
+      ( "collect",
+        [ Alcotest.test_case "pass 1 skipped without indirect jumps" `Quick
+            test_pass1_skip_exact;
+          Alcotest.test_case "fig 7 runs pass 1" `Quick test_fig7_runs_pass1;
+          Alcotest.test_case "derive copy is deep" `Quick test_derive_copy_deep;
+          Alcotest.test_case "pc past the code end" `Quick test_pc_past_code_end;
+          Alcotest.test_case "def/use allocation-free" `Quick
+            test_def_use_no_alloc ] );
       ( "fig 8 (save/restore)",
         [ Alcotest.test_case "unpruned spurious" `Quick
             test_fig8_unpruned_is_spurious;
