@@ -432,30 +432,26 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("segstore_hit_rate", J.Num m.segstore_hit_rate);
       ("reexec_window_hit_rate", J.Num m.reexec_window_hit_rate) ]
 
-(* Per-slot pool utilization from the always-on scalar metrics: how many
-   tasks each pool slot (0 = caller, 1.. = workers) claimed across the
-   whole run and how long it spent executing them.  Slot balance close
-   to uniform means the claim loop is not starving workers. *)
-let pool_utilization_json ~domains () : J.t =
-  let report = Dr_obs.Metrics.report () in
+(* Per-slot pool utilization from the always-on registry, read out of
+   the run report: how many tasks each pool slot (0 = caller, 1.. =
+   workers) claimed across the whole run and how long it spent executing
+   them.  Slot balance close to uniform means the claim loop is not
+   starving workers. *)
+let pool_utilization_json ~domains (report : J.t) : J.t =
+  let find path =
+    List.fold_left (fun v k -> Option.bind v (J.member k)) (Some report) path
+    |> Fun.flip Option.bind J.to_float
+    |> Option.value ~default:0.0
+  in
   let slot i =
-    let claimed =
-      match
-        List.assoc_opt (Printf.sprintf "pool.slot%d.tasks_claimed" i) report
-      with
-      | Some (`Counter n) -> n
-      | _ -> 0
-    in
-    let busy_s, busy_events =
-      match List.assoc_opt (Printf.sprintf "pool.slot%d.busy" i) report with
-      | Some (`Timer (s, e)) -> (s, e)
-      | _ -> (0.0, 0)
-    in
+    let busy = Printf.sprintf "pool.slot%d.busy" i in
     J.Obj
       [ ("slot", J.int i);
-        ("tasks_claimed", J.int claimed);
-        ("busy_s", J.Num busy_s);
-        ("busy_events", J.int busy_events) ]
+        ( "tasks_claimed",
+          J.Num
+            (find [ "counters"; Printf.sprintf "pool.slot%d.tasks_claimed" i ]) );
+        ("busy_s", J.Num (find [ "timers"; busy; "seconds" ]));
+        ("busy_events", J.Num (find [ "timers"; busy; "events" ])) ]
   in
   J.List (List.init domains slot)
 
@@ -509,6 +505,7 @@ let run ~quick ?(domains = 2) ~out () =
           ("speedup_vs_scan_skip", J.Num (ratio m.scan_skip_s m.indexed_s));
           ("results_identical", J.Bool m.identical) ]
   in
+  let report = Dr_obs.Report.document ~label:"slicing-bench" () in
   let doc =
     J.Obj
       [ ("schema", J.Str schema_version);
@@ -516,8 +513,8 @@ let run ~quick ?(domains = 2) ~out () =
         ("domains", J.int domains);
         ("workloads", J.List (List.map (fun (p, m) -> workload_json p m) rows));
         ("largest_generated", largest_generated);
-        ("pool_utilization", pool_utilization_json ~domains ());
-        ("report", Dr_obs.Report.document ~label:"slicing-bench" ()) ]
+        ("pool_utilization", pool_utilization_json ~domains report);
+        ("report", report) ]
   in
   Dr_obs.Obs.set_enabled false;
   Out_channel.with_open_text out (fun oc ->

@@ -51,13 +51,19 @@ let setup_obs ~trace_out ~report_out ~metrics_out ~stats =
   if trace_out <> None || report_out <> None || metrics_out <> None || stats
   then Dr_obs.Obs.set_enabled true
 
-(* The scalar tier is always on, so --metrics-out works even on
-   subcommands with no tracing plumbing of their own. *)
-let write_metrics = function
-  | None -> ()
-  | Some path ->
-    Dr_obs.Openmetrics.write path;
+(* Every export below is derived from one Report.document: the run
+   report, the OpenMetrics text and the --stats table. *)
+let write_metrics_of doc path =
+  match Dr_obs.Openmetrics.of_report doc with
+  | Error e -> invalid_arg ("metrics export: " ^ e)
+  | Ok text ->
+    Dr_util.Atomic_file.with_out path (fun oc -> output_string oc text);
     Printf.printf "metrics written to %s\n" path
+
+(* The registry is always on, so --metrics-out works even on
+   subcommands with no tracing plumbing of their own. *)
+let write_metrics =
+  Option.iter (fun path -> write_metrics_of (Dr_obs.Report.document ()) path)
 
 let finish_obs ~trace_out ~report_out ~metrics_out ~stats ~label =
   Dr_obs.Obs.set_enabled false;
@@ -67,16 +73,15 @@ let finish_obs ~trace_out ~report_out ~metrics_out ~stats ~label =
     Printf.printf "trace written to %s (%d spans; load in ui.perfetto.dev)\n"
       path (Dr_obs.Obs.span_count ())
   | None -> ());
-  (match report_out with
-  | Some path ->
-    Dr_obs.Report.write ~label path;
-    Printf.printf "run report written to %s\n" path
-  | None -> ());
-  write_metrics metrics_out;
-  if stats then begin
-    Printf.printf "--- internal metrics ---\n%s" (Dr_obs.Metrics.to_string ());
-    print_string (Format.asprintf "%a" Dr_obs.Report.pp_summary ())
-  end;
+  let doc = lazy (Dr_obs.Report.document ~label ()) in
+  Option.iter
+    (fun path ->
+      Dr_obs.Report.write path (Lazy.force doc);
+      Printf.printf "run report written to %s\n" path)
+    report_out;
+  Option.iter (fun path -> write_metrics_of (Lazy.force doc) path) metrics_out;
+  if stats then
+    print_string (Format.asprintf "%a" Dr_obs.Report.pp_document (Lazy.force doc));
   List.iter
     (fun m -> Printf.eprintf "span mismatch: %s\n" m)
     (Dr_obs.Obs.mismatch_messages ())
@@ -618,29 +623,22 @@ let run_report args threshold_pct =
 
 (* ---- metrics subcommand: OpenMetrics-style text export ---- *)
 
-let run_metrics file out =
+let run_metrics path out =
   guarded @@ fun () ->
-  let emit text =
-    match out with
-    | None ->
-      print_string text;
-      0
-    | Some path ->
-      Dr_util.Atomic_file.with_out path (fun oc -> output_string oc text);
-      Printf.printf "metrics written to %s\n" path;
-      0
-  in
-  match file with
-  | None -> emit (Dr_obs.Openmetrics.render ())
-  | Some path -> (
-    match load_report path with
-    | Error code -> code
-    | Ok doc -> (
-      match Dr_obs.Openmetrics.of_report doc with
-      | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        1
-      | Ok text -> emit text))
+  match load_report path with
+  | Error code -> code
+  | Ok doc -> (
+    match Dr_obs.Openmetrics.of_report doc with
+    | Error e ->
+      Printf.eprintf "%s: %s\n" path e;
+      1
+    | Ok text ->
+      (match out with
+      | None -> print_string text
+      | Some dst ->
+        Dr_util.Atomic_file.with_out dst (fun oc -> output_string oc text);
+        Printf.printf "metrics written to %s\n" dst);
+      0)
 
 open Cmdliner
 
@@ -660,7 +658,7 @@ let script =
   Arg.(value & opt (some string) None & info [ "script" ] ~doc:"Semicolon-separated commands to run non-interactively.")
 
 let stats =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print internal counters/timers and the per-phase span summary on exit.")
+  Arg.(value & flag & info [ "stats" ] ~doc:"Print the run report (phases, counters, timers, histograms) on exit.")
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ]
@@ -828,12 +826,12 @@ let report_cmd =
 
 let metrics_cmd =
   let doc =
-    "emit the metrics registry — or the counters/timers/histograms of a \
-     stored drdebug-report-v1 (or bench) file — as OpenMetrics-style text"
+    "emit the counters/timers/histograms of a stored drdebug-report-v1 \
+     (or bench) file as OpenMetrics-style text"
   in
   let file =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"Report (or bench) file to re-export; the live registry when omitted.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
+           ~doc:"Report (or bench) file to re-export.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ]

@@ -8,7 +8,6 @@
      pinball_tool verify <file.pinball>          # section CRC integrity report
      pinball_tool verify <file.pinball> --workload <name> [--threads N --iters N]
                                                  # ... plus a double-replay check
-     pinball_tool migrate <in.pinball> <out.pinball>   # rewrite as format v2
      pinball_tool record --workload <name> [--seed N] [--digest-interval N] -o <file.pinball>
 *)
 
@@ -84,15 +83,13 @@ let verify_integrity path =
   in
   let open Dr_pinplay.Pinball in
   Printf.printf "pinball: %s\n" path;
-  if r.r_version = 1 then
-    Printf.printf "  format:  v1 (legacy — no checksums; consider `pinball_tool migrate`)\n"
-  else Printf.printf "  format:  v%d\n" r.r_version;
+  Printf.printf "  format:  v%d\n" r.r_version;
   List.iter
     (fun s ->
       Printf.printf "  section %-12s %8d bytes  crc %s\n" s.sr_name s.sr_bytes
         (if s.sr_crc_ok then "ok" else "MISMATCH"))
     r.r_sections;
-  if r.r_version > 1 then
+  if r.r_version > 0 then
     Printf.printf "  trailer: %s\n" (if r.r_trailer_ok then "ok" else "MISMATCH");
   if r.r_digest_count > 0 then
     Printf.printf "  digests: %d replay checkpoints\n" r.r_digest_count;
@@ -136,14 +133,6 @@ let verify path workload threads iters =
   | Some name -> verify_replay path name threads iters
   | None -> ()
 
-let migrate src dst =
-  (try Dr_pinplay.Pinball.migrate ~src ~dst with
-  | Sys_error e -> die "migrate failed: %s" e
-  | Dr_pinplay.Pinball.Pinball_error e ->
-    die "%s is not a valid pinball: %s" src (Dr_pinplay.Pinball.error_to_string e)
-  | Dr_util.Codec.Corrupt e -> die "%s is not a valid pinball: %s" src e);
-  Printf.printf "migrated %s -> %s (format v2)\n" src dst
-
 let record name seed out threads iters digest_interval =
   let prog = compile_workload name threads iters in
   match
@@ -178,7 +167,6 @@ let () =
   | _ :: "info" :: path :: _ -> info path
   | _ :: "dump" :: path :: _ -> dump path
   | _ :: "verify" :: path :: _ -> verify path (opt "--workload") threads iters
-  | _ :: "migrate" :: src :: dst :: _ -> migrate src dst
   | _ :: "record" :: _ ->
     record
       (req "--workload" "record")
@@ -187,5 +175,5 @@ let () =
       (int_of_string (opt_or "--digest-interval" "64"))
   | _ ->
     prerr_endline
-      "usage: pinball_tool info|dump|verify|migrate|record <file> [--workload N] [--seed N] [-o F]";
+      "usage: pinball_tool info|dump|verify|record <file> [--workload N] [--seed N] [-o F]";
     exit 2

@@ -14,7 +14,6 @@ open Dr_machine
 let m_steps = Dr_obs.Metrics.counter "slice_replay.steps"
 let m_injections = Dr_obs.Metrics.counter "slice_replay.injections"
 let m_divergences = Dr_obs.Metrics.counter "slice_replay.divergences"
-let t_run = Dr_obs.Metrics.timer "slice_replay.run"
 
 exception Divergence of string
 
@@ -130,7 +129,6 @@ let step_statement (t : t) : step_result =
 let run ?(on_step : (tid:int -> pc:int -> unit) option) (t : t) :
     step_result =
   Dr_obs.Obs.with_span ~cat:"slice-replay" "slice_replay.run" @@ fun sp ->
-  Dr_obs.Metrics.time t_run @@ fun () ->
   let steps = ref 0 and injected = ref 0 in
   Fun.protect
     ~finally:(fun () ->

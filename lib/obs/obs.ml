@@ -1,13 +1,17 @@
-(** Nested tracing spans — the event tier of the observability registry,
-    sharded per domain.
+(** Nested tracing spans — the gated half of the observability library
+    ({!Metrics} is the always-on half), sharded per domain.
 
     A span is a named, monotonic-clock [start]/[stop] interval with a
     thread attribution, a phase category and key:value attributes.
     Spans nest: [start] pushes onto an open-span stack, [stop] pops and
     appends a completed {!span} to the completed-span buffer, from which
-    the sinks ({!Chrome_trace}, {!Report}) read.
+    the sinks ({!Chrome_trace}, {!Report}) read.  Each span also carries
+    the minor-heap words its domain allocated while it was open
+    ([Gc.minor_words] read at open and at close: per domain, and
+    allocation-free in native code).
 
-    Overhead discipline: every entry point checks {!Gate.enabled} first.
+    Overhead discipline: every entry point checks the tracing switch
+    ({!set_enabled}) first.
     With tracing off, [start] returns the preallocated {!none} token and
     [stop]/[add_attr]/[with_span] are a single field check — hot paths
     stay allocation-free.  Tokens are plain [int]s so the disabled path
@@ -26,7 +30,7 @@
     stack, completed-span buffer, token counter and mismatch list.  A
     recording call touches only its own shard — the enabled hot path has
     no cross-domain synchronization at all, and the disabled path is the
-    one {!Gate.enabled} load.  A span must be stopped on the domain that
+    one switch load.  A span must be stopped on the domain that
     started it (tokens are shard-local).
 
     Export merges shards {e deterministically by (logical stream, local
@@ -67,6 +71,9 @@ type span = {
   sp_start_s : float;  (** seconds since the trace epoch *)
   sp_dur_s : float;
   sp_depth : int;  (** nesting depth within its stream *)
+  sp_minor_words : float;
+      (** words allocated on the minor heap of the recording domain
+          while the span was open, children included *)
   sp_attrs : (string * attr) list;
 }
 
@@ -81,7 +88,8 @@ let orphan = max_int
 
 let dummy_span =
   { sp_name = ""; sp_cat = ""; sp_tid = 0; sp_dom = 0; sp_stream = 0;
-    sp_start_s = 0.0; sp_dur_s = 0.0; sp_depth = 0; sp_attrs = [] }
+    sp_start_s = 0.0; sp_dur_s = 0.0; sp_depth = 0; sp_minor_words = 0.0;
+    sp_attrs = [] }
 
 type open_span = {
   o_id : int;
@@ -89,22 +97,13 @@ type open_span = {
   o_cat : string;
   o_tid : int;
   o_t0 : float;
+  mutable o_w0 : float;  (** [Gc.minor_words] when the span opened *)
   mutable o_attrs : (string * attr) list;  (** newest first *)
 }
 
 let dummy_open =
-  { o_id = 0; o_name = ""; o_cat = ""; o_tid = 0; o_t0 = 0.0; o_attrs = [] }
-
-(* Gc stats sampled when a top-level span of this name closes (a phase
-   boundary): words are the values at the *last* boundary, heap the max
-   seen. *)
-type gc_phase = {
-  gp_name : string;
-  mutable gp_samples : int;
-  mutable gp_minor_words : float;
-  mutable gp_major_words : float;
-  mutable gp_heap_words : int;
-}
+  { o_id = 0; o_name = ""; o_cat = ""; o_tid = 0; o_t0 = 0.0; o_w0 = 0.0;
+    o_attrs = [] }
 
 type shard = {
   sh_main : bool;  (** created on the main (stream-0) domain? *)
@@ -119,7 +118,6 @@ type shard = {
           reported relative to it so a task span nests identically
           whether the caller or a worker claimed it *)
   mutable mismatches : string list;  (** newest first *)
-  gc : (string, gc_phase) Hashtbl.t;
 }
 
 (* Registry of every shard ever created (newest first), guarded by
@@ -155,15 +153,28 @@ let ensure_epoch () =
     Mutex.unlock reg_lock
   end
 
+(* ---- switch ---- *)
+
+(* Hot paths read the field directly: with tracing off every recording
+   call costs one field load and allocates nothing. *)
+let enabled_flag = ref false
+
+let set_enabled b = enabled_flag := b
+let enabled () = !enabled_flag
+
+(* the domain that loaded the library = the main domain, whose shard
+   records on stream 0 *)
+let main_domain : int = (Domain.self () :> int)
+
 let new_shard () =
-  let main = Gate.on_recorder_domain () in
+  let main = (Domain.self () :> int) = main_domain in
   let sh =
     { sh_main = main; sh_domain = (Domain.self () :> int);
       spans = Dr_util.Vec.create ~dummy:dummy_span;
       stack = Dr_util.Vec.create ~dummy:dummy_open; next_id = 1;
       stream = (if main then 0 else orphan);
       dom = (if main then 0 else (Domain.self () :> int)); depth_base = 0;
-      mismatches = []; gc = Hashtbl.create 8 }
+      mismatches = [] }
   in
   Mutex.lock reg_lock;
   shards := sh :: !shards;
@@ -173,15 +184,10 @@ let new_shard () =
 let shard_key : shard Domain.DLS.key = Domain.DLS.new_key new_shard
 let shard () = Domain.DLS.get shard_key
 
-(* ---- switch ---- *)
-
-let set_enabled b = Gate.enabled := b
-let enabled () = !Gate.enabled
-
-(** Drop all recorded spans, open spans, Gc samples and mismatch
-    diagnostics in every shard, reset the token and stream counters and
-    clear the epoch (the registrations in {!Metrics} and {!Histogram}
-    are untouched).  Requires quiescence: no pool batch in flight. *)
+(** Drop all recorded spans, open spans and mismatch diagnostics in
+    every shard, reset the token and stream counters and clear the epoch
+    (the {!Metrics} registry is untouched).  Requires quiescence: no
+    pool batch in flight. *)
 let reset () =
   Mutex.lock reg_lock;
   List.iter
@@ -192,8 +198,7 @@ let reset () =
       sh.stream <- (if sh.sh_main then 0 else orphan);
       sh.dom <- (if sh.sh_main then 0 else sh.sh_domain);
       sh.depth_base <- 0;
-      sh.mismatches <- [];
-      Hashtbl.reset sh.gc)
+      sh.mismatches <- [])
     !shards;
   Atomic.set next_stream 1;
   epoch := 0.0;
@@ -217,15 +222,19 @@ let mismatch sh fmt =
     a phase for the trace viewer and the report; [tid] attributes the
     span to a simulated thread. *)
 let start ?(tid = 0) ?(cat = "drdebug") name =
-  if not !Gate.enabled then none
+  if not !enabled_flag then none
   else begin
     let sh = shard () in
     ensure_epoch ();
     let id = sh.next_id in
     sh.next_id <- id + 1;
-    Dr_util.Vec.push sh.stack
+    let o =
       { o_id = id; o_name = name; o_cat = cat; o_tid = tid; o_t0 = now ();
-        o_attrs = [] };
+        o_w0 = 0.0; o_attrs = [] }
+    in
+    Dr_util.Vec.push sh.stack o;
+    (* read last, so the recorder's own allocation is not counted *)
+    o.o_w0 <- Gc.minor_words ();
     id
   end
 
@@ -240,7 +249,7 @@ let find_open sh tok =
 
 (** Attach an attribute to a still-open span (same domain as [start]). *)
 let add_attr tok key v =
-  if !Gate.enabled && tok <> none then begin
+  if !enabled_flag && tok <> none then begin
     let sh = shard () in
     let i = find_open sh tok in
     if i >= 0 then begin
@@ -250,27 +259,9 @@ let add_attr tok key v =
     else mismatch sh "add_attr %S on a closed or unknown span token" key
   end
 
-(* a phase boundary: a top-level span (of its stream) just closed *)
-let gc_boundary sh name =
-  let st = Gc.quick_stat () in
-  let gp =
-    match Hashtbl.find_opt sh.gc name with
-    | Some gp -> gp
-    | None ->
-      let gp =
-        { gp_name = name; gp_samples = 0; gp_minor_words = 0.0;
-          gp_major_words = 0.0; gp_heap_words = 0 }
-      in
-      Hashtbl.replace sh.gc name gp;
-      gp
-  in
-  gp.gp_samples <- gp.gp_samples + 1;
-  gp.gp_minor_words <- st.Gc.minor_words;
-  gp.gp_major_words <- st.Gc.major_words;
-  gp.gp_heap_words <- max gp.gp_heap_words st.Gc.heap_words
-
-(* pop the top open span and append the completed record *)
-let close_top sh t1 =
+(* pop the top open span and append the completed record; [t1] and
+   [w1] are the clock and [Gc.minor_words] at the stop call *)
+let close_top sh t1 w1 =
   let o = Dr_util.Vec.pop sh.stack in
   Metrics.bump m_spans;
   let depth = max 0 (Dr_util.Vec.length sh.stack - sh.depth_base) in
@@ -278,14 +269,14 @@ let close_top sh t1 =
     { sp_name = o.o_name; sp_cat = o.o_cat; sp_tid = o.o_tid;
       sp_dom = sh.dom; sp_stream = sh.stream; sp_start_s = o.o_t0 -. !epoch;
       sp_dur_s = t1 -. o.o_t0; sp_depth = depth;
-      sp_attrs = List.rev o.o_attrs };
-  if Dr_util.Vec.length sh.stack <= sh.depth_base then gc_boundary sh o.o_name
+      sp_minor_words = w1 -. o.o_w0; sp_attrs = List.rev o.o_attrs }
 
 (** Close a span, optionally attaching final [attrs].  Stopping out of
     order closes the spans opened above it first (recording a mismatch
     diagnostic); stopping an unknown token only records the mismatch. *)
 let stop ?(attrs = []) tok =
-  if !Gate.enabled && tok <> none then begin
+  if !enabled_flag && tok <> none then begin
+    let w1 = Gc.minor_words () in
     let sh = shard () in
     let i = find_open sh tok in
     if i < 0 then mismatch sh "stop of a closed or unknown span token %d" tok
@@ -297,11 +288,11 @@ let stop ?(attrs = []) tok =
           (Dr_util.Vec.get sh.stack i).o_name
           (n - 1 - i);
       while Dr_util.Vec.length sh.stack > i + 1 do
-        close_top sh t1
+        close_top sh t1 w1
       done;
       let o = Dr_util.Vec.get sh.stack i in
       o.o_attrs <- List.rev_append attrs o.o_attrs;
-      close_top sh t1
+      close_top sh t1 w1
     end
   end
 
@@ -309,7 +300,7 @@ let stop ?(attrs = []) tok =
     (and recorded) even when [f] raises.  [f] receives the token so it
     can {!add_attr} results as they become known. *)
 let with_span ?tid ?cat ?attrs name f =
-  if not !Gate.enabled then f none
+  if not !enabled_flag then f none
   else begin
     let tok = start ?tid ?cat name in
     Fun.protect ~finally:(fun () -> stop ?attrs tok) (fun () -> f tok)
@@ -350,36 +341,6 @@ let mismatch_count () =
     (fun acc sh -> acc + List.length sh.mismatches)
     0 (all_shards ())
 
-(** Gc phase-boundary samples merged across shards, sorted by phase
-    name: (name, samples, minor_words, major_words, heap_words) — words
-    from the shard with the largest heap figure, heap the max. *)
-let gc_samples () =
-  let tbl : (string, gc_phase) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun sh ->
-      Hashtbl.iter
-        (fun name gp ->
-          match Hashtbl.find_opt tbl name with
-          | None ->
-            Hashtbl.replace tbl name
-              { gp with gp_name = name }
-          | Some acc ->
-            acc.gp_samples <- acc.gp_samples + gp.gp_samples;
-            if gp.gp_heap_words > acc.gp_heap_words then begin
-              acc.gp_heap_words <- gp.gp_heap_words;
-              acc.gp_minor_words <- gp.gp_minor_words;
-              acc.gp_major_words <- gp.gp_major_words
-            end)
-        sh.gc)
-    (all_shards ());
-  Hashtbl.fold
-    (fun name gp acc ->
-      (name, gp.gp_samples, gp.gp_minor_words, gp.gp_major_words,
-       gp.gp_heap_words)
-      :: acc)
-    tbl []
-  |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> String.compare a b)
-
 let attr_to_string = function
   | Int n -> string_of_int n
   | Float f -> Printf.sprintf "%g" f
@@ -389,9 +350,9 @@ let attr_to_string = function
 (* ---- pool instrumentation ----
 
    Installed into Dr_util.Pool at module initialisation (dr_obs depends
-   on dr_util, so the pool cannot call us directly).  Scalar tier: a
-   per-slot claim counter and busy timer, always on.  Event tier (gated):
-   the task runs under its batch-assigned stream with a fresh depth
+   on dr_util, so the pool cannot call us directly).  Registry: a
+   per-slot claim counter and busy timer, always on.  Spans (gated): the
+   task runs under its batch-assigned stream with a fresh depth
    base, wrapped in claim/exec spans, so Perfetto shows a per-domain
    utilization timeline and the merged export stays schedule-
    independent. *)
@@ -401,7 +362,7 @@ let pool_task ~stream ~slot ~task f =
     (Metrics.counter (Printf.sprintf "pool.slot%d.tasks_claimed" slot));
   Metrics.time (Metrics.timer (Printf.sprintf "pool.slot%d.busy" slot))
   @@ fun () ->
-  if not !Gate.enabled then f ()
+  if not !enabled_flag then f ()
   else begin
     let sh = shard () in
     let prev_stream = sh.stream
@@ -425,5 +386,5 @@ let pool_task ~stream ~slot ~task f =
 let () =
   Dr_util.Pool.set_instrument
     { Dr_util.Pool.i_run_begin =
-        (fun ~tasks -> if !Gate.enabled then alloc_streams tasks else 0);
+        (fun ~tasks -> if !enabled_flag then alloc_streams tasks else 0);
       i_task = pool_task }

@@ -1,10 +1,12 @@
 (** OpenMetrics-{e style} text exporter.
 
-    Renders the observability registry — or a parsed
-    [drdebug-report-v1] document — as the line-oriented text format
-    Prometheus-family scrapers ingest: [# TYPE] comments, one
+    Renders a [drdebug-report-v1] document — the live one from
+    {!Report.document} or a stored one — as the line-oriented text
+    format Prometheus-family scrapers ingest: [# TYPE] comments, one
     [name value] sample per line, summary quantiles as
-    [name{quantile="0.5"}] and a terminating [# EOF].
+    [name{quantile="0.5"}] and a terminating [# EOF].  Rendering only
+    from the document means [--metrics-out] and [drdebug_cli metrics
+    REPORT] of the same run print the same bytes.
 
     It is "-style" rather than strictly conformant on one point: metric
     names keep their registry spelling verbatim ([segstore.hits],
@@ -14,42 +16,35 @@
     bench validator, grep).  A strict scraper only needs a
     [s/\./_/g].
 
-    Rendering is deterministic: counters and timers in name order (the
-    {!Metrics.report} contract), histograms in registration order,
-    derived gauges last. *)
+    Rendering is deterministic: counters, timers and histograms in
+    document order (name order for a live document), derived gauges
+    last. *)
 
 module J = Dr_util.Json
 
-(* %.17g round-trips every float; trailing-zero noise is trimmed by %g
-   when the value is exactly representable short *)
-let num f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 let counter_lines b name v =
   Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" name);
-  Buffer.add_string b (Printf.sprintf "%s %s\n" name (num v))
+  Buffer.add_string b (Printf.sprintf "%s %s\n" name (J.number_to_string v))
 
 let gauge_lines b name v =
   Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
-  Buffer.add_string b (Printf.sprintf "%s %s\n" name (num v))
+  Buffer.add_string b (Printf.sprintf "%s %s\n" name (J.number_to_string v))
 
 (* a timer is a summary with only count and sum *)
 let timer_lines b name ~seconds ~events =
   Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
   Buffer.add_string b (Printf.sprintf "%s_count %d\n" name events);
-  Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (num seconds))
+  Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (J.number_to_string seconds))
 
 let summary_lines b name ~count ~sum ~quantiles =
   Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
   List.iter
     (fun (q, v) ->
       Buffer.add_string b
-        (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name q (num v)))
+        (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name q (J.number_to_string v)))
     quantiles;
   Buffer.add_string b (Printf.sprintf "%s_count %d\n" name count);
-  Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (num sum))
+  Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (J.number_to_string sum))
 
 (* cache hit rates derived from hit/miss counter pairs; 0 when the
    cache saw no traffic *)
@@ -64,35 +59,7 @@ let derived_gauges b find =
   gauge_lines b "reexec.window_hit_rate"
     (hit_rate (c "reexec.window_hits") (c "reexec.window_misses"))
 
-(** The live registry as OpenMetrics-style text. *)
-let render () : string =
-  let b = Buffer.create 4096 in
-  let entries = Metrics.report () in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | `Counter n -> counter_lines b name (float_of_int n)
-      | `Timer (seconds, events) -> timer_lines b name ~seconds ~events)
-    entries;
-  List.iter
-    (fun h ->
-      if Histogram.count h > 0 then
-        summary_lines b (Histogram.name h) ~count:(Histogram.count h)
-          ~sum:(Histogram.sum h)
-          ~quantiles:
-            [ ("0.5", Histogram.quantile h 0.50);
-              ("0.9", Histogram.quantile h 0.90);
-              ("0.99", Histogram.quantile h 0.99) ])
-    (Histogram.all ());
-  derived_gauges b (fun name ->
-      match List.assoc_opt name entries with
-      | Some (`Counter n) -> Some n
-      | _ -> None);
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
-
-(** A parsed [drdebug-report-v1] document as OpenMetrics-style text —
-    lets [drdebug_cli metrics FILE] re-export a stored report. *)
+(** A [drdebug-report-v1] document as OpenMetrics-style text. *)
 let of_report (doc : J.t) : (string, string) result =
   let b = Buffer.create 4096 in
   let obj name =
@@ -154,7 +121,3 @@ let of_report (doc : J.t) : (string, string) result =
       | None -> None);
   Buffer.add_string b "# EOF\n";
   Ok (Buffer.contents b)
-
-(** Write the live registry's metrics to [path] (atomic). *)
-let write path =
-  Dr_util.Atomic_file.with_out path (fun oc -> output_string oc (render ()))

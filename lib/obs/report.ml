@@ -1,12 +1,16 @@
 (** Machine-readable run reports ([drdebug-report-v1]).
 
     A report is one JSON document summarising the whole observability
-    registry: the scalar tier ({!Metrics} counters and timers, in
-    registration order), the registered {!Histogram}s (bucket counts
-    plus p50/p90/p99), and the recorded {!Obs} spans aggregated into
-    {e phases} — per span name: invocation count, total wall time and
-    duration quantiles (computed through a fresh log-bucketed histogram,
-    so a report never needs the raw span list).
+    state: the {!Metrics} registry (counters, timers, and histograms
+    with bucket counts plus p50/p90/p99, each section in name order) and
+    the recorded {!Obs} spans aggregated into {e phases} — per span
+    name: invocation count, total wall time, duration quantiles
+    (computed through a log-bucketed histogram, so a report never needs
+    the raw span list) and the minor-heap words allocated.
+
+    [document] is the only reader of the live registry: the run report,
+    the OpenMetrics export ({!Openmetrics.of_report}) and the [--stats]
+    table ({!pp_document}) are all derived from it.
 
     The schema is validated like the BENCH files: [validate] walks the
     parsed document and names the first violated field; the bench
@@ -21,41 +25,41 @@ let schema_version = "drdebug-report-v1"
 
 let finite f = if Float.abs f = Float.infinity || Float.is_nan f then 0.0 else f
 
-let histogram_json (h : Histogram.t) : J.t =
+let histogram_json (h : Metrics.histogram) : J.t =
   let buckets = ref [] in
-  for i = Histogram.num_buckets - 1 downto 0 do
-    let n = h.Histogram.buckets.(i) in
+  for i = Metrics.num_buckets - 1 downto 0 do
+    let n = h.Metrics.buckets.(i) in
     if n > 0 then begin
-      let lo, hi = Histogram.bucket_bounds i in
+      let lo, hi = Metrics.bucket_bounds i in
       (* the last bucket's bound is infinite; clamp to the observed max
          so the document stays valid JSON *)
-      let hi = if hi = Float.infinity then Histogram.max_value h else hi in
+      let hi = if hi = Float.infinity then Metrics.max_value h else hi in
       buckets :=
         J.Obj [ ("lo", J.Num lo); ("hi", J.Num hi); ("count", J.int n) ]
         :: !buckets
     end
   done;
   J.Obj
-    [ ("count", J.int (Histogram.count h));
-      ("sum", J.Num (finite (Histogram.sum h)));
-      ("min", J.Num (finite (Histogram.min_value h)));
-      ("max", J.Num (finite (Histogram.max_value h)));
-      ("mean", J.Num (finite (Histogram.mean h)));
-      ("p50", J.Num (finite (Histogram.quantile h 0.50)));
-      ("p90", J.Num (finite (Histogram.quantile h 0.90)));
-      ("p99", J.Num (finite (Histogram.quantile h 0.99)));
+    [ ("count", J.int h.Metrics.h_count);
+      ("sum", J.Num (finite h.Metrics.h_sum));
+      ("min", J.Num (finite (Metrics.min_value h)));
+      ("max", J.Num (finite (Metrics.max_value h)));
+      ("mean", J.Num (finite (Metrics.mean h)));
+      ("p50", J.Num (finite (Metrics.quantile h 0.50)));
+      ("p90", J.Num (finite (Metrics.quantile h 0.90)));
+      ("p99", J.Num (finite (Metrics.quantile h 0.99)));
       ("buckets", J.List !buckets) ]
 
 (* per-name span aggregate *)
 type phase = {
-  ph_name : string;
   ph_cat : string;
-  mutable ph_count : int;
   mutable ph_total : float;
-  ph_hist : Histogram.t;  (** span durations *)
+  mutable ph_minor_words : float;
+  mutable ph_durations : float list;
 }
 
-let phases_of_spans (spans : Obs.span array) : phase list =
+(* phases in first-span order *)
+let phases_of_spans (spans : Obs.span array) : (string * phase) list =
   let tbl : (string, phase) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   Array.iter
@@ -65,79 +69,70 @@ let phases_of_spans (spans : Obs.span array) : phase list =
         | Some p -> p
         | None ->
           let p =
-            { ph_name = s.Obs.sp_name; ph_cat = s.Obs.sp_cat; ph_count = 0;
-              ph_total = 0.0; ph_hist = Histogram.create s.Obs.sp_name }
+            { ph_cat = s.Obs.sp_cat; ph_total = 0.0; ph_minor_words = 0.0;
+              ph_durations = [] }
           in
           Hashtbl.replace tbl s.Obs.sp_name p;
-          order := p :: !order;
+          order := (s.Obs.sp_name, p) :: !order;
           p
       in
-      p.ph_count <- p.ph_count + 1;
       p.ph_total <- p.ph_total +. s.Obs.sp_dur_s;
-      Histogram.record p.ph_hist s.Obs.sp_dur_s)
+      p.ph_minor_words <- p.ph_minor_words +. s.Obs.sp_minor_words;
+      p.ph_durations <- s.Obs.sp_dur_s :: p.ph_durations)
     spans;
   List.rev !order
 
 let phase_json (p : phase) : J.t =
+  let h = Metrics.histogram_of_samples p.ph_durations in
   J.Obj
     [ ("cat", J.Str p.ph_cat);
-      ("count", J.int p.ph_count);
+      ("count", J.int h.Metrics.h_count);
       ("total_s", J.Num (finite p.ph_total));
-      ("mean_s", J.Num (finite (Histogram.mean p.ph_hist)));
-      ("p50_s", J.Num (finite (Histogram.quantile p.ph_hist 0.50)));
-      ("p90_s", J.Num (finite (Histogram.quantile p.ph_hist 0.90)));
-      ("p99_s", J.Num (finite (Histogram.quantile p.ph_hist 0.99)));
-      ("max_s", J.Num (finite (Histogram.max_value p.ph_hist))) ]
+      ("mean_s", J.Num (finite (Metrics.mean h)));
+      ("p50_s", J.Num (finite (Metrics.quantile h 0.50)));
+      ("p90_s", J.Num (finite (Metrics.quantile h 0.90)));
+      ("p99_s", J.Num (finite (Metrics.quantile h 0.99)));
+      ("max_s", J.Num (finite (Metrics.max_value h)));
+      ("minor_words", J.Num (finite p.ph_minor_words)) ]
 
 (** Build the [drdebug-report-v1] document from the current registry
-    state. *)
+    and span state. *)
 let document ?(label = "drdebug") () : J.t =
-  let counters, timers =
-    List.partition_map
-      (fun (name, v) ->
-        match v with
-        | `Counter n -> Either.Left (name, J.int n)
-        | `Timer (s, e) ->
-          Either.Right
-            (name, J.Obj [ ("seconds", J.Num (finite s)); ("events", J.int e) ]))
-      (Metrics.report ())
+  let entries = Metrics.list () in
+  (* one section per metric kind, in the listing's name order *)
+  let section f =
+    J.Obj
+      (List.filter_map
+         (fun (name, v) -> Option.map (fun j -> (name, j)) (f v))
+         entries)
   in
-  let histograms =
-    List.filter_map
-      (fun h ->
-        if Histogram.count h = 0 then None
-        else Some (Histogram.name h, histogram_json h))
-      (Histogram.all ())
+  let counter = function Metrics.Counter n -> Some (J.int n) | _ -> None in
+  let timer = function
+    | Metrics.Timer { seconds; events } ->
+      Some (J.Obj [ ("seconds", J.Num (finite seconds)); ("events", J.int events) ])
+    | _ -> None
+  in
+  let histogram = function
+    | Metrics.Histogram h when h.Metrics.h_count > 0 -> Some (histogram_json h)
+    | _ -> None
   in
   let phases =
-    List.map (fun p -> (p.ph_name, phase_json p)) (phases_of_spans (Obs.spans ()))
-  in
-  let gc =
-    List.map
-      (fun (name, samples, minor_w, major_w, heap_w) ->
-        ( name,
-          J.Obj
-            [ ("samples", J.int samples);
-              ("minor_words", J.Num (finite minor_w));
-              ("major_words", J.Num (finite major_w));
-              ("heap_words", J.int heap_w) ] ))
-      (Obs.gc_samples ())
+    List.map (fun (name, p) -> (name, phase_json p)) (phases_of_spans (Obs.spans ()))
   in
   J.Obj
     [ ("schema", J.Str schema_version);
       ("label", J.Str label);
-      ("counters", J.Obj counters);
-      ("timers", J.Obj timers);
-      ("histograms", J.Obj histograms);
+      ("counters", section counter);
+      ("timers", section timer);
+      ("histograms", section histogram);
       ("phases", J.Obj phases);
-      ("gc", J.Obj gc);
       ("span_total", J.int (Obs.span_count ()));
       ("span_mismatches", J.int (Obs.mismatch_count ())) ]
 
-(** Write the current registry state as a report to [path] (atomic). *)
-let write ?label path =
+(** Write [doc] to [path] (atomic). *)
+let write path doc =
   Dr_util.Atomic_file.with_out path (fun oc ->
-      output_string oc (J.to_string (document ?label ()));
+      output_string oc (J.to_string doc);
       output_char oc '\n')
 
 (* ---- validation ---- *)
@@ -191,7 +186,12 @@ let check_phase name p =
     invalid "%s: phase with no spans" (ctx "count");
   List.iter
     (fun k -> ignore (want_nonneg (ctx k) (get (ctx k) p k)))
-    [ "total_s"; "mean_s"; "p50_s"; "p90_s"; "p99_s"; "max_s" ]
+    [ "total_s"; "mean_s"; "p50_s"; "p90_s"; "p99_s"; "max_s" ];
+  (* [minor_words] arrived after the first reports were written; older
+     documents without it stay valid *)
+  Option.iter
+    (fun v -> ignore (want_nonneg (ctx "minor_words") v))
+    (J.member "minor_words" p)
 
 (** Validate a parsed [drdebug-report-v1] document; the error names the
     first violated field. *)
@@ -216,20 +216,6 @@ let validate (doc : J.t) : (unit, string) result =
     List.iter
       (fun (name, p) -> check_phase name p)
       (want_obj "phases" (get "phases" doc "phases"));
-    (* [gc] arrived with the sharded recorder; reports written before it
-       are still valid, so the section is optional *)
-    (match J.member "gc" doc with
-    | None -> ()
-    | Some gc ->
-      List.iter
-        (fun (name, g) ->
-          let ctx k = Printf.sprintf "gc.%s.%s" name k in
-          if want_nonneg (ctx "samples") (get (ctx "samples") g "samples") < 1.0
-          then invalid "%s: phase with no samples" (ctx "samples");
-          List.iter
-            (fun k -> ignore (want_nonneg (ctx k) (get (ctx k) g k)))
-            [ "minor_words"; "major_words"; "heap_words" ])
-        (want_obj "gc" gc));
     ignore (want_nonneg "span_total" (get "span_total" doc "span_total"));
     ignore
       (want_nonneg "span_mismatches"
@@ -241,8 +227,9 @@ let validate (doc : J.t) : (unit, string) result =
 
 let num_of ctx doc k = want_num ctx (get ctx doc k)
 
-(** Per-phase wall-time table from a parsed report document, heaviest
-    phase first. *)
+(** A report document as tables: phases (heaviest first), histograms,
+    counters and timers.  [drdebug_cli report FILE] prints a stored
+    document with it, [--stats] the live one. *)
 let pp_document fmt (doc : J.t) =
   let label =
     match Option.bind (J.member "label" doc) J.to_str with
@@ -288,13 +275,28 @@ let pp_document fmt (doc : J.t) =
           (n "mean") (n "p50") (n "p99"))
       histograms
   end;
+  let counters = want_obj "counters" (get "counters" doc "counters") in
+  if counters <> [] then begin
+    Format.fprintf fmt "  %-44s %14s@." "counter" "value";
+    List.iter
+      (fun (name, v) ->
+        Format.fprintf fmt "  %-44s %14.0f@." name (want_num name v))
+      counters
+  end;
+  let timers = want_obj "timers" (get "timers" doc "timers") in
+  if timers <> [] then begin
+    Format.fprintf fmt "  %-44s %14s %9s@." "timer" "seconds" "events";
+    List.iter
+      (fun (name, t) ->
+        let n k = num_of (name ^ "." ^ k) t k in
+        Format.fprintf fmt "  %-44s %14.6f %9.0f@." name (n "seconds")
+          (n "events"))
+      timers
+  end;
   let mm = num_of "span_mismatches" doc "span_mismatches" in
   if mm > 0.0 then
     Format.fprintf fmt "  WARNING: %d span mismatch(es) recorded@."
       (int_of_float mm)
-
-(** The live registry's per-phase summary (used by [--stats]). *)
-let pp_summary fmt () = pp_document fmt (document ())
 
 (* ---- report diffing (drdebug_cli report diff) ---- *)
 

@@ -9,8 +9,8 @@
 
 open Dr_machine
 
-let h_pinball_bytes = Dr_obs.Histogram.get "logger.pinball_bytes"
-let h_region_instr = Dr_obs.Histogram.get "logger.region_instructions"
+let h_pinball_bytes = Dr_obs.Metrics.histogram "logger.pinball_bytes"
+let h_region_instr = Dr_obs.Metrics.histogram "logger.region_instructions"
 
 type spec =
   | Skip_length of { skip : int; length : int }
@@ -132,8 +132,8 @@ let log ?(policy = Driver.Seeded { seed = 1; max_quantum = 8 })
         [ ("region_instructions", Dr_obs.Obs.Int region_instructions);
           ("main_instructions", Dr_obs.Obs.Int main_instructions);
           ("pinball_bytes", Dr_obs.Obs.Int pinball_bytes) ];
-    Dr_obs.Histogram.observe h_pinball_bytes (float_of_int pinball_bytes);
-    Dr_obs.Histogram.observe h_region_instr (float_of_int region_instructions);
+    Dr_obs.Metrics.observe h_pinball_bytes (float_of_int pinball_bytes);
+    Dr_obs.Metrics.observe h_region_instr (float_of_int region_instructions);
     let stats =
       { ff_time; log_time; pinball_bytes; region_instructions;
         main_instructions; stop }

@@ -22,8 +22,7 @@
     CRC32; and a whole-file trailer CRC32 over everything before it.  Any
     truncation or bit flip is reported as a structured {!Pinball_error}
     naming the section and offset — never an OOM, a crash, or a silently
-    wrong replay.  v1 pinballs (bare magic + body, no checksums) are
-    still readable; {!migrate} rewrites them as v2. *)
+    wrong replay. *)
 
 type kind = Region | Slice
 
@@ -98,7 +97,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 (* ---- serialization ---- *)
 
-let magic_v1 = "DRPB1"
 let magic_v2 = "DRPB2"
 let format_version = 2
 
@@ -124,8 +122,7 @@ let section_name = function
   | 7 -> "digests"
   | id -> Printf.sprintf "unknown(%d)" id
 
-(* -- field-level encoders/decoders, shared by the v1 body and the v2
-      sections -- *)
+(* -- field-level encoders/decoders of the v2 sections -- *)
 
 let encode_meta e (t : t) =
   let open Dr_util.Codec in
@@ -236,42 +233,6 @@ let decode_digests d =
       let dg_tid = get_uint d in
       let dg_hash = get_uint d in
       { dg_step; dg_tid; dg_hash })
-
-(* -- legacy v1 body (no sections, no checksums, no digests) -- *)
-
-let encode_v1_body e (t : t) =
-  let open Dr_util.Codec in
-  put_string e t.program_name;
-  put_uint e (match t.kind with Region -> 0 | Slice -> 1);
-  put_uint e t.region.skip;
-  put_uint e t.region.length;
-  Dr_machine.Snapshot.encode e t.snapshot;
-  encode_schedule e t;
-  encode_syscalls e t;
-  encode_injections e t;
-  encode_slice_events e t
-
-let decode_v1_body d : t =
-  let open Dr_util.Codec in
-  let program_name = get_string d in
-  let kind = match get_uint d with 0 -> Region | 1 -> Slice | _ -> raise (Corrupt "kind") in
-  let skip = get_uint d in
-  let length = get_uint d in
-  let snapshot = Dr_machine.Snapshot.decode d in
-  let schedule = decode_schedule d in
-  let syscalls = get_int_array d in
-  let injections = decode_injections d in
-  let slice_events = decode_slice_events d in
-  { program_name; kind; region = { skip; length }; snapshot; schedule;
-    syscalls; injections; slice_events; digest_interval = 0; digests = [||] }
-
-(** Legacy v1 writer, kept for compatibility tests and for producing
-    fixtures the v1 read path can be exercised against. *)
-let to_bytes_v1 t =
-  let e = Dr_util.Codec.encoder () in
-  Dr_util.Codec.put_string e magic_v1;
-  encode_v1_body e t;
-  Dr_util.Codec.to_string e
 
 (* -- v2 container -- *)
 
@@ -475,12 +436,6 @@ let of_bytes s : t =
   let d = decoder s in
   let m = try get_string d with Corrupt r -> corrupt ~section:"header" ~offset:d.pos r in
   if m = magic_v2 then decode_v2 s d
-  else if m = magic_v1 then begin
-    let t = try decode_v1_body d with Corrupt r -> corrupt ~section:"v1-body" ~offset:d.pos r in
-    if not (at_end d) then
-      corrupt ~section:"v1-body" ~offset:d.pos "trailing bytes after pinball";
-    t
-  end
   else corrupt ~section:"header" ~offset:0 "bad pinball magic"
 
 (* [encode]/[decode] wrap the container API for callers that splice a
@@ -506,17 +461,14 @@ let load_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> of_bytes (really_input_string ic (in_channel_length ic)))
 
-(** Rewrite [src] (any readable version) as a v2 container at [dst]. *)
-let migrate ~src ~dst = save_file dst (load_file src)
-
 (* ---- integrity verification (pinball_tool verify) ---- *)
 
 type section_report = { sr_name : string; sr_bytes : int; sr_crc_ok : bool }
 
 type report = {
-  r_version : int;  (** container format version (1 for legacy files) *)
+  r_version : int;  (** container format version (0 for a bad magic) *)
   r_trailer_ok : bool;
-  r_sections : section_report list;  (** empty for v1 files *)
+  r_sections : section_report list;
   r_digest_count : int;
   r_problems : string list;  (** empty iff the file is fully intact *)
 }
@@ -531,16 +483,6 @@ let verify_bytes s : report =
   let d = decoder s in
   let magic = try Some (get_string d) with Corrupt _ -> None in
   match magic with
-  | Some m when m = magic_v1 ->
-    let problems =
-      try
-        let t = of_bytes s in
-        ignore (t : t);
-        []
-      with Pinball_error e -> [ error_to_string e ]
-    in
-    { r_version = 1; r_trailer_ok = true; r_sections = [];
-      r_digest_count = 0; r_problems = problems }
   | Some m when m = magic_v2 ->
     let n = String.length s in
     let trailer_ok =

@@ -8,8 +8,7 @@
     serialize to a versioned, checksummed binary container (format v2:
     magic + version + flags header, per-section byte lengths and CRC32s,
     whole-file trailer CRC32) and can be shipped between machines:
-    replaying one reproduces the region exactly.  Legacy v1 files remain
-    readable; {!migrate} upgrades them. *)
+    replaying one reproduces the region exactly. *)
 
 type kind = Region | Slice
 
@@ -90,11 +89,7 @@ val decode : Dr_util.Codec.decoder -> t
 
 val to_bytes : t -> string
 
-(** Legacy v1 writer (no checksums), kept so the v1 compatibility path
-    stays testable. *)
-val to_bytes_v1 : t -> string
-
-(** Decode either container version; rejects trailing bytes.
+(** Decode a v2 container; rejects trailing bytes.
     @raise Pinball_error on malformed input. *)
 val of_bytes : string -> t
 
@@ -107,17 +102,14 @@ val save_file : string -> t -> unit
 
 val load_file : string -> t
 
-(** Rewrite [src] (v1 or v2) as a v2 container at [dst]. *)
-val migrate : src:string -> dst:string -> unit
-
 (** {2 Integrity verification} *)
 
 type section_report = { sr_name : string; sr_bytes : int; sr_crc_ok : bool }
 
 type report = {
-  r_version : int;  (** container format version (1 for legacy files) *)
+  r_version : int;  (** container format version (0 for a bad magic) *)
   r_trailer_ok : bool;
-  r_sections : section_report list;  (** empty for v1 files *)
+  r_sections : section_report list;
   r_digest_count : int;
   r_problems : string list;  (** empty iff the file is fully intact *)
 }

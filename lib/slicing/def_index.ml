@@ -13,7 +13,6 @@ let m_builds = Dr_obs.Metrics.counter "def_index.builds"
 let m_locations = Dr_obs.Metrics.counter "def_index.locations"
 let m_defs = Dr_obs.Metrics.counter "def_index.def_positions"
 let m_lookups = Dr_obs.Metrics.counter "def_index.lookups"
-let t_build = Dr_obs.Metrics.timer "def_index.build"
 
 type t = {
   defs_by_loc : (int, int array) Hashtbl.t;
@@ -48,48 +47,47 @@ let build_shard (gt : Global_trace.t) (lo, hi) :
 let build ?pool (gt : Global_trace.t) : t =
   Dr_obs.Metrics.bump m_builds;
   Dr_obs.Obs.with_span ~cat:"slice" "def_index.build" @@ fun _ ->
-  Dr_obs.Metrics.time t_build (fun () ->
-      let n = Global_trace.length gt in
-      let shards =
-        match pool with
-        | Some p when Dr_util.Pool.size p > 1 && n > 1 ->
-          Dr_util.Pool.map p (build_shard gt)
-            (Dr_util.Pool.split ~chunks:(Dr_util.Pool.size p) ~len:n)
-        | _ -> [| build_shard gt (0, n) |]
-      in
-      let acc : (int, Dr_util.Vec.Int_vec.t) Hashtbl.t =
-        if Array.length shards = 1 then shards.(0)
-        else begin
-          let acc = Hashtbl.create 256 in
-          Array.iter
-            (fun tbl ->
-              Hashtbl.iter
-                (fun loc v ->
-                  let dst =
-                    match Hashtbl.find_opt acc loc with
-                    | Some d -> d
-                    | None ->
-                      let d = Dr_util.Vec.Int_vec.create () in
-                      Hashtbl.replace acc loc d;
-                      d
-                  in
-                  for i = 0 to Dr_util.Vec.Int_vec.length v - 1 do
-                    Dr_util.Vec.Int_vec.push dst (Dr_util.Vec.Int_vec.get v i)
-                  done)
-                tbl)
-            shards;
-          acc
-        end
-      in
-      let defs_by_loc = Hashtbl.create (Hashtbl.length acc) in
-      Hashtbl.iter
-        (fun loc v ->
-          let a = Dr_util.Vec.Int_vec.to_array v in
-          Dr_obs.Metrics.add m_defs (Array.length a);
-          Hashtbl.replace defs_by_loc loc a)
-        acc;
-      Dr_obs.Metrics.add m_locations (Hashtbl.length defs_by_loc);
-      { defs_by_loc; trace_len = n })
+  let n = Global_trace.length gt in
+  let shards =
+    match pool with
+    | Some p when Dr_util.Pool.size p > 1 && n > 1 ->
+      Dr_util.Pool.map p (build_shard gt)
+        (Dr_util.Pool.split ~chunks:(Dr_util.Pool.size p) ~len:n)
+    | _ -> [| build_shard gt (0, n) |]
+  in
+  let acc : (int, Dr_util.Vec.Int_vec.t) Hashtbl.t =
+    if Array.length shards = 1 then shards.(0)
+    else begin
+      let acc = Hashtbl.create 256 in
+      Array.iter
+        (fun tbl ->
+          Hashtbl.iter
+            (fun loc v ->
+              let dst =
+                match Hashtbl.find_opt acc loc with
+                | Some d -> d
+                | None ->
+                  let d = Dr_util.Vec.Int_vec.create () in
+                  Hashtbl.replace acc loc d;
+                  d
+              in
+              for i = 0 to Dr_util.Vec.Int_vec.length v - 1 do
+                Dr_util.Vec.Int_vec.push dst (Dr_util.Vec.Int_vec.get v i)
+              done)
+            tbl)
+        shards;
+      acc
+    end
+  in
+  let defs_by_loc = Hashtbl.create (Hashtbl.length acc) in
+  Hashtbl.iter
+    (fun loc v ->
+      let a = Dr_util.Vec.Int_vec.to_array v in
+      Dr_obs.Metrics.add m_defs (Array.length a);
+      Hashtbl.replace defs_by_loc loc a)
+    acc;
+  Dr_obs.Metrics.add m_locations (Hashtbl.length defs_by_loc);
+  { defs_by_loc; trace_len = n }
 
 (** An index with no entries — the scan-driver degradation rung uses it
     so {!Lp.prepare_lite} can skip the index build entirely. *)

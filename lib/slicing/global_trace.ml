@@ -51,7 +51,6 @@ let cycle_message { cy_emitted; cy_total; cy_heads } =
     cy_emitted cy_total
     (String.concat "; " (List.map head_s cy_heads))
 
-let t_construct = Dr_obs.Metrics.timer "global_trace.construct"
 let m_records = Dr_obs.Metrics.counter "global_trace.records_merged"
 let m_find_indexed = Dr_obs.Metrics.counter "global_trace.find_indexed"
 let m_find_fallback = Dr_obs.Metrics.counter "global_trace.find_fallback"
@@ -63,7 +62,6 @@ let m_find_fallback = Dr_obs.Metrics.counter "global_trace.find_fallback"
     the ablation bench). *)
 let construct ?(cluster = true) (c : Collector.result) : t =
   Dr_obs.Obs.with_span ~cat:"trace" "global_trace.construct" @@ fun _ ->
-  Dr_obs.Metrics.time t_construct @@ fun () ->
   let n = Segment_store.length c.Collector.records in
   Dr_obs.Metrics.add m_records n;
   let indeg = Array.make n 0 in

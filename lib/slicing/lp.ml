@@ -16,7 +16,6 @@
 
 let default_block_size = 4096
 
-let t_prepare = Dr_obs.Metrics.timer "lp.prepare"
 let m_may_satisfy = Dr_obs.Metrics.counter "lp.may_satisfy_checks"
 
 type t = {
@@ -33,35 +32,34 @@ type t = {
     a pool. *)
 let prepare ?pool ?(block_size = default_block_size) (gt : Global_trace.t) : t =
   Dr_obs.Obs.with_span ~cat:"slice" "lp.prepare" @@ fun _ ->
-  Dr_obs.Metrics.time t_prepare (fun () ->
-      let n = Global_trace.length gt in
-      let num_blocks = (n + block_size - 1) / block_size in
-      let index = Def_index.build ?pool gt in
-      let accs =
-        Array.init num_blocks (fun _ -> Dr_util.Vec.Int_vec.create ())
-      in
-      (* Each location contributes once to every block containing one of
-         its defs; its positions are ascending, so a block change in the
-         walk below is a first visit. *)
-      Def_index.iter index (fun loc positions ->
-          let last_block = ref (-1) in
-          Array.iter
-            (fun pos ->
-              let b = pos / block_size in
-              if b <> !last_block then begin
-                last_block := b;
-                Dr_util.Vec.Int_vec.push accs.(b) loc
-              end)
-            positions);
-      let summaries =
-        Array.map
-          (fun acc ->
-            let a = Dr_util.Vec.Int_vec.to_array acc in
-            Array.sort Int.compare a;
-            a)
-          accs
-      in
-      { block_size; num_blocks; summaries; index })
+  let n = Global_trace.length gt in
+  let num_blocks = (n + block_size - 1) / block_size in
+  let index = Def_index.build ?pool gt in
+  let accs =
+    Array.init num_blocks (fun _ -> Dr_util.Vec.Int_vec.create ())
+  in
+  (* Each location contributes once to every block containing one of
+     its defs; its positions are ascending, so a block change in the
+     walk below is a first visit. *)
+  Def_index.iter index (fun loc positions ->
+      let last_block = ref (-1) in
+      Array.iter
+        (fun pos ->
+          let b = pos / block_size in
+          if b <> !last_block then begin
+            last_block := b;
+            Dr_util.Vec.Int_vec.push accs.(b) loc
+          end)
+        positions);
+  let summaries =
+    Array.map
+      (fun acc ->
+        let a = Dr_util.Vec.Int_vec.to_array acc in
+        Array.sort Int.compare a;
+        a)
+      accs
+  in
+  { block_size; num_blocks; summaries; index }
 
 (** A degraded LP: correct block geometry but {e empty} summaries and an
     empty {!Def_index} — built in O(1) memory.  Only valid for the

@@ -34,7 +34,7 @@ let m_records = Dr_obs.Metrics.counter "reexec.records_rederived"
 (* forward replay distance (records) from the checkpoint to the
    requested gseq on each window miss — the cost the checkpoint-ladder
    spacing trades against snapshot memory *)
-let h_seek = Dr_obs.Histogram.get "reexec.seek_distance"
+let h_seek = Dr_obs.Metrics.histogram "reexec.seek_distance"
 
 type ckpt = {
   k_replay : Dr_pinplay.Replayer.checkpoint;
@@ -205,7 +205,7 @@ let record (t : t) ~(gseq : int) : Trace.record =
       frag
     | None ->
       Dr_obs.Metrics.add m_cache_misses 1;
-      Dr_obs.Histogram.observe h_seek
+      Dr_obs.Metrics.observe h_seek
         (float_of_int (gseq - (w * t.ckpt_interval)));
       let frag = rederive t w in
       t.tick <- t.tick + 1;

@@ -34,7 +34,7 @@
     the real definition. *)
 
 let m_computes = Dr_obs.Metrics.counter "slicer.computes"
-let h_slice_size = Dr_obs.Histogram.get "slicer.slice_size"
+let h_slice_size = Dr_obs.Metrics.histogram "slicer.slice_size"
 let m_visited = Dr_obs.Metrics.counter "slicer.records_visited"
 let m_skipped = Dr_obs.Metrics.counter "slicer.blocks_skipped"
 let m_edges = Dr_obs.Metrics.counter "slicer.edges"
@@ -44,7 +44,6 @@ let m_adj_builds = Dr_obs.Metrics.counter "slicer.adjacency_builds"
 let m_truncated = Dr_obs.Metrics.counter "slicer.truncated_slices"
 let m_degraded = Dr_obs.Metrics.counter "slicer.degraded_to_scan"
 let m_degraded_reexec = Dr_obs.Metrics.counter "slicer.degraded_to_reexec"
-let t_compute = Dr_obs.Metrics.timer "slicer.compute"
 
 type dep_kind =
   | Data of int  (** data dependence on this location *)
@@ -385,14 +384,13 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
   Dr_obs.Metrics.add m_skipped !skipped;
   Dr_obs.Metrics.add m_edges (Array.length edges);
   let slice_time = Dr_util.Timer.now () -. t0 in
-  Dr_obs.Metrics.record t_compute slice_time;
   if !truncated then Dr_obs.Metrics.bump m_truncated;
   Dr_obs.Obs.add_attr sp "truncated" (Dr_obs.Obs.Bool !truncated);
   Dr_obs.Obs.add_attr sp "visited" (Dr_obs.Obs.Int !visited);
   Dr_obs.Obs.add_attr sp "skipped_blocks" (Dr_obs.Obs.Int !skipped);
   Dr_obs.Obs.add_attr sp "total_blocks" (Dr_obs.Obs.Int lp.Lp.num_blocks);
   Dr_obs.Obs.add_attr sp "slice_size" (Dr_obs.Obs.Int (Array.length positions));
-  Dr_obs.Histogram.observe h_slice_size (float_of_int (Array.length positions));
+  Dr_obs.Metrics.observe h_slice_size (float_of_int (Array.length positions));
   { gt; criterion; positions; edges;
     stats =
       { visited = !visited; skipped_blocks = !skipped;

@@ -35,12 +35,23 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+(* Integers print without a fraction; any other float prints as the
+   shortest of 15, 16 or 17 significant digits that parses back to the
+   same float, so a document survives print/parse unchanged. *)
 let number_to_string f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     invalid_arg "Json: NaN/infinity is not representable"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
+  else
+    let exact p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    match exact 15 with
+    | Some s -> s
+    | None -> (
+      match exact 16 with Some s -> s | None -> Printf.sprintf "%.17g" f)
 
 let rec emit b ~indent ~level v =
   let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in

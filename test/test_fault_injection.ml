@@ -1,6 +1,6 @@
 (* Fault-injection harness for the pinball container (the robustness
    counterpart of test_pinplay): systematic truncation at every byte
-   boundary, seeded bit flips, hostile tiny inputs, v1 compatibility,
+   boundary, seeded bit flips, hostile tiny inputs, the retired v1 magic,
    and divergence localization via execution digests.
 
    The invariant under test: no corrupted pinball may decode silently,
@@ -152,57 +152,43 @@ let test_tiny_inputs () =
   expect_structured "empty" "";
   expect_structured "single byte" "\x00";
   expect_structured "bad magic" "\x05WRONG";
-  expect_structured "magic only v1" "\x05DRPB1";
   expect_structured "magic only v2" "\x05DRPB2";
-  (* v1 body whose first varint claims a ~2^62 program-name length: must
-     fail against the remaining-input budget, not allocate. *)
-  expect_structured "huge v1 string length"
-    ("\x05DRPB1" ^ String.make 8 '\xff' ^ "\x3f");
-  (* v1 body with a plausible name but an absurd schedule count *)
+  (* a v2 header whose section count claims ~2^50 entries: must fail
+     against the remaining-input budget, not allocate *)
   let e = Dr_util.Codec.encoder () in
-  Dr_util.Codec.put_string e "DRPB1";
-  Dr_util.Codec.put_string e "prog";
-  Dr_util.Codec.put_uint e 0 (* kind *);
-  Dr_util.Codec.put_uint e 0 (* skip *);
-  Dr_util.Codec.put_uint e 0 (* length *);
-  Dr_util.Codec.put_uint e (1 lsl 50) (* snapshot decode sees huge count *);
-  expect_structured "huge v1 count" (Dr_util.Codec.to_string e)
+  Dr_util.Codec.put_string e "DRPB2";
+  Dr_util.Codec.put_uint e 2 (* version *);
+  Dr_util.Codec.put_uint e 0 (* flags *);
+  Dr_util.Codec.put_uint e (1 lsl 50) (* section count *);
+  expect_structured "huge v2 section count" (Dr_util.Codec.to_string e)
 
 (* ---- trailing garbage ---- *)
 
 let test_trailing_bytes () =
   let _, pb = log_whole racy_src in
-  expect_structured "v2 + trailing byte" (Dr_pinplay.Pinball.to_bytes pb ^ "\x00");
-  expect_structured "v1 + trailing byte" (Dr_pinplay.Pinball.to_bytes_v1 pb ^ "\x00")
+  expect_structured "v2 + trailing byte" (Dr_pinplay.Pinball.to_bytes pb ^ "\x00")
 
-(* ---- v1 compatibility + migrate ---- *)
+(* ---- the retired v1 container ---- *)
 
-let test_v1_roundtrip () =
-  let _, pb = log_whole ~digest_interval:0 racy_src in
-  let pb' = Dr_pinplay.Pinball.of_bytes (Dr_pinplay.Pinball.to_bytes_v1 pb) in
-  Alcotest.(check bool) "v1 round-trip equals v2 serialization" true
-    (Dr_pinplay.Pinball.to_bytes pb = Dr_pinplay.Pinball.to_bytes pb')
-
-let test_migrate () =
-  let _, pb = log_whole ~digest_interval:0 racy_src in
-  let src = Filename.temp_file "drdebug" ".v1.pinball" in
-  let dst = Filename.temp_file "drdebug" ".v2.pinball" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove src; Sys.remove dst)
-    (fun () ->
-      let oc = open_out_bin src in
-      output_string oc (Dr_pinplay.Pinball.to_bytes_v1 pb);
-      close_out oc;
-      let r1 = Dr_pinplay.Pinball.verify_file src in
-      Alcotest.(check int) "src reported as v1" 1 r1.Dr_pinplay.Pinball.r_version;
-      Alcotest.(check bool) "src intact" true (Dr_pinplay.Pinball.report_ok r1);
-      Dr_pinplay.Pinball.migrate ~src ~dst;
-      let r2 = Dr_pinplay.Pinball.verify_file dst in
-      Alcotest.(check int) "dst reported as v2" 2 r2.Dr_pinplay.Pinball.r_version;
-      Alcotest.(check bool) "dst intact" true (Dr_pinplay.Pinball.report_ok r2);
-      let pb' = Dr_pinplay.Pinball.load_file dst in
-      Alcotest.(check bool) "migration preserves content" true
-        (Dr_pinplay.Pinball.to_bytes pb = Dr_pinplay.Pinball.to_bytes pb'))
+(* Format v1 (bare "DRPB1" magic + unchecksummed body) is no longer
+   read: such a file is a structured header error, from the decoder and
+   from the integrity report alike. *)
+let test_v1_rejected () =
+  let e = Dr_util.Codec.encoder () in
+  Dr_util.Codec.put_string e "DRPB1";
+  Dr_util.Codec.put_string e "prog";
+  Dr_util.Codec.put_uint e 0 (* kind *);
+  let bytes = Dr_util.Codec.to_string e in
+  (match Dr_pinplay.Pinball.of_bytes bytes with
+  | _ -> Alcotest.fail "v1 file decoded"
+  | exception Dr_pinplay.Pinball.Pinball_error err ->
+    Alcotest.(check string) "section" "header" err.Dr_pinplay.Pinball.pe_section;
+    Alcotest.(check string) "reason" "bad pinball magic"
+      err.Dr_pinplay.Pinball.pe_reason);
+  let r = Dr_pinplay.Pinball.verify_bytes bytes in
+  Alcotest.(check bool) "verify flags it" false (Dr_pinplay.Pinball.report_ok r);
+  Alcotest.(check (list string)) "verify names the magic"
+    [ "bad pinball magic" ] r.Dr_pinplay.Pinball.r_problems
 
 (* ---- verify report on intact input ---- *)
 
@@ -289,8 +275,7 @@ let () =
           Alcotest.test_case "hostile tiny inputs" `Quick test_tiny_inputs;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_bytes ] );
       ( "compat",
-        [ Alcotest.test_case "v1 round-trip" `Quick test_v1_roundtrip;
-          Alcotest.test_case "migrate v1 to v2" `Quick test_migrate ] );
+        [ Alcotest.test_case "v1 magic rejected" `Quick test_v1_rejected ] );
       ( "verify",
         [ Alcotest.test_case "report on intact and damaged" `Quick
             test_verify_report ] );

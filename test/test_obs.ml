@@ -1,11 +1,11 @@
 (* Tests for the observability library (dr_obs): span nesting and
-   mismatched-stop detection, histogram bucket boundaries and quantiles,
-   Chrome trace JSON round-trip, run-report schema validation, the
-   metrics registry, and the disabled-mode guarantee that nothing is
-   recorded when the gate is off. *)
+   mismatched-stop detection, per-span allocation, histogram bucket
+   boundaries and quantiles, Chrome trace JSON round-trip, run-report
+   schema validation, the OpenMetrics export derived from the report,
+   the metrics registry, and the disabled-mode guarantee that no span is
+   recorded when tracing is off. *)
 
 module Obs = Dr_obs.Obs
-module Histogram = Dr_obs.Histogram
 module Metrics = Dr_obs.Metrics
 module Report = Dr_obs.Report
 module Chrome_trace = Dr_obs.Chrome_trace
@@ -110,12 +110,37 @@ let test_disabled_mode () =
   let r = Obs.with_span "ghost2" (fun sp -> sp) in
   Alcotest.(check int) "with_span passes none" Obs.none r;
   Alcotest.(check int) "no spans recorded" 0 (Obs.span_count ());
-  Alcotest.(check int) "no mismatches" 0 (Obs.mismatch_count ());
-  let h = Histogram.create "test.disabled" in
-  Histogram.observe h 5.0;
-  Alcotest.(check int) "observe gated off" 0 (Histogram.count h);
-  Histogram.record h 5.0;
-  Alcotest.(check int) "record ungated" 1 (Histogram.count h)
+  Alcotest.(check int) "no mismatches" 0 (Obs.mismatch_count ())
+
+(* A span carries the minor-heap words its domain allocated while it
+   was open: 1,000 two-word refs read as at least 2,000 words and at
+   most a little recorder overhead more; an empty sibling reads as
+   that overhead alone. *)
+let test_span_minor_words () =
+  fresh ();
+  let slack = 200.0 in
+  Obs.with_span "alloc" (fun _ ->
+      for i = 1 to 1_000 do
+        ignore (Sys.opaque_identity (ref i))
+      done);
+  Obs.with_span "empty" (fun _ -> ());
+  let alloc = (span_by_name "alloc").Obs.sp_minor_words
+  and empty = (span_by_name "empty").Obs.sp_minor_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "alloc span %.0f words in [2000, 2000 + slack)" alloc)
+    true
+    (alloc >= 2_000.0 && alloc < 2_000.0 +. slack);
+  Alcotest.(check bool)
+    (Printf.sprintf "empty span %.0f words < slack" empty)
+    true (empty < slack);
+  (* the report sums it per phase *)
+  let phase =
+    match J.member "phases" (Report.document ()) with
+    | Some ph -> Option.bind (J.member "alloc" ph) (J.member "minor_words")
+    | None -> None
+  in
+  Alcotest.(check (option (float 0.0))) "phases.alloc.minor_words"
+    (Some alloc) (Option.bind phase J.to_float)
 
 (* ---- histograms ---- *)
 
@@ -123,8 +148,8 @@ let test_histogram_buckets () =
   (* bucket_of and bucket_bounds agree: every sample lands in the bucket
      whose bounds contain it *)
   let check v =
-    let b = Histogram.bucket_of v in
-    let lo, hi = Histogram.bucket_bounds b in
+    let b = Metrics.bucket_of v in
+    let lo, hi = Metrics.bucket_bounds b in
     Alcotest.(check bool)
       (Printf.sprintf "%g in [%g, %g)" v lo hi)
       true
@@ -133,35 +158,35 @@ let test_histogram_buckets () =
   List.iter check
     [ 1e-9; 0.5; 0.999; 1.0; 1.5; 2.0; 3.0; 4.0; 1024.0; 1e6; 1e12 ];
   (* power-of-two boundaries open a new bucket *)
-  Alcotest.(check int) "2.0 above 1.99" (Histogram.bucket_of 1.99 + 1)
-    (Histogram.bucket_of 2.0);
-  Alcotest.(check int) "same bucket within [2,4)" (Histogram.bucket_of 2.0)
-    (Histogram.bucket_of 3.999);
+  Alcotest.(check int) "2.0 above 1.99" (Metrics.bucket_of 1.99 + 1)
+    (Metrics.bucket_of 2.0);
+  Alcotest.(check int) "same bucket within [2,4)" (Metrics.bucket_of 2.0)
+    (Metrics.bucket_of 3.999);
   (* absorb-below and absorb-above *)
-  Alcotest.(check int) "zero in bucket 0" 0 (Histogram.bucket_of 0.0);
-  Alcotest.(check int) "negative in bucket 0" 0 (Histogram.bucket_of (-7.0));
-  Alcotest.(check int) "huge in last bucket" (Histogram.num_buckets - 1)
-    (Histogram.bucket_of 1e300);
-  let lo0, _ = Histogram.bucket_bounds 0 in
-  let _, hi_last = Histogram.bucket_bounds (Histogram.num_buckets - 1) in
+  Alcotest.(check int) "zero in bucket 0" 0 (Metrics.bucket_of 0.0);
+  Alcotest.(check int) "negative in bucket 0" 0 (Metrics.bucket_of (-7.0));
+  Alcotest.(check int) "huge in last bucket" (Metrics.num_buckets - 1)
+    (Metrics.bucket_of 1e300);
+  let lo0, _ = Metrics.bucket_bounds 0 in
+  let _, hi_last = Metrics.bucket_bounds (Metrics.num_buckets - 1) in
   Alcotest.(check (float 0.0)) "bucket 0 lo" 0.0 lo0;
   Alcotest.(check bool) "last bucket open" true (hi_last = Float.infinity)
 
 let test_histogram_quantiles () =
-  let h = Histogram.create "test.q" in
+  let h = Metrics.histogram "test.q" in
   for i = 1 to 100 do
-    Histogram.record h (float_of_int i)
+    Metrics.observe h (float_of_int i)
   done;
-  Alcotest.(check int) "count" 100 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 5050.0 (Histogram.sum h);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Histogram.min_value h);
-  Alcotest.(check (float 1e-9)) "max" 100.0 (Histogram.max_value h);
-  Alcotest.(check (float 1e-9)) "mean" 50.5 (Histogram.mean h);
+  Alcotest.(check int) "count" 100 h.Metrics.h_count;
+  Alcotest.(check (float 1e-9)) "sum" 5050.0 h.Metrics.h_sum;
+  Alcotest.(check (float 1e-9)) "min" 1.0 (Metrics.min_value h);
+  Alcotest.(check (float 1e-9)) "max" 100.0 (Metrics.max_value h);
+  Alcotest.(check (float 1e-9)) "mean" 50.5 (Metrics.mean h);
   (* bucket-resolution upper bounds: rank 50 is 50, in [32,64) -> 64;
      ranks 90 and 99 land in [64,128) whose bound clamps to max=100 *)
-  Alcotest.(check (float 1e-9)) "p50" 64.0 (Histogram.quantile h 0.50);
-  Alcotest.(check (float 1e-9)) "p90" 100.0 (Histogram.quantile h 0.90);
-  Alcotest.(check (float 1e-9)) "p99" 100.0 (Histogram.quantile h 0.99);
+  Alcotest.(check (float 1e-9)) "p50" 64.0 (Metrics.quantile h 0.50);
+  Alcotest.(check (float 1e-9)) "p90" 100.0 (Metrics.quantile h 0.90);
+  Alcotest.(check (float 1e-9)) "p99" 100.0 (Metrics.quantile h 0.99);
   (* quantiles never under-report: bound >= exact rank value *)
   List.iter
     (fun q ->
@@ -169,15 +194,17 @@ let test_histogram_quantiles () =
       Alcotest.(check bool)
         (Printf.sprintf "q=%g conservative" q)
         true
-        (Histogram.quantile h q >= exact))
+        (Metrics.quantile h q >= exact))
     [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ];
-  Histogram.reset h;
-  Alcotest.(check int) "reset count" 0 (Histogram.count h);
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Histogram.quantile h 0.5);
+  (* an unregistered histogram of samples behaves the same *)
+  let adhoc = Metrics.histogram_of_samples (List.init 100 (fun i -> float_of_int (i + 1))) in
+  Alcotest.(check (float 1e-9)) "adhoc p50" 64.0 (Metrics.quantile adhoc 0.50);
+  let empty = Metrics.histogram_of_samples [] in
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Metrics.quantile empty 0.5);
   (* a single sample pins every quantile to itself *)
-  Histogram.record h 42.0;
-  Alcotest.(check (float 1e-9)) "singleton p50" 42.0 (Histogram.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "singleton p99" 42.0 (Histogram.quantile h 0.99)
+  let one = Metrics.histogram_of_samples [ 42.0 ] in
+  Alcotest.(check (float 1e-9)) "singleton p50" 42.0 (Metrics.quantile one 0.5);
+  Alcotest.(check (float 1e-9)) "singleton p99" 42.0 (Metrics.quantile one 0.99)
 
 (* ---- Chrome trace export ---- *)
 
@@ -242,9 +269,9 @@ let test_report_validate () =
   fresh ();
   let c = Metrics.counter "test.report.counter" in
   Metrics.bump c;
-  let h = Histogram.get "test.report.hist" in
-  Histogram.observe h 3.0;
-  Histogram.observe h 300.0;
+  let h = Metrics.histogram "test.report.hist" in
+  Metrics.observe h 3.0;
+  Metrics.observe h 300.0;
   Obs.with_span ~cat:"test" "report-span" (fun _ -> ());
   let doc = Report.document ~label:"unit-test" () in
   (match Report.validate doc with
@@ -298,9 +325,14 @@ let test_openmetrics_render () =
   Metrics.add (Metrics.counter "reexec.window_hits") 2;
   Metrics.bump (Metrics.counter "reexec.window_misses");
   Metrics.time (Metrics.timer "test.om.timer") (fun () -> ());
-  Histogram.observe (Histogram.get "test.om.hist") 5.0;
+  Metrics.observe (Metrics.histogram "test.om.hist") 5.0;
   Obs.set_enabled false;
-  let text = Dr_obs.Openmetrics.render () in
+  let doc = Report.document ~label:"om-test" () in
+  let text =
+    match Dr_obs.Openmetrics.of_report doc with
+    | Ok text -> text
+    | Error e -> Alcotest.failf "of_report failed: %s" e
+  in
   let contains needle =
     let nl = String.length needle and tl = String.length text in
     let rec go i =
@@ -316,19 +348,56 @@ let test_openmetrics_render () =
       "segstore.misses 1"; "reexec.window_hits 2"; "reexec.window_misses 1";
       "segstore.hit_rate 0.75"; "reexec.window_hit_rate";
       "test.om.timer_count 1"; "test.om.hist_count 1"; "# EOF\n" ];
-  (* the same renderer applied to a stored report document *)
-  let doc = Report.document ~label:"om-test" () in
-  match Dr_obs.Openmetrics.of_report doc with
-  | Error e -> Alcotest.failf "of_report failed: %s" e
-  | Ok text' ->
-    Alcotest.(check bool) "of_report carries the counters" true
-      (let tl = String.length text' in
-       let needle = "segstore.hits 3" in
-       let nl = String.length needle in
-       let rec go i =
-         i + nl <= tl && (String.sub text' i nl = needle || go (i + 1))
-       in
-       go 0)
+  (* a stored report renders the same bytes as the live one *)
+  match J.parse (J.to_string doc) with
+  | Error e -> Alcotest.failf "report does not re-parse: %s" e
+  | Ok stored ->
+    Alcotest.(check (result string string)) "stored = live" (Ok text)
+      (Dr_obs.Openmetrics.of_report stored)
+
+(* ---- one timing per interval ---- *)
+
+(* A traced run of the whole chain (log, collect, merge, LP, slice,
+   slice pinball, slice replay) reports no name both as an always-on
+   timer and as a span phase, which [report diff] would count twice. *)
+let test_no_double_counted_timings () =
+  fresh ();
+  let entry = Option.get (Dr_workloads.Registry.find "pbzip2") in
+  let prog = entry.Dr_workloads.Registry.compile ~threads:4 ~iters:30 in
+  let pb =
+    match
+      Dr_pinplay.Logger.log
+        ~policy:(Dr_machine.Driver.Seeded { seed = 1; max_quantum = 8 })
+        prog Dr_pinplay.Logger.Whole
+    with
+    | Ok (pb, _) -> pb
+    | Error e -> Alcotest.failf "logging failed: %a" Dr_pinplay.Logger.pp_error e
+  in
+  let c = Dr_slicing.Collector.collect prog pb in
+  let gt = Dr_slicing.Global_trace.construct c in
+  let slice =
+    Dr_slicing.Slicer.compute gt
+      { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length gt - 1;
+        crit_locs = None }
+  in
+  let spb, _ = Dr_exeslice.Exclusion.slice_pinball prog pb ~slice ~collector:c in
+  ignore (Dr_exeslice.Slice_replay.run (Dr_exeslice.Slice_replay.create prog spb));
+  Obs.set_enabled false;
+  let doc = Report.document () in
+  let names section =
+    match J.member section doc with
+    | Some (J.Obj l) -> List.map fst l
+    | _ -> Alcotest.failf "report has no %s section" section
+  in
+  let timers = names "timers" and phases = names "phases" in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "phase %s recorded" p) true
+        (List.mem p phases))
+    [ "global_trace.construct"; "def_index.build"; "lp.prepare";
+      "slicer.compute"; "slice_replay.run" ];
+  Alcotest.(check (list string)) "names in both timers and phases" []
+    (List.filter (fun t -> List.mem t phases) timers)
 
 (* ---- report diffing ---- *)
 
@@ -404,7 +473,7 @@ let test_metrics_registry () =
      order ("b" registered last still sorts before "t") *)
   let b = Metrics.counter "test.reg.b" in
   Metrics.bump b;
-  let names = List.map fst (Metrics.report ()) in
+  let names = List.map fst (Metrics.list ()) in
   let rec index i = function
     | [] -> -1
     | n :: rest -> if n = i then 0 else 1 + index i rest
@@ -413,7 +482,11 @@ let test_metrics_registry () =
   and it = index "test.reg.t" names
   and ib = index "test.reg.b" names in
   Alcotest.(check bool) "all registered" true (ia >= 0 && it >= 0 && ib >= 0);
-  Alcotest.(check bool) "name-sorted order" true (ia < ib && ib < it)
+  Alcotest.(check bool) "name-sorted order" true (ia < ib && ib < it);
+  (* one name table: a name belongs to one kind *)
+  Alcotest.check_raises "timer name reused as counter"
+    (Invalid_argument "Metrics: test.reg.t is registered as another kind")
+    (fun () -> ignore (Metrics.counter "test.reg.t"))
 
 (* Two domains registering handles concurrently: every name lands in the
    registry exactly once, racing registrations of the same name share
@@ -429,11 +502,11 @@ let test_metrics_parallel_registration () =
   let other = Domain.spawn (register 1) in
   register 0 ();
   Domain.join other;
-  let report = Metrics.report () in
+  let report = Metrics.list () in
   List.iter
     (fun n ->
       match List.assoc_opt n report with
-      | Some (`Counter 1) -> ()
+      | Some (Metrics.Counter 1) -> ()
       | Some _ -> Alcotest.failf "%s: wrong count" n
       | None -> Alcotest.failf "%s: missing from report" n)
     (names 0 @ names 1);
@@ -482,7 +555,9 @@ let () =
               Alcotest.test_case "mismatched stop" `Quick test_mismatched_stop;
               Alcotest.test_case "reset restarts token ids" `Quick
                 test_reset_token_ids;
-              Alcotest.test_case "disabled mode" `Quick test_disabled_mode ] );
+              Alcotest.test_case "disabled mode" `Quick test_disabled_mode;
+              Alcotest.test_case "minor words per span" `Quick
+                test_span_minor_words ] );
           ( "histogram",
             [ Alcotest.test_case "buckets" `Quick test_histogram_buckets;
               Alcotest.test_case "quantiles" `Quick test_histogram_quantiles ]
@@ -493,7 +568,9 @@ let () =
               Alcotest.test_case "report validate" `Quick test_report_validate;
               Alcotest.test_case "openmetrics render" `Quick
                 test_openmetrics_render;
-              Alcotest.test_case "report diff" `Quick test_report_diff ] );
+              Alcotest.test_case "report diff" `Quick test_report_diff;
+              Alcotest.test_case "no double-counted timings" `Quick
+                test_no_double_counted_timings ] );
           ( "metrics",
             [ Alcotest.test_case "registry" `Quick test_metrics_registry;
               Alcotest.test_case "parallel registration determinism" `Quick

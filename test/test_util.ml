@@ -173,6 +173,8 @@ let test_json_roundtrip () =
         ("none", J.Null);
         ("count", J.int 42);
         ("ratio", J.Num 0.125);
+        (* needs 17 significant digits: 9 used to print 0.00553107262 *)
+        ("lossy", J.Num 0.0055310726165771484);
         ( "items",
           J.List [ J.int 1; J.Str "two \"quoted\"\n"; J.List []; J.Obj [] ] ) ]
   in
@@ -182,6 +184,14 @@ let test_json_roundtrip () =
       | Ok v' -> Alcotest.(check bool) "round-trips" true (v = v')
       | Error e -> Alcotest.failf "re-parse failed: %s" e)
     [ true; false ]
+
+let prop_json_float_roundtrip =
+  QCheck.Test.make ~name:"json finite float round-trip" ~count:1000
+    QCheck.(float)
+    (fun f ->
+      let module J = Dr_util.Json in
+      QCheck.assume (Float.is_finite f);
+      J.parse (J.to_string (J.Num f)) = Ok (J.Num f))
 
 let test_json_rejects_bad_input () =
   let module J = Dr_util.Json in
@@ -365,7 +375,8 @@ let () =
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects bad input" `Quick
             test_json_rejects_bad_input;
-          Alcotest.test_case "accessors" `Quick test_json_accessors ] );
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip ] );
       ( "heap",
         [ Alcotest.test_case "basic" `Quick test_heap_basic;
           QCheck_alcotest.to_alcotest prop_heap_sorts ] );
