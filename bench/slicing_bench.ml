@@ -478,7 +478,7 @@ let run ~quick ?(domains = 2) ~out () =
   printf "%-16s %-10s %9s %10s %10s %10s %8s %6s %s\n" "workload" "kind"
     "records" "indexed" "scan+skip" "scan" "speedup" "spill" "identical";
   let domains = max 1 domains in
-  let pool = Dr_util.Pool.create ~domains () in
+  let pool = Dr_util.Pool.create ~domains in
   let rows =
     List.map
       (fun p ->

@@ -159,8 +159,8 @@ let run workload source seed input script stats trace_out report_out
    runs through the governed degradation ladder.  This is the canonical
    producer of --trace-out / --report-out documents. *)
 let run_slice workload source seed input stats trace_out report_out
-    metrics_out slice_out pinball_in mem_budget time_budget spill_dir domains
-    driver ckpt_interval =
+    metrics_out slice_out pinball_in mem_budget time_budget spill_dir driver
+    ckpt_interval =
   guarded @@ fun () ->
   match load_program workload source with
   | Error e ->
@@ -269,23 +269,9 @@ let run_slice workload source seed input stats trace_out report_out
                 rst.Dr_slicing.Reexec.window_hits
                 rst.Dr_slicing.Reexec.peak_resident_bytes;
               s
-            | (`Scan_skip | `Scan) as d ->
+            | (`Scan_skip | `Scan | `Indexed) as d ->
               let lp = Dr_slicing.Lp.prepare gt in
-              Dr_slicing.Slicer.compute ~lp ~pairs ~driver:d gt criterion
-            | `Indexed ->
-              if domains > 1 then
-                (* one criterion: the parallelism is in the sharded LP
-                   preparation inside compute_many *)
-                Dr_util.Pool.with_pool ~domains (fun pool ->
-                    match
-                      Dr_slicing.Slicer.compute_many ~pairs ~pool gt
-                        [ criterion ]
-                    with
-                    | [ s ] -> s
-                    | _ -> assert false)
-              else
-                let lp = Dr_slicing.Lp.prepare gt in
-                Dr_slicing.Slicer.compute ~lp ~pairs gt criterion)
+              Dr_slicing.Slicer.compute ~lp ~pairs ~driver:d gt criterion)
           | Some b ->
             let g =
               Dr_slicing.Slicer.compute_governed ?reexec:rx ~pairs ~budget:b
@@ -703,10 +689,6 @@ let slice_cmd =
     Arg.(value & opt (some string) None & info [ "spill-dir" ]
            ~doc:"Directory for spilled trace segments (default: a per-process directory under the system temp dir).")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ]
-           ~doc:"Slice with this many OCaml domains: the LP/index preparation is sharded over a domain pool. The slice is identical to --domains 1.")
-  in
   let driver =
     Arg.(value
          & opt
@@ -725,7 +707,7 @@ let slice_cmd =
     Term.(
       const run_slice $ workload $ source $ seed $ input $ stats $ trace_out
       $ report_out $ metrics_out $ slice_out $ pinball_in $ mem_budget
-      $ time_budget $ spill_dir $ domains $ driver $ ckpt_interval)
+      $ time_budget $ spill_dir $ driver $ ckpt_interval)
 
 let analyze_cmd =
   let doc =

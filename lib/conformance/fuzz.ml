@@ -342,15 +342,16 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     through a disk-spilled segment store and a deterministic, seed-
     derived disk fault plan is injected ({!fault_plan}).
 
-    [domains] > 1 fans cases over that many domains (dynamic
-    work-stealing off an atomic cursor — good balance against uneven
-    shrink costs).  Because case derivation is pure in [(seed,
-    case_id)], sharding changes nothing about any individual case: every
-    reported failure replays bit-identically via {!replay_case} on one
-    domain, and with no [budget_s] cutoff the summary (counts and
-    failure list, ordered by case id) is identical to a sequential
-    run's.  Each case's spill directory and artifact file are keyed by
-    its case id, so concurrent cases never share disk paths. *)
+    [domains] (default 1) workers claim cases off one atomic cursor
+    (dynamic work-stealing — good balance against uneven shrink costs);
+    a single worker runs on the calling domain and spawns nothing.
+    Because case derivation is pure in [(seed, case_id)], sharding
+    changes nothing about any individual case: every reported failure
+    replays bit-identically via {!replay_case} on one domain, and with
+    no [budget_s] cutoff the summary (counts and failure list, ordered
+    by case id) is identical to a 1-domain run's.  Each case's spill
+    directory and artifact file are keyed by its case id, so concurrent
+    cases never share disk paths. *)
 let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
     ?out_dir ?(log = ignore)
     ?(domains = 1) ~seed ~runs () : summary =
@@ -362,43 +363,32 @@ let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
     | Some b -> Dr_util.Timer.now () -. t0 < b
   in
   let results : outcome option array = Array.make (max runs 0) None in
-  if domains <= 1 then begin
-    let id = ref 0 in
-    while !id < runs && within_budget () do
-      results.(!id) <-
-        Some
-          (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log
-             ~seed !id);
-      incr id
+  (* [log] is the only shared sink the workers write concurrently;
+     serialize it so interleaved lines stay whole *)
+  let log_lock = Mutex.create () in
+  let log msg =
+    Mutex.lock log_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () -> log msg)
+  in
+  let next = Atomic.make 0 in
+  let worker () =
+    let continue = ref true in
+    while !continue do
+      if not (within_budget ()) then continue := false
+      else begin
+        let id = Atomic.fetch_and_add next 1 in
+        if id >= runs then continue := false
+        else
+          results.(id) <-
+            Some
+              (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir
+                 ~log ~seed id)
+      end
     done
-  end
-  else begin
-    (* [log] is the only shared sink the workers write concurrently;
-       serialize it so interleaved lines stay whole *)
-    let log_lock = Mutex.create () in
-    let log msg =
-      Mutex.lock log_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () -> log msg)
-    in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        if not (within_budget ()) then continue := false
-        else begin
-          let id = Atomic.fetch_and_add next 1 in
-          if id >= runs then continue := false
-          else
-            results.(id) <-
-              Some
-                (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir
-                   ~log ~seed id)
-        end
-      done
-    in
-    Dr_util.Pool.with_pool ~domains (fun pool ->
-        Dr_util.Pool.run pool (Array.init domains (fun _ -> worker)))
-  end;
+  in
+  let domains = max 1 domains in
+  Dr_util.Pool.with_pool ~domains (fun pool ->
+      Dr_util.Pool.run pool (Array.init domains (fun _ -> worker)));
   let passes = ref 0 and skips = ref 0 and cases = ref 0 in
   let failures = ref [] in
   Array.iter

@@ -71,8 +71,6 @@ let kind_name = function
   | Resource_robustness -> "resource-robustness"
   | Race_soundness -> "race-soundness"
 
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
-
 type failure = { f_kind : kind; f_detail : string }
 
 type verdict = Pass | Fail of failure | Skip of string

@@ -594,14 +594,3 @@ let exec (t : t) (line : string) : (string, string) result =
     t.last_output <- Buffer.contents b;
     Ok (Buffer.contents b)
   | Error e -> Error e
-
-(** Run a script of commands; stops at the first error. *)
-let exec_script (t : t) (lines : string list) : (string list, string) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-      match exec t l with
-      | Ok out -> go (out :: acc) rest
-      | Error e -> Error (Printf.sprintf "%s: %s" l e))
-  in
-  go [] lines

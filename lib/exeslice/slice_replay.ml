@@ -103,11 +103,7 @@ let step (t : t) : step_result =
       in
       t.last_line <- line;
       t.last_tid <- tid;
-      (match Machine.outcome t.machine with
-      | Machine.Running -> Stepped { tid; pc; line }
-      | o ->
-        ignore o;
-        Stepped { tid; pc; line })
+      Stepped { tid; pc; line }
   end
 
 (** Step forward to the next {e statement} of the slice: the next included

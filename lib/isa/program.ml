@@ -54,17 +54,6 @@ let stack_base t ~tid = t.mem_size - (tid * t.stack_words)
 (** Lowest address thread [tid]'s stack may touch. *)
 let stack_limit t ~tid = stack_base t ~tid - t.stack_words
 
-let pp_listing fmt t =
-  Array.iteri
-    (fun pc i ->
-      let line =
-        match Debug_info.line_of_pc t.debug pc with
-        | Some l -> Printf.sprintf " ; line %d" l
-        | None -> ""
-      in
-      Format.fprintf fmt "%4d: %a%s@." pc Instr.pp i line)
-    t.code
-
 let encode e t =
   let open Dr_util.Codec in
   put_string e t.name;

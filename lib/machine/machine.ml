@@ -112,13 +112,6 @@ let native_nondet ?(seed = 42) t : nondet =
     | Event.Time -> t.total_icount
     | Event.Read -> next_input t
 
-let runnable_tids t =
-  let acc = ref [] in
-  for tid = t.nthreads - 1 downto 0 do
-    if t.threads.(tid).state = Runnable then acc := tid :: !acc
-  done;
-  !acc
-
 let all_finished t =
   let ok = ref true in
   for tid = 0 to t.nthreads - 1 do

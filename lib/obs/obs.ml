@@ -341,12 +341,6 @@ let mismatch_count () =
     (fun acc sh -> acc + List.length sh.mismatches)
     0 (all_shards ())
 
-let attr_to_string = function
-  | Int n -> string_of_int n
-  | Float f -> Printf.sprintf "%g" f
-  | Str s -> s
-  | Bool b -> string_of_bool b
-
 (* ---- pool instrumentation ----
 
    Installed into Dr_util.Pool at module initialisation (dr_obs depends

@@ -42,10 +42,6 @@ type checkpoint = {
   c_outcome : Dr_machine.Machine.outcome;
 }
 
-(** A nondet source feeding results from a recorded syscall log; exposed
-    for slice replay. *)
-val log_nondet : int array -> int ref -> Dr_machine.Machine.nondet
-
 (** Create a replayer for a region pinball, optionally resuming [from] a
     checkpoint taken on an earlier replay of the {e same} pinball.  The
     recorded schedule is used in place: the picker seeks to the

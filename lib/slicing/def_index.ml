@@ -20,12 +20,14 @@ type t = {
   trace_len : int;
 }
 
-(* One shard: per-location def positions for merge positions [lo, hi).
-   Positions are visited ascending, so each vector comes out sorted. *)
-let build_shard (gt : Global_trace.t) (lo, hi) :
-    (int, Dr_util.Vec.Int_vec.t) Hashtbl.t =
+(** Build the index in one ascending pass over the trace: positions
+    are visited in order, so each location's vector comes out sorted. *)
+let build (gt : Global_trace.t) : t =
+  Dr_obs.Metrics.bump m_builds;
+  Dr_obs.Obs.with_span ~cat:"slice" "def_index.build" @@ fun _ ->
+  let n = Global_trace.length gt in
   let acc : (int, Dr_util.Vec.Int_vec.t) Hashtbl.t = Hashtbl.create 256 in
-  for pos = lo to hi - 1 do
+  for pos = 0 to n - 1 do
     let r = Global_trace.record gt pos in
     Array.iter
       (fun d ->
@@ -37,48 +39,6 @@ let build_shard (gt : Global_trace.t) (lo, hi) :
           Hashtbl.replace acc d v)
       r.Trace.defs
   done;
-  acc
-
-(** Build the index, optionally sharding the trace scan over [pool].
-    Shards cover contiguous ascending position ranges and are merged in
-    range order, so each location's concatenated positions stay
-    ascending and the result is identical to a sequential build
-    whatever the domain schedule. *)
-let build ?pool (gt : Global_trace.t) : t =
-  Dr_obs.Metrics.bump m_builds;
-  Dr_obs.Obs.with_span ~cat:"slice" "def_index.build" @@ fun _ ->
-  let n = Global_trace.length gt in
-  let shards =
-    match pool with
-    | Some p when Dr_util.Pool.size p > 1 && n > 1 ->
-      Dr_util.Pool.map p (build_shard gt)
-        (Dr_util.Pool.split ~chunks:(Dr_util.Pool.size p) ~len:n)
-    | _ -> [| build_shard gt (0, n) |]
-  in
-  let acc : (int, Dr_util.Vec.Int_vec.t) Hashtbl.t =
-    if Array.length shards = 1 then shards.(0)
-    else begin
-      let acc = Hashtbl.create 256 in
-      Array.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun loc v ->
-              let dst =
-                match Hashtbl.find_opt acc loc with
-                | Some d -> d
-                | None ->
-                  let d = Dr_util.Vec.Int_vec.create () in
-                  Hashtbl.replace acc loc d;
-                  d
-              in
-              for i = 0 to Dr_util.Vec.Int_vec.length v - 1 do
-                Dr_util.Vec.Int_vec.push dst (Dr_util.Vec.Int_vec.get v i)
-              done)
-            tbl)
-        shards;
-      acc
-    end
-  in
   let defs_by_loc = Hashtbl.create (Hashtbl.length acc) in
   Hashtbl.iter
     (fun loc v ->

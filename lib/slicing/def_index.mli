@@ -10,11 +10,8 @@
 
 type t
 
-(** Build the index.  With [pool] the trace scan is sharded over the
-    pool's domains in contiguous position ranges and merged in range
-    order — the result is identical to a sequential build whatever the
-    domain count or schedule. *)
-val build : ?pool:Dr_util.Pool.t -> Global_trace.t -> t
+(** Build the index in one ascending pass over the trace. *)
+val build : Global_trace.t -> t
 
 (** An index with no entries, built in O(1) — for {!Lp.prepare_lite},
     the scan-only degradation rung that never consults it. *)

@@ -16,12 +16,6 @@ type t = {
           [record] path at one array load for in-memory traces *)
   order : int array;  (** position -> gseq *)
   pos_of_gseq : int array;  (** gseq -> position *)
-  mutable pc_index : (int * int, int array) Hashtbl.t option;
-      (** lazy: (tid, pc) -> ascending merge positions; read/built under
-          [pc_lock] (see {!pc_index}) *)
-  pc_lock : Mutex.t;
-      (** serializes the lazy [pc_index] build: without it two domains
-          could build and clobber the index concurrently *)
 }
 
 (** One blocked per-thread head at the moment the merge stalled. *)
@@ -52,8 +46,6 @@ let cycle_message { cy_emitted; cy_total; cy_heads } =
     (String.concat "; " (List.map head_s cy_heads))
 
 let m_records = Dr_obs.Metrics.counter "global_trace.records_merged"
-let m_find_indexed = Dr_obs.Metrics.counter "global_trace.find_indexed"
-let m_find_fallback = Dr_obs.Metrics.counter "global_trace.find_fallback"
 
 (** Merge per-thread traces under the given cross-thread edges.
     [cluster] (default true) keeps emitting from the current thread while
@@ -141,7 +133,7 @@ let construct ?(cluster = true) (c : Collector.result) : t =
   done;
   { records = c.Collector.records;
     direct = Segment_store.as_flat c.Collector.records;
-    order; pos_of_gseq; pc_index = None; pc_lock = Mutex.create () }
+    order; pos_of_gseq }
 
 let length t = Array.length t.order
 
@@ -181,92 +173,8 @@ let is_topological (t : t) (c : Collector.result) : bool =
     c.Collector.order_edges;
   !ok
 
-(* Build (tid, pc) -> ascending merge positions on first lookup; the
-   merge order never changes after [construct], so the index is built at
-   most once per trace.  The build runs under [pc_lock] with a
-   double-check — concurrent first lookups from several domains agree on
-   one index instead of each building and clobbering its own.  The
-   unlocked fast-path read is a benign race: it either sees the
-   published index or falls through to the lock and re-checks. *)
-let pc_index (t : t) : (int * int, int array) Hashtbl.t =
-  match t.pc_index with
-  | Some idx -> idx
-  | None ->
-    Mutex.lock t.pc_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.pc_lock)
-      (fun () ->
-        match t.pc_index with
-        | Some idx -> idx
-        | None ->
-          let acc : (int * int, Dr_util.Vec.Int_vec.t) Hashtbl.t =
-            Hashtbl.create 256
-          in
-          Array.iteri
-            (fun pos g ->
-              let r = record_at_gseq t g in
-              let key = (r.Trace.tid, r.Trace.pc) in
-              match Hashtbl.find_opt acc key with
-              | Some v -> Dr_util.Vec.Int_vec.push v pos
-              | None ->
-                let v = Dr_util.Vec.Int_vec.create () in
-                Dr_util.Vec.Int_vec.push v pos;
-                Hashtbl.replace acc key v)
-            t.order;
-          let idx = Hashtbl.create (Hashtbl.length acc) in
-          Hashtbl.iter
-            (fun key v ->
-              Hashtbl.replace idx key (Dr_util.Vec.Int_vec.to_array v))
-            acc;
-          t.pc_index <- Some idx;
-          idx)
-
-(** Ascending merge positions of records executing [pc] on [tid]. *)
-let pc_positions (t : t) ~tid ~pc : int array =
-  match Hashtbl.find_opt (pc_index t) (tid, pc) with
-  | Some a -> a
-  | None -> [||]
-
-(** Find the position of the [instance]-th execution of [pc] by [tid], or
-    [None].  Instances are recorded 1-based in program order, so the
-    [instance]-th occurrence in the indexed position list is the match;
-    the instance field is still verified and a linear probe of the
-    occurrence list covers traces with non-contiguous numbering. *)
-let find ~tid ~pc ~instance (t : t) : int option =
-  let occ = pc_positions t ~tid ~pc in
-  let len = Array.length occ in
-  let direct =
-    if instance >= 1 && instance <= len then begin
-      let pos = occ.(instance - 1) in
-      if (record t pos).Trace.instance = instance then Some pos else None
-    end
-    else None
-  in
-  match direct with
-  | Some _ ->
-    Dr_obs.Metrics.bump m_find_indexed;
-    direct
-  | None ->
-    Dr_obs.Metrics.bump m_find_fallback;
-    let found = ref None in
-    let i = ref 0 in
-    while !found = None && !i < len do
-      if (record t occ.(!i)).Trace.instance = instance then
-        found := Some occ.(!i);
-      incr i
-    done;
-    !found
-
-(** Position of the last execution of [pc] on [tid], or [None] —
-    indexed, O(1) after the first lookup on a trace. *)
-let find_last_at (t : t) ~tid ~pc : int option =
-  let occ = pc_positions t ~tid ~pc in
-  let len = Array.length occ in
-  if len = 0 then None else Some occ.(len - 1)
-
-(** Position of the last record satisfying [p], or [None].  The
-    predicate is arbitrary, so this stays a backwards scan; prefer
-    {!find_last_at} when the target is a (tid, pc). *)
+(** Position of the last record satisfying [p], or [None]: a backwards
+    scan. *)
 let find_last (t : t) ~(p : Trace.record -> bool) : int option =
   let rec go pos =
     if pos < 0 then None

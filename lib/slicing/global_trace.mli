@@ -10,12 +10,6 @@ type t = {
           path; always access records via {!record} *)
   order : int array;  (** position -> gseq *)
   pos_of_gseq : int array;  (** gseq -> position *)
-  mutable pc_index : (int * int, int array) Hashtbl.t option;
-      (** lazily built (tid, pc) -> ascending merge positions index;
-          managed internally — use {!find} / {!find_last_at} *)
-  pc_lock : Mutex.t;
-      (** serializes the lazy [pc_index] build so concurrent first
-          lookups from several domains agree on one index *)
 }
 
 (** One blocked per-thread head at the moment the merge stalled. *)
@@ -65,24 +59,6 @@ val gseq_at : t -> int -> int
     cross-thread edges (used by tests). *)
 val is_topological : t -> Collector.result -> bool
 
-(** The (tid, pc) -> ascending merge positions index, built on first
-    use under [pc_lock] (safe to call from several domains; they agree
-    on one index).  Read-only once returned. *)
-val pc_index : t -> (int * int, int array) Hashtbl.t
-
-(** Ascending merge positions of records executing [pc] on [tid]
-    ([[||]] when none).  Builds the (tid, pc) index on first use; the
-    returned array is owned by the index — do not mutate. *)
-val pc_positions : t -> tid:int -> pc:int -> int array
-
-(** Position of the [instance]-th execution of [pc] by [tid], if any.
-    Indexed: one hash lookup after the index is built. *)
-val find : tid:int -> pc:int -> instance:int -> t -> int option
-
-(** Position of the last execution of [pc] on [tid], if any.  Indexed. *)
-val find_last_at : t -> tid:int -> pc:int -> int option
-
-(** Position of the last record satisfying [p], if any.  The predicate
-    is arbitrary, so this is a backwards scan — prefer {!find_last_at}
-    for (tid, pc) targets. *)
+(** Position of the last record satisfying [p], if any: a backwards
+    scan. *)
 val find_last : t -> p:(Trace.record -> bool) -> int option

@@ -26,15 +26,13 @@ type t = {
   index : Def_index.t;
 }
 
-(** [prepare ?pool] shards the {!Def_index} scan over [pool]; the
-    summary derivation below stays sequential (it is a cheap pass over
-    the already-merged index).  The result is identical with or without
-    a pool. *)
-let prepare ?pool ?(block_size = default_block_size) (gt : Global_trace.t) : t =
+(** [prepare] builds the {!Def_index} in one pass over the trace, then
+    derives the summaries in one pass over the index. *)
+let prepare ?(block_size = default_block_size) (gt : Global_trace.t) : t =
   Dr_obs.Obs.with_span ~cat:"slice" "lp.prepare" @@ fun _ ->
   let n = Global_trace.length gt in
   let num_blocks = (n + block_size - 1) / block_size in
-  let index = Def_index.build ?pool gt in
+  let index = Def_index.build gt in
   let accs =
     Array.init num_blocks (fun _ -> Dr_util.Vec.Int_vec.create ())
   in

@@ -18,10 +18,9 @@ type t = {
       (** per-location definition index the summaries derive from *)
 }
 
-(** Prepare summaries + definition index.  With [pool] the index scan
-    is sharded over the pool ({!Def_index.build}); the result is
-    identical with or without one. *)
-val prepare : ?pool:Dr_util.Pool.t -> ?block_size:int -> Global_trace.t -> t
+(** Prepare summaries + definition index: one sequential pass over the
+    trace ({!Def_index.build}), then one over the index. *)
+val prepare : ?block_size:int -> Global_trace.t -> t
 
 (** A degraded LP with correct block geometry but empty summaries and an
     empty index, built in O(1) memory.  Only valid for the [`Scan] and

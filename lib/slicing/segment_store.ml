@@ -217,8 +217,6 @@ let is_resident t = t.flat <> None
     cost. *)
 let as_flat t = t.flat
 
-let num_segments t = Array.length t.segs
-
 let spilled_segments t =
   Array.fold_left
     (fun acc s -> match s with Spilled _ -> acc + 1 | Resident _ -> acc)

@@ -88,8 +88,7 @@ val compute :
     back in criterion order, and each slice is identical to a
     sequential {!compute} of the same criterion — only
     [stats.slice_time] is schedule-dependent.  The LP preparation
-    (unless passed in) happens once up front, itself sharded over the
-    pool. *)
+    (unless passed in) happens once up front, on the calling domain. *)
 val compute_many :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->

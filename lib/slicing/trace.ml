@@ -34,10 +34,7 @@ type record = {
 
 let is_sync r = r.flags land flag_sync <> 0
 let is_final_ret r = r.flags land flag_final_ret <> 0
-let is_branch r = r.flags land flag_branch <> 0
-let is_nondet r = r.flags land flag_nondet <> 0
 let is_load r = r.flags land flag_load <> 0
-let is_store r = r.flags land flag_store <> 0
 
 (** Placeholder record used as a vector dummy. *)
 let dummy =

@@ -99,10 +99,3 @@ let iter_mask f mask =
   for r = 0 to Reg.file_size - 1 do
     if mask land (1 lsl r) <> 0 then f r
   done
-
-let mask_to_list mask =
-  let acc = ref [] in
-  for r = Reg.file_size - 1 downto 0 do
-    if mask land (1 lsl r) <> 0 then acc := r :: !acc
-  done;
-  !acc

@@ -1,16 +1,16 @@
 (** A small fixed pool of OCaml 5 domains for embarrassingly parallel
-    fan-out (parallel slicing criteria, sharded index preparation, the
-    conformance fuzz farm).
+    fan-out (parallel slicing criteria, the conformance fuzz farm).
 
     The pool owns [size - 1] worker domains parked on a condition
     variable; the domain that calls {!run} participates as the
-    [size]-th worker, so a pool of size 1 spawns nothing and runs
-    everything inline.  A {!run} hands every worker the same
+    [size]-th worker, so a pool of size 1 spawns nothing and the caller
+    drains every task alone.  A {!run} hands every worker the same
     {e drain loop}: tasks are claimed by atomic fetch-and-add on a
     shared cursor, so scheduling is dynamic (good load balance for
     uneven task costs) while {e results stay deterministic} — {!map}
     writes slot [i] of the output from task [i] regardless of which
-    domain ran it or in what order.
+    domain ran it or in what order.  There is one execution path at
+    every pool size and batch length.
 
     Exceptions raised by tasks are captured; the first one (by
     completion order) is re-raised in the caller after the barrier, with
@@ -26,11 +26,10 @@
 
     The caller's wait at the barrier is a [Domain.cpu_relax] spin: it
     only covers the in-flight tail of tasks on other domains, and every
-    intended workload (a slice, a fuzz case, an index shard) is far
-    coarser than a spin quantum.  [run] must not be called from two
-    domains at once on the same pool; nested [run] from inside a task
-    deadlocks no one (the caller drains its own queue) but is not
-    supported either. *)
+    intended workload (a slice, a fuzz worker loop) is far coarser than
+    a spin quantum.  [run] must not be called from two domains at once
+    on the same pool; nested [run] from inside a task deadlocks no one
+    (the caller drains its own queue) but is not supported either. *)
 
 type task = unit -> unit
 
@@ -70,9 +69,6 @@ type t = {
 
 let size t = t.size
 
-(** What the runtime recommends for this machine (never below 1). *)
-let default_domains () = max 1 (Domain.recommended_domain_count ())
-
 let worker t slot () =
   let rec loop () =
     Mutex.lock t.mutex;
@@ -97,13 +93,11 @@ let worker t slot () =
   in
   loop ()
 
-(** Create a pool of [domains] total workers (default
-    {!default_domains}).  [domains - 1] domains are spawned; they idle
-    on a condition variable until {!run}/{!map} hands them work. *)
-let create ?domains () : t =
-  let size =
-    max 1 (match domains with Some d -> d | None -> default_domains ())
-  in
+(** Create a pool of [domains] total workers (at least 1).
+    [domains - 1] domains are spawned; they idle on a condition variable
+    until {!run}/{!map} hands them work. *)
+let create ~domains : t =
+  let size = max 1 domains in
   let t =
     { size; mutex = Mutex.create (); has_work = Condition.create ();
       queue = []; closing = false; workers = [] }
@@ -120,22 +114,20 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(** [with_pool ?domains f] runs [f pool] and shuts the pool down even
+(** [with_pool ~domains f] runs [f pool] and shuts the pool down even
     when [f] raises. *)
-let with_pool ?domains f =
-  let t = create ?domains () in
+let with_pool ~domains f =
+  let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (** Run every task to completion, fanning out over the pool; returns
     when all have finished.  The first task exception (if any) is
-    re-raised after the barrier.  Every task runs through the installed
-    {!instrument} hook (even on the inline single-domain path, so a
-    traced 1-domain batch records the same span sequence as a 4-domain
-    one). *)
+    re-raised after the barrier, once every task has run.  Every task
+    runs through the installed {!instrument} hook, so a traced 1-domain
+    batch records the same span sequence as a 4-domain one. *)
 let run t (tasks : task array) =
   let n = Array.length tasks in
-  if n = 0 then ()
-  else begin
+  if n > 0 then begin
     let ins = !instrument in
     let base = match ins with Some i -> i.i_run_begin ~tasks:n | None -> 0 in
     let exec slot i =
@@ -143,47 +135,41 @@ let run t (tasks : task array) =
       | Some ins -> ins.i_task ~stream:(base + i) ~slot ~task:i tasks.(i)
       | None -> tasks.(i) ()
     in
-    if t.size = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        exec 0 i
+    let next = Atomic.make 0 in
+    let completed = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let drain slot =
+      let continue = ref true in
+      while !continue do
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n then continue := false
+        else begin
+          (try exec slot i
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+          (* the atomic increment publishes the task's writes to the
+             caller, which reads [completed] before touching results *)
+          Atomic.incr completed
+        end
       done
-    else begin
-      let next = Atomic.make 0 in
-      let completed = Atomic.make 0 in
-      let failure = Atomic.make None in
-      let drain slot =
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            (try exec slot i
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-            (* the atomic increment publishes the task's writes to the
-               caller, which reads [completed] before touching results *)
-            Atomic.incr completed
-          end
-        done
-      in
-      (* a stale drain surviving past its batch exits immediately (the
-         cursor is spent), so leftovers in the queue are harmless *)
-      let helpers = min (t.size - 1) (n - 1) in
-      Mutex.lock t.mutex;
-      for _ = 1 to helpers do
-        t.queue <- drain :: t.queue
-      done;
-      Condition.broadcast t.has_work;
-      Mutex.unlock t.mutex;
-      drain 0;
-      while Atomic.get completed < n do
-        Domain.cpu_relax ()
-      done;
-      match Atomic.get failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
+    in
+    (* a stale drain surviving past its batch exits immediately (the
+       cursor is spent), so leftovers in the queue are harmless *)
+    let helpers = min (t.size - 1) (n - 1) in
+    Mutex.lock t.mutex;
+    for _ = 1 to helpers do
+      t.queue <- drain :: t.queue
+    done;
+    Condition.broadcast t.has_work;
+    Mutex.unlock t.mutex;
+    drain 0;
+    while Atomic.get completed < n do
+      Domain.cpu_relax ()
+    done;
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
 (** [map t f xs] applies [f] to every element in parallel.  Output slot
@@ -196,23 +182,4 @@ let map t (f : 'a -> 'b) (xs : 'a array) : 'b array =
     let out : 'b option array = Array.make n None in
     run t (Array.init n (fun i () -> out.(i) <- Some (f xs.(i))));
     Array.map (function Some v -> v | None -> assert false) out
-  end
-
-(** [split ~chunks ~len] partitions [0, len) into at most [chunks]
-    contiguous [(lo, hi_exclusive)] ranges of near-equal size, in
-    ascending order — the sharding unit for deterministic merges (shard
-    outputs concatenated in range order preserve position order). *)
-let split ~chunks ~len : (int * int) array =
-  if len <= 0 then [||]
-  else begin
-    let chunks = max 1 (min chunks len) in
-    let base = len / chunks and extra = len mod chunks in
-    let ranges = Array.make chunks (0, 0) in
-    let lo = ref 0 in
-    for i = 0 to chunks - 1 do
-      let size = base + if i < extra then 1 else 0 in
-      ranges.(i) <- (!lo, !lo + size);
-      lo := !lo + size
-    done;
-    ranges
   end

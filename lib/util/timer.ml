@@ -36,5 +36,3 @@ let time f =
   let r = f () in
   let t1 = now () in
   (r, t1 -. t0)
-
-let time_only f = snd (time f)

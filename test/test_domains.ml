@@ -1,7 +1,6 @@
 (* Domain-parallelism tests: compute_many determinism across domain
-   counts and criterion orderings, sharded LP/def-index preparation
-   equality, the lazy pc_index build under concurrent first lookups,
-   spilled segment-store reads under concurrent readers, and the
+   counts and criterion orderings, spilled segment-store reads under
+   concurrent readers, and the
    sharded fuzz farm (parallel summary identical to sequential; every
    failure reproduces from its (seed, case-id) coordinates alone). *)
 
@@ -27,7 +26,7 @@ let collect ?input ?seed prog =
   Dr_slicing.Collector.collect ~refine:true prog pb
 
 (* Multithreaded program with a loop: enough records and blocks for the
-   sharded builds and the block-skipping scan to have real work. *)
+   criterion fan-out and the block-skipping scan to have real work. *)
 let par_src = {|global int x;
 global int y;
 global int z;
@@ -146,68 +145,6 @@ let prop_compute_many_shuffled =
               p.Slicer.criterion = crit
               && slice_eq (List.assoc crit seq) p)
             shuffled par))
-
-(* ---- sharded LP / def-index preparation ---- *)
-
-let test_sharded_prep_matches_sequential () =
-  let _, _, gt, crits, _ = Lazy.force fixture in
-  let seq_lp = Dr_slicing.Lp.prepare gt in
-  let dump_index lp =
-    let acc = ref [] in
-    Dr_slicing.Def_index.iter (Dr_slicing.Lp.def_index lp)
-      (fun loc positions -> acc := (loc, Array.copy positions) :: !acc);
-    List.sort compare !acc
-  in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let par_lp = Dr_slicing.Lp.prepare ~pool gt in
-          Alcotest.(check bool)
-            (Printf.sprintf "%d domains: def index identical" domains)
-            true
-            (dump_index seq_lp = dump_index par_lp);
-          (* the sharded preparation must drive every traversal to the
-             sequential result, block-skip stats included (those prove
-             the summaries agree) *)
-          List.iter
-            (fun crit ->
-              let a = Slicer.compute ~lp:seq_lp ~driver:`Scan_skip gt crit in
-              let b = Slicer.compute ~lp:par_lp ~driver:`Scan_skip gt crit in
-              Alcotest.(check bool)
-                (Printf.sprintf "%d domains: scan identical" domains)
-                true (slice_eq a b);
-              let fa = Slicer.compute ~lp:seq_lp gt crit in
-              let fb = Slicer.compute ~lp:par_lp gt crit in
-              Alcotest.(check bool)
-                (Printf.sprintf "%d domains: indexed identical" domains)
-                true (slice_eq fa fb))
-            crits))
-    [ 2; 3 ]
-
-(* ---- lazy pc_index build under concurrent first lookups ---- *)
-
-let dump_tbl t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare
-
-let test_pc_index_concurrent_build () =
-  let _, c, _, _, _ = Lazy.force fixture in
-  (* fresh trace: the index is unbuilt when four domains race for it *)
-  let gt = Dr_slicing.Global_trace.construct c in
-  let tables =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Pool.map pool
-          (fun _ -> Dr_slicing.Global_trace.pc_index gt)
-          (Array.init 4 (fun i -> i)))
-  in
-  Array.iter
-    (fun t ->
-      Alcotest.(check bool) "all domains see one table" true
-        (t == tables.(0)))
-    tables;
-  let gt' = Dr_slicing.Global_trace.construct c in
-  let seq = Dr_slicing.Global_trace.pc_index gt' in
-  Alcotest.(check bool) "racy build equals sequential build" true
-    (dump_tbl tables.(0) = dump_tbl seq)
 
 (* ---- spilled segment store under concurrent readers ---- *)
 
@@ -351,13 +288,8 @@ let () =
         [ Alcotest.test_case "matches sequential at 1/2/4 domains" `Quick
             test_compute_many_matches_sequential;
           QCheck_alcotest.to_alcotest prop_compute_many_shuffled ] );
-      ( "sharded prep",
-        [ Alcotest.test_case "lp/def-index" `Quick
-            test_sharded_prep_matches_sequential ] );
       ( "core safety",
-        [ Alcotest.test_case "pc_index concurrent first build" `Quick
-            test_pc_index_concurrent_build;
-          Alcotest.test_case "segment store concurrent readers" `Quick
+        [ Alcotest.test_case "segment store concurrent readers" `Quick
             test_segment_store_concurrent_readers ] );
       ( "fuzz farm",
         [ Alcotest.test_case "green run deterministic across domains" `Quick

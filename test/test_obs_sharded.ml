@@ -124,10 +124,8 @@ let criteria_of gt ~n =
   List.init n (fun i ->
       { Slicer.crit_pos = len - 1 - (i * step); crit_locs = None })
 
-(* trace + criteria + an LP prepared once with NO pool: preparation
-   sharding varies with the pool size by design (chunk count = domain
-   count), so the schedule-independence contract is over the slicing
-   fan-out itself *)
+(* trace + criteria + an LP prepared once up front, so the traced
+   sequence covers the slicing fan-out itself *)
 let fixture =
   lazy
     (let prog = compile par_src in

@@ -327,11 +327,17 @@ let fig7_slice ~refine =
   let c = Dr_slicing.Collector.collect ~refine prog pb in
   let gt = Dr_slicing.Global_trace.construct c in
   (* criterion: first execution of w = d + 2 at pc 7 *)
-  let pos =
-    match Dr_slicing.Global_trace.find ~tid:0 ~pc:7 ~instance:1 gt with
-    | Some p -> p
-    | None -> Alcotest.fail "case body not executed"
+  let n = Dr_slicing.Global_trace.length gt in
+  let rec first pos =
+    if pos >= n then Alcotest.fail "case body not executed"
+    else
+      let r = Dr_slicing.Global_trace.record gt pos in
+      if r.Dr_slicing.Trace.tid = 0 && r.Dr_slicing.Trace.pc = 7
+         && r.Dr_slicing.Trace.instance = 1
+      then pos
+      else first (pos + 1)
   in
+  let pos = first 0 in
   let slice =
     Dr_slicing.Slicer.compute gt
       { Dr_slicing.Slicer.crit_pos = pos; crit_locs = None }
@@ -821,41 +827,6 @@ let test_def_index () =
     !some_locs;
   Alcotest.(check int) "unknown loc" (-1)
     (Dr_slicing.Def_index.latest_at_or_before idx ~loc:max_int ~pos:(n - 1))
-
-let test_indexed_find () =
-  let prog = compile fig5_src in
-  let c = collect prog in
-  let gt = Dr_slicing.Global_trace.construct c in
-  let n = Dr_slicing.Global_trace.length gt in
-  (* the indexed find must locate every record by (tid, pc, instance) *)
-  for pos = 0 to n - 1 do
-    let r = Dr_slicing.Global_trace.record gt pos in
-    Alcotest.(check (option int))
-      (Printf.sprintf "find pos=%d" pos)
-      (Some pos)
-      (Dr_slicing.Global_trace.find ~tid:r.Dr_slicing.Trace.tid
-         ~pc:r.Dr_slicing.Trace.pc ~instance:r.Dr_slicing.Trace.instance gt)
-  done;
-  Alcotest.(check (option int)) "missing instance" None
-    (Dr_slicing.Global_trace.find ~tid:0 ~pc:0 ~instance:max_int gt);
-  Alcotest.(check (option int)) "missing pc" None
-    (Dr_slicing.Global_trace.find ~tid:0 ~pc:max_int ~instance:1 gt);
-  (* find_last_at agrees with the predicate-based scan *)
-  let r0 = Dr_slicing.Global_trace.record gt (n - 1) in
-  Alcotest.(check (option int)) "find_last_at = find_last"
-    (Dr_slicing.Global_trace.find_last gt ~p:(fun r ->
-         r.Dr_slicing.Trace.tid = r0.Dr_slicing.Trace.tid
-         && r.Dr_slicing.Trace.pc = r0.Dr_slicing.Trace.pc))
-    (Dr_slicing.Global_trace.find_last_at gt ~tid:r0.Dr_slicing.Trace.tid
-       ~pc:r0.Dr_slicing.Trace.pc);
-  (* pc_positions is ascending *)
-  let occ =
-    Dr_slicing.Global_trace.pc_positions gt ~tid:r0.Dr_slicing.Trace.tid
-      ~pc:r0.Dr_slicing.Trace.pc
-  in
-  Array.iteri
-    (fun i p -> if i > 0 then Alcotest.(check bool) "ascending" true (occ.(i - 1) < p))
-    occ
 
 (* ---- prune.ml unit tests: static candidates and dynamic confirmation
    driven by hand, without the collector in the loop ---- *)
@@ -1407,8 +1378,7 @@ let () =
           Alcotest.test_case "deferred bypass in skippable block" `Quick
             test_deferred_bypass_in_skippable_block;
           QCheck_alcotest.to_alcotest prop_drivers_agree_on_generated;
-          Alcotest.test_case "def index" `Quick test_def_index;
-          Alcotest.test_case "indexed find" `Quick test_indexed_find ] );
+          Alcotest.test_case "def index" `Quick test_def_index ] );
       ( "robustness",
         [ Alcotest.test_case "spill round-trip" `Quick
             test_segment_spill_roundtrip;

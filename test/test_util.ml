@@ -300,50 +300,33 @@ let test_pool_reuse () =
       done)
 
 let test_pool_exception () =
-  Dr_util.Pool.with_pool ~domains:2 (fun p ->
-      let ran = Array.make 8 false in
-      let tasks =
-        Array.init 8 (fun i () ->
-            ran.(i) <- true;
-            if i = 3 then raise (Boom i))
-      in
-      (match Dr_util.Pool.run p tasks with
-      | () -> Alcotest.fail "task exception was swallowed"
-      | exception Boom 3 -> ()
-      | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-      (* the batch is not torn down: every task still ran *)
-      Array.iteri
-        (fun i r ->
-          Alcotest.(check bool) (Printf.sprintf "task %d ran" i) true r)
-        ran;
-      (* and the pool is still usable afterwards *)
-      let got = Dr_util.Pool.map p (fun x -> x * 2) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "pool survives" [| 2; 4; 6 |] got)
-
-let test_pool_split () =
-  (* ranges are contiguous, ascending, near-equal, and cover [0, len) *)
+  (* at one domain the caller drains the batch alone; the contract is
+     the same as with helpers *)
   List.iter
-    (fun (chunks, len) ->
-      let ranges = Dr_util.Pool.split ~chunks ~len in
-      if len <= 0 then
-        Alcotest.(check int) "empty" 0 (Array.length ranges)
-      else begin
-        Alcotest.(check bool) "at most chunks" true
-          (Array.length ranges <= max 1 chunks);
-        let pos = ref 0 in
-        Array.iter
-          (fun (lo, hi) ->
-            Alcotest.(check int) "contiguous" !pos lo;
-            Alcotest.(check bool) "non-empty" true (hi > lo);
-            pos := hi)
-          ranges;
-        Alcotest.(check int) "covers len" len !pos;
-        let sizes = Array.map (fun (lo, hi) -> hi - lo) ranges in
-        let mn = Array.fold_left min max_int sizes
-        and mx = Array.fold_left max 0 sizes in
-        Alcotest.(check bool) "near-equal" true (mx - mn <= 1)
-      end)
-    [ (1, 10); (3, 10); (4, 4); (7, 3); (2, 0); (5, 1); (16, 1000) ]
+    (fun domains ->
+      Dr_util.Pool.with_pool ~domains (fun p ->
+          let ran = Array.make 8 false in
+          let tasks =
+            Array.init 8 (fun i () ->
+                ran.(i) <- true;
+                if i = 3 then raise (Boom i))
+          in
+          (match Dr_util.Pool.run p tasks with
+          | () -> Alcotest.fail "task exception was swallowed"
+          | exception Boom 3 -> ()
+          | exception e ->
+            Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+          (* the batch is not torn down: every task still ran *)
+          Array.iteri
+            (fun i r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%d domains: task %d ran" domains i)
+                true r)
+            ran;
+          (* and the pool is still usable afterwards *)
+          let got = Dr_util.Pool.map p (fun x -> x * 2) [| 1; 2; 3 |] in
+          Alcotest.(check (array int)) "pool survives" [| 2; 4; 6 |] got))
+    [ 1; 2 ]
 
 let prop_pool_map_matches_sequential =
   QCheck.Test.make ~name:"pool map = Array.map at any domain count" ~count:30
@@ -385,5 +368,4 @@ let () =
           Alcotest.test_case "reuse across batches" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception;
-          Alcotest.test_case "split ranges" `Quick test_pool_split;
           QCheck_alcotest.to_alcotest prop_pool_map_matches_sequential ] ) ]
