@@ -25,6 +25,8 @@ let quick = ref false
 
 let printf = Printf.printf
 
+module Timer = Dr_util.Timer
+
 let hr () = printf "%s\n" (String.make 78 '-')
 
 let section title =
@@ -34,11 +36,6 @@ let section title =
   hr ()
 
 (* ---------- shared helpers ---------- *)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 let log_or_fail ?policy ?max_steps prog spec =
   match Dr_pinplay.Logger.log ?policy ?max_steps prog spec with
@@ -89,9 +86,9 @@ type slicing_run = {
 }
 
 let run_slicing_pipeline ?(refine = true) prog pb : slicing_run =
-  let c, collect_s = time (fun () -> Dr_slicing.Collector.collect ~refine prog pb) in
-  let gt, construct_s = time (fun () -> Dr_slicing.Global_trace.construct c) in
-  let lp, lp_s = time (fun () -> Dr_slicing.Lp.prepare gt) in
+  let c, collect_s = Timer.time (fun () -> Dr_slicing.Collector.collect ~refine prog pb) in
+  let gt, construct_s = Timer.time (fun () -> Dr_slicing.Global_trace.construct c) in
+  let lp, lp_s = Timer.time (fun () -> Dr_slicing.Lp.prepare gt) in
   { collect_s; construct_s; lp_s; analysis = (c, gt, lp) }
 
 (* ---------- Table 1 ---------- *)
@@ -171,12 +168,12 @@ let measure_bug ~(b : Dr_workloads.Bugs.t) ~whole : bug_row =
   in
   let executed = stats.Dr_pinplay.Logger.region_instructions in
   (* replay, timed *)
-  let _, replay_time = time (fun () -> Dr_pinplay.Replayer.replay prog pb) in
+  let _, replay_time = Timer.time (fun () -> Dr_pinplay.Replayer.replay prog pb) in
   (* slice the failure point *)
   let sr = run_slicing_pipeline prog pb in
   let c, gt, lp = sr.analysis in
   let slice, slice_s =
-    time (fun () ->
+    Timer.time (fun () ->
         Dr_slicing.Slicer.compute ~lp ~pairs:c.Dr_slicing.Collector.pairs gt
           { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length gt - 1;
             crit_locs = None })
@@ -251,7 +248,7 @@ let measure_fig11 () =
                     (Dr_pinplay.Logger.Skip_length { skip = fig11_skip; length })
                 in
                 let _, replay_s =
-                  time (fun () -> Dr_pinplay.Replayer.replay prog pb)
+                  Timer.time (fun () -> Dr_pinplay.Replayer.replay prog pb)
                 in
                 ( length,
                   stats.Dr_pinplay.Logger.log_time,
@@ -398,7 +395,7 @@ let measure_fig14 () =
             log_or_fail prog (Dr_pinplay.Logger.Skip_length { skip = 500; length })
           in
           let total = Dr_pinplay.Pinball.schedule_instructions pb in
-          let _, full_replay_s = time (fun () -> Dr_pinplay.Replayer.replay prog pb) in
+          let _, full_replay_s = Timer.time (fun () -> Dr_pinplay.Replayer.replay prog pb) in
           let sr = run_slicing_pipeline prog pb in
           let c, gt, lp = sr.analysis in
           let criteria = last_load_criteria ~prog gt ~n:10 in
@@ -407,7 +404,7 @@ let measure_fig14 () =
           List.iter
             (fun pos ->
               let slice, slice_s =
-                time (fun () ->
+                Timer.time (fun () ->
                     Dr_slicing.Slicer.compute ~lp
                       ~pairs:c.Dr_slicing.Collector.pairs gt
                       { Dr_slicing.Slicer.crit_pos = pos; crit_locs = None })
@@ -426,7 +423,7 @@ let measure_fig14 () =
                 let steps = Dr_pinplay.Pinball.step_count spb in
                 slice_pcts := Dr_util.Stats.percent ~part:steps ~total :: !slice_pcts;
                 let sr2 = Dr_exeslice.Slice_replay.create prog spb in
-                let _, t = time (fun () -> Dr_exeslice.Slice_replay.run sr2) in
+                let _, t = Timer.time (fun () -> Dr_exeslice.Slice_replay.run sr2) in
                 slice_replays := t :: !slice_replays)
             criteria;
           { f_name = w.Dr_workloads.Parsec.name;
@@ -519,7 +516,7 @@ let ablation () =
     List.iter
       (fun pos ->
         let s, t =
-          time (fun () ->
+          Timer.time (fun () ->
               (* scan driver on both sides: the ablation isolates LP
                  block skipping, not the indexed fast path *)
               Dr_slicing.Slicer.compute ~lp ~driver gt
@@ -576,7 +573,7 @@ fn main() {
   List.iter
     (fun (name, driver) ->
       let s, t =
-        time (fun () -> Dr_slicing.Slicer.compute ~lp:nlp ~driver ngt ncrit)
+        Timer.time (fun () -> Dr_slicing.Slicer.compute ~lp:nlp ~driver ngt ncrit)
       in
       printf "%-24s| %9.4fs  | visited %7d  | skipped %d/%d blocks\n" name t
         s.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.visited
@@ -599,7 +596,7 @@ fn main() {
   in
   List.iter
     (fun (name, cluster) ->
-      let gt2, t = time (fun () -> Dr_slicing.Global_trace.construct ~cluster c) in
+      let gt2, t = Timer.time (fun () -> Dr_slicing.Global_trace.construct ~cluster c) in
       printf "%-24s| %9.4fs  | %d\n" name t (switches gt2))
     [ ("clustering on", true); ("clustering off", false) ];
 
@@ -833,7 +830,7 @@ let () =
   in
   printf "DrDebug benchmark harness (reproducing CGO'14 tables and figures)\n";
   if !quick then printf "[quick mode: reduced region sizes]\n";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timer.now () in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -842,4 +839,4 @@ let () =
         printf "unknown experiment %s (available: %s)\n" name
           (String.concat ", " (List.map fst experiments)))
     chosen;
-  printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  printf "\ntotal bench time: %.1fs\n" (Timer.now () -. t0)

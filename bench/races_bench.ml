@@ -11,15 +11,12 @@
 
 let printf = Printf.printf
 
+module Timer = Dr_util.Timer
+
 module J = Dr_util.Json
 module Race = Dr_static.Race
 
 let schema_version = "drdebug-bench-races-v1"
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 type row = {
   r_name : string;
@@ -41,7 +38,7 @@ type row = {
 let bench_bug (b : Dr_workloads.Bugs.t) : row =
   let name = b.Dr_workloads.Bugs.name in
   let prog = Dr_workloads.Bugs.compile b in
-  let race, static_s = time (fun () -> Race.analyze prog) in
+  let race, static_s = Timer.time (fun () -> Race.analyze prog) in
   let static_pairs = Race.candidate_pairs race in
   let root_cause_ranked =
     let line pc =
@@ -68,7 +65,7 @@ let bench_bug (b : Dr_workloads.Bugs.t) : row =
     | None -> min 64 predicted  (* exhausted the whole plain queue *)
   in
   let (seeded, campaign_s) =
-    time (fun () -> Dr_maple.Active.expose ~static_pairs prog)
+    Timer.time (fun () -> Dr_maple.Active.expose ~static_pairs prog)
   in
   match seeded with
   | None -> failwith (name ^ ": statically seeded campaign did not expose")

@@ -7,14 +7,11 @@
 
 let printf = Printf.printf
 
+module Timer = Dr_util.Timer
+
 module J = Dr_util.Json
 
 let schema_version = "drdebug-bench-slicing-v1"
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 let log_or_fail ?policy prog spec =
   match Dr_pinplay.Logger.log ?policy prog spec with
@@ -86,9 +83,9 @@ let register_criterion gt lp =
     [ { Dr_slicing.Slicer.crit_pos = len - 1; crit_locs = Some [ loc ] } ]
 
 let prepare ~name ~kind ~n_criteria prog pb =
-  let c, collect_s = time (fun () -> Dr_slicing.Collector.collect prog pb) in
-  let gt, construct_s = time (fun () -> Dr_slicing.Global_trace.construct c) in
-  let lp, lp_s = time (fun () -> Dr_slicing.Lp.prepare gt) in
+  let c, collect_s = Timer.time (fun () -> Dr_slicing.Collector.collect prog pb) in
+  let gt, construct_s = Timer.time (fun () -> Dr_slicing.Global_trace.construct c) in
+  let lp, lp_s = Timer.time (fun () -> Dr_slicing.Lp.prepare gt) in
   { w_name = name; w_kind = kind; w_prog = prog; w_pinball = pb;
     w_collect = c; gt; lp; collect_s; construct_s; lp_s;
     criteria = criteria_of gt ~n:n_criteria @ register_criterion gt lp }
@@ -243,7 +240,7 @@ let measure_spill (p : prepared) =
          p.criteria
   in
   let _, spill_read_s =
-    time (fun () -> List.iter (fun crit -> ignore (spilled crit)) p.criteria)
+    Timer.time (fun () -> List.iter (fun crit -> ignore (spilled crit)) p.criteria)
   in
   (* records-beyond-RAM tier: the same criteria answered by on-demand
      re-execution — record lookups replay forward from periodic
@@ -270,7 +267,7 @@ let measure_spill (p : prepared) =
       p.criteria
   in
   let _, reexec_slice_s =
-    time (fun () -> List.iter (fun crit -> ignore (reexec crit)) p.criteria)
+    Timer.time (fun () -> List.iter (fun crit -> ignore (reexec crit)) p.criteria)
   in
   let rx_stats = Dr_slicing.Reexec.stats rx in
   let reexec_peak_mem = rx_stats.Dr_slicing.Reexec.peak_resident_bytes in
@@ -327,7 +324,7 @@ let measure ~reps ~pool (p : prepared) : measured =
      pre-observability baselines (the gate is a single field check) *)
   let timed ?driver () =
     let _, t =
-      time (fun () ->
+      Timer.time (fun () ->
           for _ = 1 to reps do
             List.iter (fun crit -> ignore (compute ?driver crit)) p.criteria
           done)
@@ -354,7 +351,7 @@ let measure ~reps ~pool (p : prepared) : measured =
   let scan_skip_s = timed ~driver:`Scan_skip () in
   let scan_noskip_s = timed ~driver:`Scan () in
   let _, par_slice_s =
-    time (fun () ->
+    Timer.time (fun () ->
         for _ = 1 to reps do
           ignore (Dr_slicing.Slicer.compute_many ~lp ~pool gt p.criteria)
         done)

@@ -155,12 +155,12 @@ let run workload source seed input script stats trace_out report_out
    a pinball with --pinball), collect the trace, build the global trace,
    and slice at the last print statement (or the last record).  With a
    resource budget (--mem-budget / --time-budget / --spill-dir), trace
-   records spill to disk in segments past the memory budget and slicing
-   runs through the governed degradation ladder.  This is the canonical
+   records spill to disk in segments past the memory budget and the
+   governed degradation ladder may step down from the indexed driver to
+   a scan or a partial slice.  This is the canonical
    producer of --trace-out / --report-out documents. *)
 let run_slice workload source seed input stats trace_out report_out
-    metrics_out slice_out pinball_in mem_budget time_budget spill_dir driver
-    ckpt_interval =
+    metrics_out slice_out pinball_in mem_budget time_budget spill_dir =
   guarded @@ fun () ->
   match load_program workload source with
   | Error e ->
@@ -239,48 +239,17 @@ let run_slice workload source seed input stats trace_out report_out
         in
         let criterion = { Dr_slicing.Slicer.crit_pos; crit_locs = None } in
         let pairs = c.Dr_slicing.Collector.pairs in
-        (* the re-execution driver needs a checkpoint ladder over the
-           same refined CFG the collector used *)
-        let rx =
-          match driver with
-          | `Reexec ->
-            Some
-              (Dr_slicing.Reexec.create ~cfg:c.Dr_slicing.Collector.cfg
-                 ~ckpt_interval prog pb)
-          | _ -> None
+        (* without a budget the ladder never steps down: an unlimited
+           budget keeps the indexed rung and sets no watchdog *)
+        let g =
+          Dr_slicing.Slicer.compute_governed ~pairs
+            ~budget:(Option.value budget ~default:(Dr_util.Budget.unlimited ()))
+            gt criterion
         in
-        let slice =
-          match budget with
-          | None -> (
-            match driver with
-            | `Reexec ->
-              let rx = Option.get rx in
-              let s =
-                Dr_slicing.Slicer.compute ~pairs ~driver:(`Reexec rx) gt
-                  criterion
-              in
-              let rst = Dr_slicing.Reexec.stats rx in
-              Printf.printf
-                "reexec driver: interval %d, %d checkpoints, %d windows \
-                 re-derived (%d window hits), peak %d resident record bytes\n"
-                ckpt_interval
-                (Dr_slicing.Reexec.num_checkpoints rx)
-                rst.Dr_slicing.Reexec.windows_rederived
-                rst.Dr_slicing.Reexec.window_hits
-                rst.Dr_slicing.Reexec.peak_resident_bytes;
-              s
-            | (`Scan_skip | `Scan | `Indexed) as d ->
-              let lp = Dr_slicing.Lp.prepare gt in
-              Dr_slicing.Slicer.compute ~lp ~pairs ~driver:d gt criterion)
-          | Some b ->
-            let g =
-              Dr_slicing.Slicer.compute_governed ?reexec:rx ~pairs ~budget:b
-                gt criterion
-            in
-            Printf.printf "governed slicing: %s driver\n"
-              (Dr_slicing.Slicer.rung_name g.Dr_slicing.Slicer.g_rung);
-            g.Dr_slicing.Slicer.g_slice
-        in
+        if Option.is_some budget then
+          Printf.printf "governed slicing: %s driver\n"
+            (Dr_slicing.Slicer.rung_name g.Dr_slicing.Slicer.g_rung);
+        let slice = g.Dr_slicing.Slicer.g_slice in
         let st = slice.Dr_slicing.Slicer.stats in
         Printf.printf
           "slice at position %d/%d: %d statements over %d source lines \
@@ -689,25 +658,11 @@ let slice_cmd =
     Arg.(value & opt (some string) None & info [ "spill-dir" ]
            ~doc:"Directory for spilled trace segments (default: a per-process directory under the system temp dir).")
   in
-  let driver =
-    Arg.(value
-         & opt
-             (enum
-                [ ("indexed", `Indexed); ("scan", `Scan_skip);
-                  ("scan-noskip", `Scan); ("reexec", `Reexec) ])
-             `Indexed
-         & info [ "driver" ]
-             ~doc:"Slicer driver: $(b,indexed) (definition-index fast path, default), $(b,scan) (backwards scan with LP block skipping), $(b,scan-noskip) (plain backwards scan), or $(b,reexec) (on-demand re-execution: record lookups replay from periodic checkpoints instead of walking the stored trace). All drivers produce identical slices.")
-  in
-  let ckpt_interval =
-    Arg.(value & opt int 4096 & info [ "ckpt-interval" ]
-           ~doc:"Checkpoint interval in retired instructions for --driver reexec: smaller intervals bound re-execution (and resident record memory) tighter at the cost of more snapshots.")
-  in
   Cmd.v (Cmd.info "slice" ~doc)
     Term.(
       const run_slice $ workload $ source $ seed $ input $ stats $ trace_out
       $ report_out $ metrics_out $ slice_out $ pinball_in $ mem_budget
-      $ time_budget $ spill_dir $ driver $ ckpt_interval)
+      $ time_budget $ spill_dir)
 
 let analyze_cmd =
   let doc =

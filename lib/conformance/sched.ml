@@ -15,17 +15,6 @@ open Dr_machine
 
 type t = (int * int) array
 
-(* Next runnable tid at or after [start mod n], wrapping; None when no
-   thread is runnable. *)
-let next_runnable m start =
-  let n = Machine.num_threads m in
-  let rec go i k =
-    if k = 0 then None
-    else if (Machine.thread m i).Machine.state = Machine.Runnable then Some i
-    else go ((i + 1) mod n) (k - 1)
-  in
-  go (((start mod n) + n) mod n) n
-
 (** A fresh driver policy realizing [sched].  The returned policy owns
     its cursor: use one policy per run. *)
 let policy (sched : t) : Driver.policy =
@@ -46,7 +35,7 @@ let policy (sched : t) : Driver.policy =
           left := 1
         end;
       decr left;
-      next_runnable m !hint)
+      Driver.next_runnable m !hint)
 
 (* ---- JSON round-trip for corpus files ---- *)
 

@@ -438,17 +438,6 @@ let of_bytes s : t =
   if m = magic_v2 then decode_v2 s d
   else corrupt ~section:"header" ~offset:0 "bad pinball magic"
 
-(* [encode]/[decode] wrap the container API for callers that splice a
-   pinball into a larger stream; [decode] consumes the decoder's whole
-   remaining input. *)
-let encode e (t : t) = Buffer.add_string e (to_bytes t)
-
-let decode (d : Dr_util.Codec.decoder) : t =
-  let open Dr_util.Codec in
-  let t = of_bytes (String.sub d.src d.pos (remaining d)) in
-  d.pos <- String.length d.src;
-  t
-
 (** On-disk size in bytes of the serialized pinball — the paper's "Space"
     column. *)
 let size_bytes t = String.length (to_bytes t)

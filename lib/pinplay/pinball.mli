@@ -80,13 +80,6 @@ val error_to_string : error -> string
 
 (** {2 Serialization} *)
 
-(** Append the v2 container to an encoder. *)
-val encode : Dr_util.Codec.encoder -> t -> unit
-
-(** Decode a container occupying the decoder's whole remaining input.
-    @raise Pinball_error on malformed input. *)
-val decode : Dr_util.Codec.decoder -> t
-
 val to_bytes : t -> string
 
 (** Decode a v2 container; rejects trailing bytes.

@@ -34,8 +34,6 @@ let divergence_message = function
       "first divergence at step %d in thread %d (digest %x, recorded %x)"
       step tid got expected
 
-let pp_divergence fmt d = Format.pp_print_string fmt (divergence_message d)
-
 type t = {
   machine : Machine.t;
   pinball : Pinball.t;

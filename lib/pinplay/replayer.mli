@@ -25,8 +25,6 @@ exception Divergence of divergence
     ["first divergence at step 112 in thread 1 (digest ..., recorded ...)"]. *)
 val divergence_message : divergence -> string
 
-val pp_divergence : Format.formatter -> divergence -> unit
-
 type t
 
 (** A mid-replay checkpoint: enough state to resume the {e same} replay

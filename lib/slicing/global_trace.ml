@@ -144,12 +144,6 @@ let record t pos =
   | Some a -> a.(t.order.(pos))
   | None -> Segment_store.get t.records t.order.(pos)
 
-(** Record with global sequence number [gseq]. *)
-let record_at_gseq t gseq =
-  match t.direct with
-  | Some a -> a.(gseq)
-  | None -> Segment_store.get t.records gseq
-
 (** Position of the record with the given gseq. *)
 let position t ~gseq = t.pos_of_gseq.(gseq)
 

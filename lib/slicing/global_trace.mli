@@ -45,9 +45,6 @@ val length : t -> int
     {!Dr_util.Budget.Resource_error} on a corrupt segment). *)
 val record : t -> int -> Trace.record
 
-(** Record with global sequence number [gseq]. *)
-val record_at_gseq : t -> int -> Trace.record
-
 (** Merge position of the record with the given gseq. *)
 val position : t -> gseq:int -> int
 

@@ -9,8 +9,13 @@
     through a small LRU-pinned cache, so a backwards slice over a
     spilled trace re-reads each segment at most once per cache miss.
 
-    A store that never spilled keeps a flat record array and costs one
-    option match per access over the PR-5 representation.  Corruption is
+    The same cache serves {e derived} segments, whose records a closure
+    re-computes on every miss: {!Reexec} stores each checkpoint window
+    as one, so both out-of-core tiers share one LRU, one lock and one
+    resident/peak byte account.
+
+    A store that never spilled keeps only a flat record array and costs
+    one option match per access over a plain array.  Corruption is
     never silent: a missing, truncated, or bit-flipped segment raises
     {!Dr_util.Budget.Resource_error} [Segment_corrupt] with the path and
     reason, and a simulated-fault hook lets the conformance fuzzer
@@ -20,12 +25,24 @@ let m_spilled = Dr_obs.Metrics.counter "segment_store.spilled_segments"
 let m_spill_bytes = Dr_obs.Metrics.counter "segment_store.spilled_bytes"
 let m_reads = Dr_obs.Metrics.counter "segment_store.segment_reads"
 
-(* the cache tier reports under the segstore.* prefix; a miss re-reads
-   and decodes a spilled segment, so the miss count tracks
-   [segment_store.segment_reads] *)
-let m_cache_hits = Dr_obs.Metrics.counter "segstore.hits"
-let m_cache_misses = Dr_obs.Metrics.counter "segstore.misses"
-let m_cache_evictions = Dr_obs.Metrics.counter "segstore.evictions"
+(* Cache traffic metrics, one set per tier: spilled segments report
+   under segstore.* (a miss re-reads and decodes a segment, so the miss
+   count tracks [segment_store.segment_reads]); derived segments are
+   re-execution windows and report under reexec.window_*. *)
+type tier = {
+  m_hits : Dr_obs.Metrics.counter;
+  m_misses : Dr_obs.Metrics.counter;
+  m_evictions : Dr_obs.Metrics.counter;
+}
+
+let tier prefix =
+  { m_hits = Dr_obs.Metrics.counter (prefix ^ "hits");
+    m_misses = Dr_obs.Metrics.counter (prefix ^ "misses");
+    m_evictions = Dr_obs.Metrics.counter (prefix ^ "evictions") }
+
+let spill_tier = tier "segstore."
+let window_tier = tier "reexec.window_"
+
 let m_corrupt = Dr_obs.Metrics.counter "segment_store.corrupt_segments"
 let t_spill_write = Dr_obs.Metrics.timer "segment_store.spill_write"
 let t_spill_read = Dr_obs.Metrics.timer "segment_store.spill_read"
@@ -163,36 +180,54 @@ let write_segment_file path (data : string) =
 
 type seg =
   | Resident of Trace.record array
-  | Spilled of { sp_path : string; sp_count : int; sp_bytes : int }
+  | Spilled of { sp_path : string; sp_count : int }
+  | Derived of (offset:int -> Trace.record array)
+      (** re-computed on every cache miss; [offset] is the requested
+          record's position in the segment *)
 
 type t = {
   seg_records : int;
   total : int;
-  segs : seg array;
+  segs : seg array;  (** [[||]] when [flat] is set *)
   flat : Trace.record array option;
       (** set iff the store never spilled: the O(1) fast path *)
-  cache : (int, Trace.record array) Hashtbl.t;
+  tier : tier;
+  cache : (int, Trace.record array * int) Hashtbl.t;
+      (** cached segment -> (records, resident bytes) *)
   mutable lru : int list;  (** cached segment indices, most recent first *)
   cache_cap : int;
   mutable s_hits : int;  (** per-store cache traffic, under [lock] *)
   mutable s_misses : int;
   mutable s_evictions : int;
+  mutable s_loaded : int;  (** records loaded by misses *)
+  mutable resident_bytes : int;  (** record bytes in [cache] *)
+  mutable peak_bytes : int;
   lock : Mutex.t;
-      (** guards [cache], [lru] and the [s_*] stats so concurrent
-          readers on several domains share the spilled-segment cache
+      (** guards [cache], [lru] and the [s_*] and byte stats so
+          concurrent readers on several domains share the cache
           safely; the flat path never takes it *)
 }
 
 (** Cache traffic of one store (the process-wide aggregate lives in the
-    [segstore.*] metrics).  [cs_hits + cs_misses] is the number of
-    spilled-segment accesses; a never-spilled store reports zeros. *)
-type cache_stats = { cs_hits : int; cs_misses : int; cs_evictions : int }
+    [segstore.*] and [reexec.window_*] metrics).  [cs_hits + cs_misses]
+    is the number of cached-segment accesses; [cs_peak_bytes] the most
+    record bytes the cache ever held at once, which is at most
+    [cache_segments + 1] segments since a miss inserts before it
+    evicts.  A never-spilled store reports zeros. *)
+type cache_stats = {
+  cs_hits : int;
+  cs_misses : int;
+  cs_evictions : int;
+  cs_loaded_records : int;
+  cs_peak_bytes : int;
+}
 
 let cache_stats t =
   Mutex.lock t.lock;
   let st =
     { cs_hits = t.s_hits; cs_misses = t.s_misses;
-      cs_evictions = t.s_evictions }
+      cs_evictions = t.s_evictions; cs_loaded_records = t.s_loaded;
+      cs_peak_bytes = t.peak_bytes }
   in
   Mutex.unlock t.lock;
   st
@@ -213,13 +248,13 @@ let length t = t.total
 let is_resident t = t.flat <> None
 
 (** The flat record array when the store never spilled — the hot-path
-    escape hatch {!Global_trace} uses to keep in-memory access at PR-5
-    cost. *)
+    escape hatch {!Global_trace} uses to keep in-memory access at plain
+    array cost. *)
 let as_flat t = t.flat
 
 let spilled_segments t =
   Array.fold_left
-    (fun acc s -> match s with Spilled _ -> acc + 1 | Resident _ -> acc)
+    (fun acc s -> match s with Spilled _ -> acc + 1 | _ -> acc)
     0 t.segs
 
 (** (segment index, path) of every spilled segment, ascending. *)
@@ -229,31 +264,56 @@ let spilled_paths t =
     (fun i s ->
       match s with
       | Spilled { sp_path; _ } -> acc := (i, sp_path) :: !acc
-      | Resident _ -> ())
+      | _ -> ())
     t.segs;
   List.rev !acc
 
-let of_array (a : Trace.record array) : t =
-  { seg_records = default_seg_records; total = Array.length a; segs = [||];
-    flat = Some a; cache = Hashtbl.create 1; lru = []; cache_cap = 0;
-    s_hits = 0; s_misses = 0; s_evictions = 0; lock = Mutex.create () }
+let make ~seg_records ~total ~segs ~flat ~tier ~cache_cap =
+  { seg_records; total; segs; flat; tier;
+    cache = Hashtbl.create (2 * cache_cap); lru = [];
+    cache_cap; s_hits = 0; s_misses = 0; s_evictions = 0; s_loaded = 0;
+    resident_bytes = 0; peak_bytes = 0; lock = Mutex.create () }
 
-(* LRU: move [s] to the front, evicting past capacity. *)
+let of_array (a : Trace.record array) : t =
+  make ~seg_records:default_seg_records ~total:(Array.length a) ~segs:[||]
+    ~flat:(Some a) ~tier:spill_tier ~cache_cap:0
+
+(** A store of [total] records whose segment [s] (records
+    [s * seg_records] onwards) is [derive s ~offset], re-computed on
+    each miss of a [cache_segments]-segment LRU.  {!Reexec} builds its
+    checkpoint windows this way; traffic reports under
+    [reexec.window_*]. *)
+let derived ~seg_records ~cache_segments ~total derive : t =
+  if seg_records < 1 then invalid_arg "Segment_store.derived: seg_records < 1";
+  let nsegs = (total + seg_records - 1) / seg_records in
+  make ~seg_records ~total
+    ~segs:(Array.init nsegs (fun s -> Derived (derive s)))
+    ~flat:None ~tier:window_tier ~cache_cap:(max 1 cache_segments)
+
+(* LRU: move [s] to the front, evicting past capacity.  Called with
+   [t.lock] held. *)
 let cache_insert t s records =
-  Hashtbl.replace t.cache s records;
+  let bytes = Array.fold_left (fun acc r -> acc + record_bytes r) 0 records in
+  Hashtbl.replace t.cache s (records, bytes);
+  t.s_loaded <- t.s_loaded + Array.length records;
+  t.resident_bytes <- t.resident_bytes + bytes;
+  if t.resident_bytes > t.peak_bytes then t.peak_bytes <- t.resident_bytes;
   t.lru <- s :: List.filter (fun x -> x <> s) t.lru;
   let rec drop n = function
     | [] -> []
     | keep :: rest when n > 1 -> keep :: drop (n - 1) rest
     | evict :: rest ->
+      (match Hashtbl.find_opt t.cache evict with
+      | Some (_, b) -> t.resident_bytes <- t.resident_bytes - b
+      | None -> ());
       Hashtbl.remove t.cache evict;
-      Dr_obs.Metrics.bump m_cache_evictions;
+      Dr_obs.Metrics.bump t.tier.m_evictions;
       t.s_evictions <- t.s_evictions + 1;
       drop n rest
   in
   if List.length t.lru > t.cache_cap then t.lru <- drop t.cache_cap t.lru
 
-let load_segment t s ~path ~count : Trace.record array =
+let load_segment ~path ~count : Trace.record array =
   Dr_obs.Metrics.bump m_reads;
   Dr_obs.Metrics.time t_spill_read @@ fun () ->
   let raw =
@@ -267,33 +327,39 @@ let load_segment t s ~path ~count : Trace.record array =
     | exception Sys_error reason -> corrupt path ("unreadable: " ^ reason)
     | exception End_of_file -> corrupt path "truncated while reading"
   in
-  let records = decode_segment ~path ~expected_count:count raw in
-  cache_insert t s records;
-  records
+  decode_segment ~path ~expected_count:count raw
 
 (* The cache lookup, LRU touch and miss-load all run under [t.lock]:
    concurrent readers from a domain pool then share one cache without
-   corrupting the LRU list, and a segment is decoded once per miss
+   corrupting the LRU list, and a segment is loaded once per miss
    rather than once per racing reader. *)
-let seg_array t s =
+let seg_array t s ~offset =
   match t.segs.(s) with
   | Resident a -> a
-  | Spilled { sp_path; sp_count; _ } ->
+  | (Spilled _ | Derived _) as seg ->
     Mutex.lock t.lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () ->
         match Hashtbl.find_opt t.cache s with
-        | Some a ->
-          Dr_obs.Metrics.bump m_cache_hits;
+        | Some (a, _) ->
+          Dr_obs.Metrics.bump t.tier.m_hits;
           t.s_hits <- t.s_hits + 1;
           if (match t.lru with hd :: _ -> hd <> s | [] -> true) then
             t.lru <- s :: List.filter (fun x -> x <> s) t.lru;
           a
         | None ->
-          Dr_obs.Metrics.bump m_cache_misses;
+          Dr_obs.Metrics.bump t.tier.m_misses;
           t.s_misses <- t.s_misses + 1;
-          load_segment t s ~path:sp_path ~count:sp_count)
+          let a =
+            match seg with
+            | Spilled { sp_path; sp_count } ->
+              load_segment ~path:sp_path ~count:sp_count
+            | Derived derive -> derive ~offset
+            | Resident a -> a
+          in
+          cache_insert t s a;
+          a)
 
 (** Record with gseq [i].
     @raise Dr_util.Budget.Resource_error when a spilled segment is
@@ -301,7 +367,9 @@ let seg_array t s =
 let get t i =
   match t.flat with
   | Some a -> a.(i)
-  | None -> (seg_array t (i / t.seg_records)).(i mod t.seg_records)
+  | None ->
+    let offset = i mod t.seg_records in
+    (seg_array t (i / t.seg_records) ~offset).(offset)
 
 (** Iterate records in gseq order — sequential, one segment pinned at a
     time. *)
@@ -310,7 +378,7 @@ let iter t f =
   | Some a -> Array.iteri f a
   | None ->
     for s = 0 to Array.length t.segs - 1 do
-      let a = seg_array t s in
+      let a = seg_array t s ~offset:0 in
       let base = s * t.seg_records in
       Array.iteri (fun j r -> f (base + j) r) a
     done
@@ -360,7 +428,7 @@ let spill_seg b budget ~index =
     | [] -> []
     | s :: rest when i = 0 -> (
       match s with
-      | Spilled _ -> s :: rest
+      | Spilled _ | Derived _ -> s :: rest
       | Resident a ->
         let dir = Dr_util.Budget.ensure_spill_dir budget in
         let path = seg_path b ~dir ~index in
@@ -373,8 +441,7 @@ let spill_seg b budget ~index =
         Dr_obs.Metrics.bump m_spilled;
         Dr_obs.Metrics.add m_spill_bytes (String.length data);
         Dr_util.Budget.note_spilled budget (String.length data);
-        Spilled { sp_path = path; sp_count = Array.length a;
-                  sp_bytes = String.length data }
+        Spilled { sp_path = path; sp_count = Array.length a }
         :: rest)
     | s :: rest -> s :: replace (i - 1) rest
   in
@@ -431,27 +498,22 @@ let append b (r : Trace.record) =
 let seal (b : builder) : t =
   finish_segment b;
   let segs = Array.of_list (List.rev b.b_segs) in
+  let make = make ~seg_records:b.b_seg_records ~total:b.b_total in
   if not b.b_spilled then begin
-    (* fully resident: flatten for the O(1) access path *)
+    (* fully resident: flatten for the O(1) access path and drop the
+       segment arrays, which would cost one more word per record *)
     let flat = Array.make b.b_total Trace.dummy in
     let pos = ref 0 in
     Array.iter
-      (fun s ->
-        match s with
+      (function
         | Resident a ->
           Array.blit a 0 flat !pos (Array.length a);
           pos := !pos + Array.length a
-        | Spilled _ -> assert false)
+        | Spilled _ | Derived _ -> assert false)
       segs;
-    { seg_records = b.b_seg_records; total = b.b_total; segs;
-      flat = Some flat; cache = Hashtbl.create 1; lru = [];
-      cache_cap = b.b_cache_cap; s_hits = 0; s_misses = 0; s_evictions = 0;
-      lock = Mutex.create () }
+    make ~segs:[||] ~flat:(Some flat) ~tier:spill_tier ~cache_cap:0
   end
-  else
-    { seg_records = b.b_seg_records; total = b.b_total; segs; flat = None;
-      cache = Hashtbl.create 8; lru = []; cache_cap = b.b_cache_cap;
-      s_hits = 0; s_misses = 0; s_evictions = 0; lock = Mutex.create () }
+  else make ~segs ~flat:None ~tier:spill_tier ~cache_cap:b.b_cache_cap
 
 (** Copy an existing store through a fresh (typically budgeted) builder
     — the conformance fault oracle uses this to produce a spilled twin

@@ -43,7 +43,6 @@ let m_stale_pops = Dr_obs.Metrics.counter "slicer.heap_stale_pops"
 let m_adj_builds = Dr_obs.Metrics.counter "slicer.adjacency_builds"
 let m_truncated = Dr_obs.Metrics.counter "slicer.truncated_slices"
 let m_degraded = Dr_obs.Metrics.counter "slicer.degraded_to_scan"
-let m_degraded_reexec = Dr_obs.Metrics.counter "slicer.degraded_to_reexec"
 
 type dep_kind =
   | Data of int  (** data dependence on this location *)
@@ -436,12 +435,9 @@ let compute_many ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
 
 (* ---- resource-governed slicing: the degradation ladder ---- *)
 
-type rung = Rung_indexed | Rung_reexec | Rung_scan
+type rung = Rung_indexed | Rung_scan
 
-let rung_name = function
-  | Rung_indexed -> "indexed"
-  | Rung_reexec -> "reexec"
-  | Rung_scan -> "scan"
+let rung_name = function Rung_indexed -> "indexed" | Rung_scan -> "scan"
 
 type governed = {
   g_slice : t;
@@ -464,16 +460,11 @@ let index_estimate_bytes gt = 40 * Global_trace.length gt
       [stats.truncated] when the budget's wall-clock watchdog fires.
 
     Every step down is recorded in the budget's degradation list and the
-    [slicer.degraded_to_scan] / [slicer.degraded_to_reexec] /
-    [slicer.truncated_slices] metrics.  Pass [lp] to reuse an index
-    already paid for — that skips the memory check (the memory is
-    already spent).  Pass [reexec] to make re-execution the middle rung
-    of the ladder: when the definition index does not fit, record
-    lookups come from checkpointed re-execution (O(ckpt interval)
-    resident records) instead of a stored-trace scan. *)
-let compute_governed ?lp ?pairs ?(reexec : Reexec.t option)
-    ~(budget : Dr_util.Budget.t) (gt : Global_trace.t)
-    (criterion : criterion) : governed =
+    [slicer.degraded_to_scan] / [slicer.truncated_slices] metrics.  Pass
+    [lp] to reuse an index already paid for — that skips the memory
+    check (the memory is already spent). *)
+let compute_governed ?lp ?pairs ~(budget : Dr_util.Budget.t)
+    (gt : Global_trace.t) (criterion : criterion) : governed =
   let watchdog = Dr_util.Budget.watchdog_of budget ~what:"slicer.compute" in
   let rung, lp =
     match lp with
@@ -481,32 +472,18 @@ let compute_governed ?lp ?pairs ?(reexec : Reexec.t option)
     | None ->
       if Dr_util.Budget.mem_would_exceed budget ~bytes:(index_estimate_bytes gt)
       then begin
-        let to_ =
-          match reexec with Some _ -> "reexec" | None -> "scan"
-        in
-        Dr_obs.Metrics.bump
-          (match reexec with Some _ -> m_degraded_reexec | None -> m_degraded);
+        Dr_obs.Metrics.bump m_degraded;
         Dr_util.Budget.note_degradation budget ~what:"slicer"
-          ~from_:"indexed" ~to_
+          ~from_:"indexed" ~to_:"scan"
           ~reason:
             (Printf.sprintf "definition index (~%d bytes) over memory budget"
                (index_estimate_bytes gt));
-        ( (match reexec with Some _ -> Rung_reexec | None -> Rung_scan),
-          Lp.prepare_lite gt )
+        (Rung_scan, Lp.prepare_lite gt)
       end
       else (Rung_indexed, Lp.prepare gt)
   in
-  let slice =
-    match rung with
-    | Rung_indexed ->
-      compute ~lp ?pairs ?watchdog gt criterion
-    | Rung_reexec ->
-      compute ~lp ?pairs ?watchdog
-        ~driver:(`Reexec (Option.get reexec))
-        gt criterion
-    | Rung_scan ->
-      compute ~lp ?pairs ?watchdog ~driver:`Scan gt criterion
-  in
+  let driver = match rung with Rung_indexed -> `Indexed | Rung_scan -> `Scan in
+  let slice = compute ~lp ?pairs ?watchdog ~driver gt criterion in
   if slice.stats.truncated then
     Dr_util.Budget.note_degradation budget ~what:"slicer"
       ~from_:(rung_name rung) ~to_:"partial"

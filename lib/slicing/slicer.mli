@@ -100,7 +100,7 @@ val compute_many :
 (** {2 Resource-governed slicing} *)
 
 (** The rung of the degradation ladder a governed slice ran on. *)
-type rung = Rung_indexed | Rung_reexec | Rung_scan
+type rung = Rung_indexed | Rung_scan
 
 val rung_name : rung -> string
 
@@ -119,14 +119,10 @@ val index_estimate_bytes : Global_trace.t -> int
     not, and on either rung a partial slice marked [stats.truncated]
     when the budget's wall-clock watchdog fires.  Degradations are
     recorded in the budget and mirrored to metrics.  [lp] skips the
-    memory check (an existing index is already-spent memory).  With
-    [reexec], on-demand re-execution replaces the scan as the
-    over-budget rung: record lookups replay from checkpoints, bounding
-    resident records by the checkpoint interval. *)
+    memory check (an existing index is already-spent memory). *)
 val compute_governed :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?reexec:Reexec.t ->
   budget:Dr_util.Budget.t ->
   Global_trace.t ->
   criterion ->

@@ -19,8 +19,6 @@
     {!Dr_slicing.Slicer}). *)
 
 type resource_error =
-  | Budget_exceeded of { re_what : string; re_used : int; re_limit : int }
-      (** a hard memory cap was hit and spilling was not allowed *)
   | Disk_full of { re_path : string; re_reason : string }
       (** a spill write failed: ENOSPC, unwritable directory, ... *)
   | Segment_corrupt of { re_path : string; re_reason : string }
@@ -32,9 +30,6 @@ type resource_error =
 exception Resource_error of resource_error
 
 let error_to_string = function
-  | Budget_exceeded { re_what; re_used; re_limit } ->
-    Printf.sprintf "memory budget exceeded in %s: %d bytes used, limit %d"
-      re_what re_used re_limit
   | Disk_full { re_path; re_reason } ->
     Printf.sprintf "disk full or unwritable at %s: %s" re_path re_reason
   | Segment_corrupt { re_path; re_reason } ->
@@ -142,14 +137,6 @@ let mem_would_exceed t ~bytes =
   match t.mem_bytes with
   | None -> false
   | Some limit -> t.mem_used + bytes > limit
-
-(** Raise {!Resource_error} [Budget_exceeded] if the resident charge is
-    over budget — the hard-cap path, for callers that cannot spill. *)
-let check_mem t ~what =
-  match t.mem_bytes with
-  | Some limit when t.mem_used > limit ->
-    error (Budget_exceeded { re_what = what; re_used = t.mem_used; re_limit = limit })
-  | _ -> ()
 
 (** A watchdog over the budget's {e remaining} wall-clock time, or
     [None] when no time budget is set.  Each call measures from the

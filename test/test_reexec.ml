@@ -3,9 +3,8 @@
    shuffled criteria x 1/2/4 domains, a handwritten corpus case whose
    checkpoint boundaries land mid-block (open control-dependence stack
    and mid-call at the window edge), byte-identity of every re-derived
-   record against the stored trace, the governed ladder's reexec rung,
-   watchdog truncation through the reexec driver, and LRU cache /
-   peak-memory accounting. *)
+   record against the stored trace, watchdog truncation through the
+   reexec driver, and LRU cache / peak-memory accounting. *)
 
 module Slicer = Dr_slicing.Slicer
 module Reexec = Dr_slicing.Reexec
@@ -222,20 +221,6 @@ let test_corpus_slices_match_indexed () =
         (slice_eq re ix))
     (criteria_of gt ~n:8)
 
-(* ---- governed ladder: the reexec rung ---- *)
-
-let test_governed_degrades_to_reexec () =
-  let fx = List.hd (Lazy.force fixtures) in
-  let crit = List.nth fx.f_crits (List.length fx.f_crits - 1) in
-  let clean = Slicer.compute ~lp:fx.f_lp fx.f_gt crit in
-  let budget = Dr_util.Budget.create ~mem_bytes:0 () in
-  let g = Slicer.compute_governed ~reexec:fx.f_rx ~budget fx.f_gt crit in
-  Alcotest.(check string) "rung" "reexec" (Slicer.rung_name g.Slicer.g_rung);
-  Alcotest.(check bool) "degradation recorded" true
-    (Dr_util.Budget.degradations budget <> []);
-  Alcotest.(check bool) "degraded slice identical" true
-    (slice_eq g.Slicer.g_slice clean)
-
 (* ---- watchdog truncation through the reexec driver ---- *)
 
 let test_watchdog_truncates_reexec () =
@@ -313,9 +298,7 @@ let () =
           Alcotest.test_case "slices match indexed" `Quick
             test_corpus_slices_match_indexed ] );
       ( "contract",
-        [ Alcotest.test_case "governed ladder reexec rung" `Quick
-            test_governed_degrades_to_reexec;
-          Alcotest.test_case "watchdog truncates" `Quick
+        [ Alcotest.test_case "watchdog truncates" `Quick
             test_watchdog_truncates_reexec;
           Alcotest.test_case "LRU cache and peak memory" `Quick
             test_cache_and_peak_memory ] ) ]

@@ -998,6 +998,23 @@ let test_segment_spill_roundtrip () =
     let b = Dr_slicing.Segment_store.get store i in
     if a <> b then Alcotest.failf "record %d differs on reverse scan" i
   done;
+  (* a miss inserts before it evicts, so the cache never holds more than
+     cache_segments + 1 segments' record bytes *)
+  let largest = ref 0 in
+  for s = 0 to (n - 1) / 32 do
+    let bytes = ref 0 in
+    for i = s * 32 to min n ((s + 1) * 32) - 1 do
+      bytes :=
+        !bytes
+        + Dr_slicing.Segment_store.record_bytes
+            (Dr_slicing.Segment_store.get c.Dr_slicing.Collector.records i)
+    done;
+    largest := max !largest !bytes
+  done;
+  let cs = Dr_slicing.Segment_store.cache_stats store in
+  Alcotest.(check bool) "peak cached bytes within 3 segments" true
+    (cs.Dr_slicing.Segment_store.cs_peak_bytes > 0
+    && cs.Dr_slicing.Segment_store.cs_peak_bytes <= 3 * !largest);
   (* and the whole pipeline on the spilled store yields the same slice *)
   let gt = Dr_slicing.Global_trace.construct c in
   let clean = Dr_slicing.Slicer.compute gt (assert_criterion prog gt) in
@@ -1008,6 +1025,22 @@ let test_segment_spill_roundtrip () =
   let spilled = Dr_slicing.Slicer.compute gt' (assert_criterion prog gt') in
   Alcotest.(check bool) "identical slice positions" true
     (clean.Dr_slicing.Slicer.positions = spilled.Dr_slicing.Slicer.positions)
+
+(* A sealed in-memory store is its flat record array plus a constant:
+   the builder's per-segment arrays must not stay reachable. *)
+let test_sealed_store_flat_only () =
+  let c = collect (compile loop_src) in
+  let store = c.Dr_slicing.Collector.records in
+  let n = Dr_slicing.Segment_store.length store in
+  match Dr_slicing.Segment_store.as_flat store with
+  | None -> Alcotest.fail "collected store is not resident"
+  | Some flat ->
+    let extra =
+      Obj.reachable_words (Obj.repr store) - Obj.reachable_words (Obj.repr flat)
+    in
+    if extra >= n / 2 then
+      Alcotest.failf "store holds %d words beyond its %d-record flat array"
+        extra n
 
 let test_segment_corrupt_detected () =
   let prog = compile loop_src in
@@ -1382,6 +1415,8 @@ let () =
       ( "robustness",
         [ Alcotest.test_case "spill round-trip" `Quick
             test_segment_spill_roundtrip;
+          Alcotest.test_case "sealed store keeps only flat" `Quick
+            test_sealed_store_flat_only;
           Alcotest.test_case "corrupt segment detected" `Quick
             test_segment_corrupt_detected;
           Alcotest.test_case "watchdog truncates" `Quick
