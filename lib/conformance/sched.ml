@@ -35,7 +35,7 @@ let policy (sched : t) : Driver.policy =
           left := 1
         end;
       decr left;
-      Driver.next_runnable m !hint)
+      match Driver.next_runnable m !hint with -1 -> None | t -> Some t)
 
 (* ---- JSON round-trip for corpus files ---- *)
 

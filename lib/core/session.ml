@@ -173,10 +173,17 @@ let add_watchpoint (t : t) (m : Machine.t option) ~tid name :
     t.watchpoints <- t.watchpoints @ [ wp ];
     Ok wp
 
-let break_at_fn (t : t) =
-  let bps = t.breakpoints in
-  fun ~tid:_ ~pc ->
-    List.exists (fun b -> b.bp_enabled && b.bp_pc = pc) bps
+(* The enabled breakpoints' pcs, or None when there are none.  A thread's
+   pc ranges over the code and one past its end (where the next step
+   faults), so the set covers both. *)
+let breakpoint_set (t : t) =
+  let bs = Dr_util.Bitset.create (Dr_isa.Program.code_size t.prog + 1) in
+  List.iter
+    (fun b ->
+      if b.bp_enabled && b.bp_pc >= 0 && b.bp_pc < Dr_util.Bitset.length bs then
+        Dr_util.Bitset.add bs b.bp_pc)
+    t.breakpoints;
+  if Dr_util.Bitset.is_empty bs then None else Some bs
 
 (* ---- replay control ---- *)
 
@@ -263,7 +270,7 @@ let maybe_checkpoint (t : t) (r : Dr_pinplay.Replayer.t) =
 
 (* Resume [r] for at most [budget] steps, pausing at every rung on the
    way to capture the rung's checkpoint unless the ladder has it. *)
-let resume_laddered ?stop_when ~break_at ~budget (t : t) pb r =
+let resume_laddered ?stop_when ?break_at ~budget (t : t) pb r =
   let spacing = ladder_spacing t pb in
   let rec go budget =
     let here = Dr_pinplay.Replayer.steps r in
@@ -272,7 +279,7 @@ let resume_laddered ?stop_when ~break_at ~budget (t : t) pb r =
        | Some c when c.Dr_pinplay.Replayer.c_steps = here -> ()
        | _ -> insert_checkpoint t r);
     let chunk = min budget (spacing - (here mod spacing)) in
-    match Dr_pinplay.Replayer.resume ~max_steps:chunk ~break_at ?stop_when r with
+    match Dr_pinplay.Replayer.resume ~max_steps:chunk ?break_at ?stop_when r with
     | Driver.Max_steps when chunk < budget -> go (budget - chunk)
     | reason -> reason
   in
@@ -319,23 +326,21 @@ let continue_replay ?max_steps (t : t) : (stop, string) result =
           | [] -> None
           | wps ->
             Some
-              (fun (ev : Dr_machine.Event.t) ->
-                match
-                  List.find_opt
-                    (fun w -> w.wp_addr = ev.Dr_machine.Event.mem_write)
-                    wps
-                with
-                | Some w when ev.Dr_machine.Event.mem_write >= 0 ->
+              (fun (ev : Event.t) ->
+                let addr = ev.Event.mem_write in
+                addr >= 0
+                &&
+                match List.find_opt (fun w -> w.wp_addr = addr) wps with
+                | Some w ->
                   fired_watch :=
-                    Some (w, ev.Dr_machine.Event.mem_write_value,
-                          ev.Dr_machine.Event.tid, ev.Dr_machine.Event.pc);
+                    Some (w, ev.Event.mem_write_value, ev.Event.tid, ev.Event.pc);
                   true
-                | _ -> false)
+                | None -> false)
         in
         try
           let reason =
-            resume_laddered ?stop_when ~break_at:(break_at_fn t) ~budget:!budget
-              t pb r
+            resume_laddered ?stop_when ?break_at:(breakpoint_set t)
+              ~budget:!budget t pb r
           in
           match (reason, !fired_watch) with
           | Driver.Stop_requested, Some (w, v, tid, pc) ->
@@ -375,15 +380,10 @@ let goto_step (t : t) ~target : (stop, string) result =
       t.mode <- Replaying r;
       let already = Dr_pinplay.Replayer.steps r in
       let need = target - already in
-      let last_event = ref None in
-      let hooks =
-        { Driver.on_event =
-            (fun ev -> last_event := Some (ev.Dr_machine.Event.tid, ev.Dr_machine.Event.pc)) }
-      in
       let result =
         if need = 0 then Ok ()
         else
-          match Dr_pinplay.Replayer.resume ~max_steps:need ~hooks r with
+          match Dr_pinplay.Replayer.resume ~max_steps:need r with
           | Driver.Max_steps | Driver.Schedule_end | Driver.Terminated _ -> Ok ()
           | reason ->
             Error
@@ -395,12 +395,12 @@ let goto_step (t : t) ~target : (stop, string) result =
       | Ok () ->
         t.stopped_at_bp <- false;
         t.replay_steps <- Dr_pinplay.Replayer.steps r;
+        (* the last retired step is the machine's scratch event *)
+        let m = Dr_pinplay.Replayer.machine r in
         let tid, pc =
-          match !last_event with
-          | Some (tid, pc) -> (tid, pc)
-          | None ->
-            let m = Dr_pinplay.Replayer.machine r in
-            (0, (Machine.thread m 0).Machine.pc)
+          if t.replay_steps > already then
+            (m.Machine.ev.Event.tid, m.Machine.ev.Event.pc)
+          else (0, (Machine.thread m 0).Machine.pc)
         in
         let stop =
           { stop_tid = tid; stop_pc = pc; stop_line = line_of_pc t pc;
@@ -429,10 +429,10 @@ let reverse_continue (t : t) : (stop, string) result =
          counts strictly before the current position *)
       let scan = Dr_pinplay.Replayer.create t.prog pb in
       let hits = ref [] in
-      let break_at = break_at_fn t in
+      let break_at = breakpoint_set t in
       let rec loop () =
         match
-          Dr_pinplay.Replayer.resume ~break_at
+          Dr_pinplay.Replayer.resume ?break_at
             ~max_steps:(current - Dr_pinplay.Replayer.steps scan)
             scan
         with

@@ -114,7 +114,7 @@ let eval_binop op a b =
   | Shr -> a asr (b land 63)
 
 (* Flags encode the sign of [a - b] as -1 / 0 / 1. *)
-let eval_cmp a b = compare a b
+let eval_cmp a b = Int.compare a b
 
 let eval_cond c flags =
   match c with

@@ -51,5 +51,7 @@ let reset ev ~tid ~pc ~instr =
   ev.mem_write <- -1;
   ev.mem_write_value <- 0;
   ev.branch_taken <- false;
-  ev.sys <- Sys_none;
+  (* a boxed-field store costs a write barrier: skip it on the common
+     step that had no syscall effect *)
+  if ev.sys != Sys_none then ev.sys <- Sys_none;
   ev.retired <- true

@@ -115,7 +115,7 @@ let native_nondet ?(seed = 42) t : nondet =
 let all_finished t =
   let ok = ref true in
   for tid = 0 to t.nthreads - 1 do
-    if t.threads.(tid).state <> Finished then ok := false
+    match t.threads.(tid).state with Finished -> () | _ -> ok := false
   done;
   !ok
 
@@ -198,14 +198,15 @@ let do_syscall t th sys nondet (ev : Event.t) =
     let target = th.regs.(Reg.r1) in
     if target < 0 || target >= t.nthreads then
       raise (Trap (Printf.sprintf "join: bad tid %d" target))
-    else if t.threads.(target).state = Finished then begin
-      th.regs.(Reg.r0) <- 0;
-      ev.sys <- Event.Sys_join { target; blocked = false }
-    end
     else begin
-      th.state <- Blocked_join target;
-      ev.retired <- false;
-      ev.sys <- Event.Sys_join { target; blocked = true }
+      match t.threads.(target).state with
+      | Finished ->
+        th.regs.(Reg.r0) <- 0;
+        ev.sys <- Event.Sys_join { target; blocked = false }
+      | _ ->
+        th.state <- Blocked_join target;
+        ev.retired <- false;
+        ev.sys <- Event.Sys_join { target; blocked = true }
     end
   | Instr.Lock ->
     let addr = th.regs.(Reg.r1) in
@@ -299,16 +300,20 @@ let do_syscall t th sys nondet (ev : Event.t) =
     blocked and must not be stepped until woken.  Raises [Invalid_argument]
     if the thread is not runnable or the machine has terminated. *)
 let step t ~tid ~(nondet : nondet) : Event.t =
-  if t.outcome <> Running then invalid_arg "Machine.step: not running";
+  (match t.outcome with
+   | Running -> () | _ -> invalid_arg "Machine.step: not running");
   let th = thread t tid in
-  if th.state <> Runnable then invalid_arg "Machine.step: thread not runnable";
+  (match th.state with
+   | Runnable -> () | _ -> invalid_arg "Machine.step: thread not runnable");
   let pc = th.pc in
   let ev = t.ev in
-  (match Program.instr t.prog pc with
-  | None ->
-    Event.reset ev ~tid ~pc ~instr:Instr.Nop;
-    t.outcome <- Fault { tid; pc; msg = Printf.sprintf "pc out of code: %d" pc }
-  | Some instr -> (
+  let code = t.prog.Program.code in
+  (if pc < 0 || pc >= Array.length code then begin
+     Event.reset ev ~tid ~pc ~instr:Instr.Nop;
+     t.outcome <- Fault { tid; pc; msg = Printf.sprintf "pc out of code: %d" pc }
+   end
+   else
+    let instr = Array.unsafe_get code pc in
     Event.reset ev ~tid ~pc ~instr;
     try
       (match instr with
@@ -369,13 +374,15 @@ let step t ~tid ~(nondet : nondet) : Event.t =
             Assert_failed { tid; pc; msg = Program.string_at t.prog msg_idx });
       (* Validate control-flow targets eagerly so bad jumps fault at the
          jump, not at the next fetch. *)
-      if t.outcome = Running && ev.retired
-         && (ev.next_pc < 0 || ev.next_pc > Array.length t.prog.Program.code)
-      then t.outcome <- Fault { tid; pc; msg = Printf.sprintf "bad jump target %d" ev.next_pc }
+      match t.outcome with
+      | Running
+        when ev.retired && (ev.next_pc < 0 || ev.next_pc > Array.length code) ->
+        t.outcome <- Fault { tid; pc; msg = Printf.sprintf "bad jump target %d" ev.next_pc }
+      | _ -> ()
     with
     | Trap msg -> t.outcome <- Fault { tid; pc; msg }
     | Division_by_zero -> t.outcome <- Fault { tid; pc; msg = "division by zero" }
-    | Invalid_argument m -> t.outcome <- Fault { tid; pc; msg = "invalid: " ^ m }));
+    | Invalid_argument m -> t.outcome <- Fault { tid; pc; msg = "invalid: " ^ m });
   if ev.retired then begin
     (match t.outcome with
     | Fault _ -> ()

@@ -7,8 +7,10 @@
     ("first divergence at step K in thread T") instead of letting it run
     on and fail far from the cause — or worse, finish silently wrong.
 
-    The logger and the replayer call {!hash} from the same post-retire
-    event hook, so both sides see identical machine state.  The digest
+    Both sides call {!hash} right after the sampled step retires: the
+    logger from its event hook, the replayer when the driver chunk that
+    ends at that step returns (with the machine's scratch event still
+    describing it), so both see identical machine state.  The digest
     covers the thread's pc, register file and retired count plus the
     memory cell the instruction wrote (the thread's dirty memory at this
     event): any divergence in control flow, register contents or stores

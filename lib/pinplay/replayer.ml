@@ -39,7 +39,7 @@ type t = {
   pinball : Pinball.t;
   session : Driver.session;
   syscall_pos : int ref;
-  mutable steps : int;  (** retired instructions since the region start *)
+  steps0 : int;  (** retired instructions before [session]'s first step *)
   mutable next_digest : int;  (** index of the next pinball digest to check *)
 }
 
@@ -103,61 +103,72 @@ let create ?(from : checkpoint option) (prog : Dr_isa.Program.t)
     Driver.Scripted { schedule = pinball.Pinball.schedule; start = steps }
   in
   let session = Driver.session ~nondet machine policy in
-  { machine; pinball; session; syscall_pos; steps;
+  { machine; pinball; session; syscall_pos; steps0 = steps;
     next_digest = digest_index pinball.Pinball.digests steps }
 
 let machine t = t.machine
 
-let steps t = t.steps
+(* the driver's count, not [Machine.total_icount]: a faulting instruction
+   is a step of the recorded schedule but does not retire in the machine *)
+let steps t = t.steps0 + t.session.Driver.retired
 
 (** Capture a checkpoint at the current replay position (must be between
     instructions, i.e. not from inside a hook that mutates state). *)
 let checkpoint (t : t) : checkpoint =
-  { c_snapshot = Snapshot.capture t.machine; c_steps = t.steps;
+  { c_snapshot = Snapshot.capture t.machine; c_steps = steps t;
     c_syscall_pos = !(t.syscall_pos);
     c_output = Dr_util.Vec.Int_vec.to_array t.machine.Machine.output;
     c_outcome = Machine.outcome t.machine }
 
-(* Recompute and compare the next recorded digest once the replay reaches
-   its step.  Runs before user hooks so a divergence is reported against
-   pristine machine state. *)
-let check_digest (t : t) (ev : Event.t) =
+(* The step of the next recorded digest still ahead of the replay, or -1.
+   A digest at or behind the replay position was skipped by a seek, or
+   is out of order; either way it is never checked, and it hides the
+   digests after it. *)
+let digest_target (t : t) =
   let digests = t.pinball.Pinball.digests in
-  if t.next_digest < Array.length digests then begin
-    let dg = digests.(t.next_digest) in
-    if t.steps = dg.Pinball.dg_step then begin
-      t.next_digest <- t.next_digest + 1;
-      let got = Exec_digest.hash t.machine ev ~step:t.steps in
-      if ev.Event.tid <> dg.Pinball.dg_tid || got <> dg.Pinball.dg_hash then
-        raise
-          (Divergence
-             (Digest_mismatch
-                { step = t.steps; tid = ev.Event.tid;
-                  expected = dg.Pinball.dg_hash; got }))
-    end
-  end
+  if t.next_digest < Array.length digests
+     && digests.(t.next_digest).Pinball.dg_step > steps t
+  then digests.(t.next_digest).Pinball.dg_step
+  else -1
+
+(* Recompute the digest of the step the replay just retired (the
+   machine's scratch event) and compare it with the recording. *)
+let check_digest (t : t) =
+  let dg = t.pinball.Pinball.digests.(t.next_digest) in
+  t.next_digest <- t.next_digest + 1;
+  let ev = t.machine.Machine.ev in
+  let got = Exec_digest.hash t.machine ev ~step:dg.Pinball.dg_step in
+  if ev.Event.tid <> dg.Pinball.dg_tid || got <> dg.Pinball.dg_hash then
+    raise
+      (Divergence
+         (Digest_mismatch
+            { step = dg.Pinball.dg_step; tid = ev.Event.tid;
+              expected = dg.Pinball.dg_hash; got }))
 
 (** Resume replay until a stop condition (breakpoint, predicate,
-    [max_steps]) or the end of the recorded region ([Schedule_end]). *)
-let resume ?hooks ?max_steps ?break_at ?stop_when (t : t) : Driver.stop_reason
-    =
-  let user_on_event =
-    match hooks with Some h -> h.Driver.on_event | None -> fun _ -> ()
+    [max_steps]) or the end of the recorded region ([Schedule_end]).  The
+    driver runs in chunks that end at the next recorded digest step,
+    where the digest is checked against the step just retired. *)
+let resume ?hooks ?(max_steps = max_int) ?break_at ?stop_when (t : t) :
+    Driver.stop_reason =
+  let steps0 = steps t in
+  let rec go () =
+    let left = max_steps - (steps t - steps0) and target = digest_target t in
+    let chunk = if target >= 0 then min left (target - steps t) else left in
+    let reason =
+      Driver.resume ?hooks ~max_steps:chunk ?break_at ?stop_when t.session
+    in
+    if steps t = target then check_digest t;
+    match reason with
+    | Driver.Max_steps when steps t - steps0 < max_steps -> go ()
+    | reason -> reason
   in
-  let hooks =
-    { Driver.on_event =
-        (fun ev ->
-          t.steps <- t.steps + 1;
-          check_digest t ev;
-          user_on_event ev) }
-  in
-  let steps0 = t.steps in
   Dr_obs.Obs.with_span ~cat:"replay" "replayer.resume" @@ fun sp ->
   Fun.protect
     ~finally:(fun () ->
-      Dr_obs.Obs.add_attr sp "steps" (Dr_obs.Obs.Int (t.steps - steps0)))
+      Dr_obs.Obs.add_attr sp "steps" (Dr_obs.Obs.Int (steps t - steps0)))
     (fun () ->
-      try Driver.resume ~hooks ?max_steps ?break_at ?stop_when t.session
+      try go ()
       with Driver.Replay_divergence msg ->
         raise (Divergence (Schedule_divergence msg)))
 

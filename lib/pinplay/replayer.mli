@@ -58,13 +58,16 @@ val steps : t -> int
 (** Capture a checkpoint at the current (between-instructions) position. *)
 val checkpoint : t -> checkpoint
 
-(** Resume replay until a stop condition (breakpoint, predicate,
-    [max_steps]) or the end of the recorded region ([Schedule_end]).
+(** Resume replay until a stop condition (a pc in [break_at], before it
+    executes; [stop_when], after a retired step; [max_steps]) or the end
+    of the recorded region ([Schedule_end]).  Hooks go straight to the
+    driver; recorded digests are checked at the driver's chunk
+    boundaries, one chunk per digest interval.
     @raise Divergence if the pinball does not match the program. *)
 val resume :
   ?hooks:Dr_machine.Driver.hooks ->
   ?max_steps:int ->
-  ?break_at:(tid:int -> pc:int -> bool) ->
+  ?break_at:Dr_util.Bitset.t ->
   ?stop_when:(Dr_machine.Event.t -> bool) ->
   t ->
   Dr_machine.Driver.stop_reason

@@ -1343,6 +1343,43 @@ let test_def_use_no_alloc () =
     true
     (calls -. empty < 16.)
 
+(* The step loop under every layer allocates per run or per digest chunk,
+   never per step: a whole-region replay and a bare round-robin run each
+   stay under a quarter of a minor word per retired step (syscall effects
+   and lock-table nodes are the rest). *)
+let test_step_loop_alloc () =
+  let e = Option.get (Dr_workloads.Registry.find "fluidanimate") in
+  let prog = e.Dr_workloads.Registry.compile ~threads:4 ~iters:200 in
+  let per_step what steps f =
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    let words = (Gc.minor_words () -. w0) /. float_of_int (steps ()) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f minor words per step over %d steps" what words
+         (steps ()))
+      true (words <= 0.25)
+  in
+  let pb =
+    match Dr_pinplay.Logger.log prog Dr_pinplay.Logger.Whole with
+    | Ok (pb, _) -> pb
+    | Error err -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error err
+  in
+  Alcotest.(check bool) "region of at least 100k steps" true
+    (Dr_pinplay.Pinball.schedule_instructions pb >= 100_000);
+  let r = Dr_pinplay.Replayer.create prog pb in
+  per_step "Replayer.run"
+    (fun () -> Dr_pinplay.Replayer.steps r)
+    (fun () -> Dr_pinplay.Replayer.run r);
+  List.iter
+    (fun quantum ->
+      let m = Dr_machine.Machine.create prog in
+      per_step
+        (Printf.sprintf "Driver.run round-robin %d" quantum)
+        (fun () -> Dr_machine.Machine.total_icount m)
+        (fun () ->
+          Dr_machine.Driver.run m (Dr_machine.Driver.Round_robin { quantum })))
+    [ 1; 8 ]
+
 let () =
   Alcotest.run "slicing"
     [ ( "data deps",
@@ -1371,7 +1408,8 @@ let () =
           Alcotest.test_case "derive copy is deep" `Quick test_derive_copy_deep;
           Alcotest.test_case "pc past the code end" `Quick test_pc_past_code_end;
           Alcotest.test_case "def/use allocation-free" `Quick
-            test_def_use_no_alloc ] );
+            test_def_use_no_alloc;
+          Alcotest.test_case "step loop allocation" `Quick test_step_loop_alloc ] );
       ( "fig 8 (save/restore)",
         [ Alcotest.test_case "unpruned spurious" `Quick
             test_fig8_unpruned_is_spurious;
