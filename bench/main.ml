@@ -9,7 +9,6 @@
      fig13     Fig. 13   slice-size reduction from save/restore pruning
      fig14     Fig. 14   execution-slice replay times + slice %
      sec7text  section 7 prose: tracing time, slice size, slicing time
-     micro     Bechamel micro-benchmarks, one per table/figure
      races     static race candidates vs seeded Maple campaigns
 
    Usage: dune exec bench/main.exe -- [experiment ...] [--quick]
@@ -682,106 +681,6 @@ fn main() {
      \ over-extends other branches' regions to the function exit; refinement\n\
      \ fixes both, so refined slices are complete AND often smaller)\n"
 
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (one per table/figure)";
-  (* staged resources *)
-  let bug = Option.get (Dr_workloads.Bugs.find "pbzip2") in
-  let bug_seed, _ = Option.get (Dr_workloads.Bugs.find_failing_seed bug) in
-  let bug_prog = Dr_workloads.Bugs.compile bug in
-  let bug_policy = Dr_machine.Driver.Seeded { seed = bug_seed; max_quantum = 3 } in
-  let bug_pb, _ = log_or_fail ~policy:bug_policy bug_prog Dr_pinplay.Logger.Whole in
-  let bs = Option.get (Dr_workloads.Parsec.find "blackscholes") in
-  let bs_entry = Option.get (Dr_workloads.Registry.find "blackscholes") in
-  let bs_iters = Dr_workloads.Registry.iters_for bs_entry ~main_instrs:12_000 () in
-  let bs_prog = Dr_workloads.Parsec.compile ~threads:4 ~iters:bs_iters bs in
-  let bs_pb, _ =
-    log_or_fail bs_prog (Dr_pinplay.Logger.Skip_length { skip = 500; length = 10_000 })
-  in
-  let ammp = Option.get (Dr_workloads.Specomp.find "ammp") in
-  let ammp_entry = Option.get (Dr_workloads.Registry.find "ammp") in
-  let ammp_iters = Dr_workloads.Registry.iters_for ammp_entry ~main_instrs:12_000 () in
-  let ammp_prog = Dr_workloads.Specomp.compile ~threads:4 ~iters:ammp_iters ammp in
-  let ammp_pb, _ =
-    log_or_fail ammp_prog (Dr_pinplay.Logger.Skip_length { skip = 500; length = 10_000 })
-  in
-  let ammp_c = Dr_slicing.Collector.collect ammp_prog ammp_pb in
-  let ammp_gt = Dr_slicing.Global_trace.construct ammp_c in
-  let ammp_lp = Dr_slicing.Lp.prepare ammp_gt in
-  let ammp_crit =
-    { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length ammp_gt - 1;
-      crit_locs = None }
-  in
-  let bs_c = Dr_slicing.Collector.collect bs_prog bs_pb in
-  let bs_gt = Dr_slicing.Global_trace.construct bs_c in
-  let bs_lp = Dr_slicing.Lp.prepare bs_gt in
-  let bs_slice =
-    Dr_slicing.Slicer.compute ~lp:bs_lp ~pairs:bs_c.Dr_slicing.Collector.pairs
-      bs_gt
-      { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length bs_gt - 1;
-        crit_locs = None }
-  in
-  let bs_spb, _ =
-    Dr_exeslice.Exclusion.slice_pinball bs_prog bs_pb ~slice:bs_slice
-      ~collector:bs_c
-  in
-  let open Bechamel in
-  let tests =
-    [ Test.make ~name:"table1/bug-reproduction"
-        (Staged.stage (fun () ->
-             let m = Dr_machine.Machine.create bug_prog in
-             ignore (Dr_machine.Driver.run ~max_steps:200_000 m bug_policy)));
-      Test.make ~name:"table2/log-buggy-region"
-        (Staged.stage (fun () ->
-             ignore (log_or_fail ~policy:bug_policy bug_prog Dr_pinplay.Logger.Whole)));
-      Test.make ~name:"table3/replay-bug-pinball"
-        (Staged.stage (fun () ->
-             ignore (Dr_pinplay.Replayer.replay bug_prog bug_pb)));
-      Test.make ~name:"fig11/log-10k-region"
-        (Staged.stage (fun () ->
-             ignore
-               (log_or_fail bs_prog
-                  (Dr_pinplay.Logger.Skip_length { skip = 500; length = 10_000 }))));
-      Test.make ~name:"fig12/replay-10k-region"
-        (Staged.stage (fun () -> ignore (Dr_pinplay.Replayer.replay bs_prog bs_pb)));
-      Test.make ~name:"fig13/slice-pruned"
-        (Staged.stage (fun () ->
-             ignore
-               (Dr_slicing.Slicer.compute ~lp:ammp_lp
-                  ~pairs:ammp_c.Dr_slicing.Collector.pairs ammp_gt ammp_crit)));
-      Test.make ~name:"fig13/slice-unpruned"
-        (Staged.stage (fun () ->
-             ignore (Dr_slicing.Slicer.compute ~lp:ammp_lp ammp_gt ammp_crit)));
-      Test.make ~name:"fig14/slice-replay"
-        (Staged.stage (fun () ->
-             let sr = Dr_exeslice.Slice_replay.create bs_prog bs_spb in
-             ignore (Dr_exeslice.Slice_replay.run sr)));
-      Test.make ~name:"sec7/trace-collection"
-        (Staged.stage (fun () ->
-             ignore (Dr_slicing.Collector.collect ~refine:false bs_prog bs_pb))) ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  printf "%-28s %14s\n" "benchmark" "time/run";
-  hr ();
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-            let ms = est /. 1e6 in
-            printf "%-28s %11.3f ms\n" name ms
-          | _ -> printf "%-28s %14s\n" name "n/a")
-        analyzed)
-    tests
-
 (* ---------- driver ---------- *)
 
 let bench_out = ref "BENCH_slicing.json"
@@ -799,7 +698,7 @@ let races () =
 let experiments =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig11", fig11); ("fig12", fig12); ("fig13", fig13); ("fig14", fig14);
-    ("sec7text", sec7text); ("ablation", ablation); ("micro", micro);
+    ("sec7text", sec7text); ("ablation", ablation);
     ("slicing", slicing); ("races", races) ]
 
 let () =

@@ -27,12 +27,12 @@ type timer = {
   events : int Atomic.t;  (** number of timed sections *)
 }
 
-(** A log-bucketed distribution (latencies, sizes).  Buckets are
-    base-2: bucket [i] covers [[2^(i-bias), 2^(i-bias+1))]; bucket 0
-    also absorbs everything at or below its lower bound (0 and negative
-    values included) and the last bucket everything above.  With
-    [bias = 32] and 73 buckets the range runs from ~2.3e-10 to beyond
-    1e12 with one integer increment per sample. *)
+(** A log-bucketed distribution (latencies, sizes).  Bucket 0 holds
+    exactly the samples [<= 0]; the others are base-2: bucket [i >= 1]
+    covers [[2^(i-bias), 2^(i-bias+1))], bucket 1 also absorbs the
+    positive values below it and the last bucket everything above.
+    With [bias = 32] and 73 buckets the range runs from ~4.7e-10 to
+    beyond 1e12 with one integer increment per sample. *)
 type histogram = {
   buckets : int array;
   mutable h_count : int;
@@ -90,19 +90,23 @@ let bucket_of v =
     (* v = m * 2^e with m in [0.5, 1): v lies in [2^(e-1), 2^e) *)
     let _, e = Float.frexp v in
     let b = e - 1 + bias in
-    if b < 0 then 0 else if b >= num_buckets then num_buckets - 1 else b
+    if b < 1 then 1 else if b >= num_buckets then num_buckets - 1 else b
   end
 
-(** [(lo, hi)] of bucket [i]: samples land in [i] iff [lo <= v < hi]
-    (bucket 0 reports [lo = 0] for its absorb-below role; the last
-    bucket reports [hi = infinity]). *)
+(** [(lo, hi)] of bucket [i]: samples land in [i >= 1] iff
+    [lo <= v < hi] (bucket 1 reports [lo = 0] for its absorb-below
+    role; the last bucket reports [hi = infinity]).  The closed zero
+    bucket 0 reports [(0, 0)]. *)
 let bucket_bounds i =
-  let lo = if i = 0 then 0.0 else Float.ldexp 1.0 (i - bias) in
-  let hi =
-    if i = num_buckets - 1 then Float.infinity
-    else Float.ldexp 1.0 (i - bias + 1)
-  in
-  (lo, hi)
+  if i = 0 then (0.0, 0.0)
+  else begin
+    let lo = if i = 1 then 0.0 else Float.ldexp 1.0 (i - bias) in
+    let hi =
+      if i = num_buckets - 1 then Float.infinity
+      else Float.ldexp 1.0 (i - bias + 1)
+    in
+    (lo, hi)
+  end
 
 let empty_histogram () =
   { buckets = Array.make num_buckets 0; h_count = 0;

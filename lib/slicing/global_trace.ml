@@ -11,9 +11,6 @@
 
 type t = {
   records : Segment_store.t;  (** shared with the collector result *)
-  direct : Trace.record array option;
-      (** the store's flat array when fully resident — keeps the hot
-          [record] path at one array load for in-memory traces *)
   order : int array;  (** position -> gseq *)
   pos_of_gseq : int array;  (** gseq -> position *)
 }
@@ -131,18 +128,12 @@ let construct ?(cluster = true) (c : Collector.result) : t =
       indeg.(dst) <- indeg.(dst) - 1
     done
   done;
-  { records = c.Collector.records;
-    direct = Segment_store.as_flat c.Collector.records;
-    order; pos_of_gseq }
+  { records = c.Collector.records; order; pos_of_gseq }
 
 let length t = Array.length t.order
 
-(** Record at merge position [pos].  In-memory traces hit the flat
-    array directly; spilled traces go through the segment cache. *)
-let record t pos =
-  match t.direct with
-  | Some a -> a.(t.order.(pos))
-  | None -> Segment_store.get t.records t.order.(pos)
+(** Record at merge position [pos]. *)
+let record t pos = Segment_store.get t.records t.order.(pos)
 
 (** Position of the record with the given gseq. *)
 let position t ~gseq = t.pos_of_gseq.(gseq)

@@ -5,9 +5,6 @@
 
 type t = {
   records : Segment_store.t;  (** shared with the collector result *)
-  direct : Trace.record array option;
-      (** the store's flat array when fully resident — internal fast
-          path; always access records via {!record} *)
   order : int array;  (** position -> gseq *)
   pos_of_gseq : int array;  (** gseq -> position *)
 }

@@ -7,7 +7,7 @@
     two must stay in lock-step — every location the dynamic side can emit
     for an instruction must be covered by the static mask — because the
     static program-dependence graph is used as a soundness bound on dynamic
-    slices (oracle 6) and as a skip filter in the LP traversal.
+    slices (oracle 6).
 
     Conventions shared with the dynamic side:
     - [sp]/[fp] are untracked (never appear in masks);

@@ -20,8 +20,8 @@
 
     Every worker has a stable {e slot}: the caller is slot 0 and the
     spawned domains are slots 1 .. size-1.  Slots identify workers to
-    the {!instrument} hooks (per-slot utilization metrics, per-domain
-    span tracks) independently of the runtime's domain ids, which are
+    the batch hook (per-slot utilization metrics, per-domain span
+    tracks) independently of the runtime's domain ids, which are
     not stable across pools or runs.
 
     The caller's wait at the barrier is a [Domain.cpu_relax] spin: it
@@ -33,29 +33,27 @@
 
 type task = unit -> unit
 
-(** Instrumentation hooks around the task fan-out, installed once by the
-    observability layer ([Dr_obs.Obs] installs them at module
-    initialisation).  [dr_util] cannot depend on [dr_obs], so the
-    dependency is inverted through this hook: the pool stays
-    observability-agnostic and pays one ref load + option match per
-    batch/task when no hook is installed.
-
-    [i_run_begin ~tasks] runs on the coordinating domain before the
-    fan-out and returns a {e stream base}: task [i] of the batch is
-    handed the logical stream id [base + i], allocated in program order
-    so traced runs merge deterministically whatever the claim schedule.
-    [i_task ~stream ~slot ~task f] wraps the execution of task [task]
-    (claimed by worker [slot]) and must run [f] exactly once,
-    propagating its exception. *)
-type instrument = {
-  i_run_begin : tasks:int -> int;
-  i_task : stream:int -> slot:int -> task:int -> (unit -> unit) -> unit;
+(** Instrumentation of one {!run} batch.  [wrap ~slot ~task f] runs
+    task [task] (claimed by worker [slot]) and must run [f] exactly
+    once, propagating its exception; [finish ()] runs on the
+    coordinating domain once the barrier has passed, also when a task
+    raised (before the exception is re-raised). *)
+type batch = {
+  wrap : slot:int -> task:int -> (unit -> unit) -> unit;
+  finish : unit -> unit;
 }
 
-let instrument : instrument option ref = ref None
+(* The batch hook, installed once by the observability layer
+   ([Dr_obs.Obs] installs it at module initialisation).  [dr_util]
+   cannot depend on [dr_obs], so the dependency is inverted through
+   this hook: the pool stays observability-agnostic and pays one ref
+   load + option match per batch when no hook is installed. *)
+let instrument : (tasks:int -> batch) option ref = ref None
 
-(** Install the instrumentation hooks (last install wins). *)
+(** Install the batch hook (last install wins). *)
 let set_instrument i = instrument := Some i
+
+let plain = { wrap = (fun ~slot:_ ~task:_ f -> f ()); finish = ignore }
 
 type t = {
   size : int;  (** total parallelism: worker domains + the caller *)
@@ -123,17 +121,15 @@ let with_pool ~domains f =
 (** Run every task to completion, fanning out over the pool; returns
     when all have finished.  The first task exception (if any) is
     re-raised after the barrier, once every task has run.  Every task
-    runs through the installed {!instrument} hook, so a traced 1-domain
-    batch records the same span sequence as a 4-domain one. *)
+    runs through the installed batch hook, so a traced 1-domain batch
+    records the same span sequence as a 4-domain one. *)
 let run t (tasks : task array) =
   let n = Array.length tasks in
   if n > 0 then begin
-    let ins = !instrument in
-    let base = match ins with Some i -> i.i_run_begin ~tasks:n | None -> 0 in
-    let exec slot i =
-      match ins with
-      | Some ins -> ins.i_task ~stream:(base + i) ~slot ~task:i tasks.(i)
-      | None -> tasks.(i) ()
+    let batch =
+      match !instrument with
+      | Some begin_batch -> begin_batch ~tasks:n
+      | None -> plain
     in
     let next = Atomic.make 0 in
     let completed = Atomic.make 0 in
@@ -144,7 +140,7 @@ let run t (tasks : task array) =
         let i = Atomic.fetch_and_add next 1 in
         if i >= n then continue := false
         else begin
-          (try exec slot i
+          (try batch.wrap ~slot ~task:i tasks.(i)
            with e ->
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set failure None (Some (e, bt))));
@@ -167,6 +163,7 @@ let run t (tasks : task array) =
     while Atomic.get completed < n do
       Domain.cpu_relax ()
     done;
+    batch.finish ();
     match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

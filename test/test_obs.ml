@@ -146,17 +146,19 @@ let test_span_minor_words () =
 
 let test_histogram_buckets () =
   (* bucket_of and bucket_bounds agree: every sample lands in the bucket
-     whose bounds contain it *)
+     whose bounds contain it; bucket 0 is closed, holding exactly v <= 0 *)
   let check v =
     let b = Metrics.bucket_of v in
     let lo, hi = Metrics.bucket_bounds b in
     Alcotest.(check bool)
-      (Printf.sprintf "%g in [%g, %g)" v lo hi)
+      (Printf.sprintf "%g in bucket %d [%g, %g)" v b lo hi)
       true
-      (v >= lo && (v < hi || hi = Float.infinity))
+      (if b = 0 then v <= hi
+       else v >= lo && (v < hi || hi = Float.infinity))
   in
   List.iter check
-    [ 1e-9; 0.5; 0.999; 1.0; 1.5; 2.0; 3.0; 4.0; 1024.0; 1e6; 1e12 ];
+    [ -7.0; 0.0; 1e-300; 1e-9; 0.5; 0.999; 1.0; 1.5; 2.0; 3.0; 4.0; 1024.0;
+      1e6; 1e12 ];
   (* power-of-two boundaries open a new bucket *)
   Alcotest.(check int) "2.0 above 1.99" (Metrics.bucket_of 1.99 + 1)
     (Metrics.bucket_of 2.0);
@@ -165,6 +167,8 @@ let test_histogram_buckets () =
   (* absorb-below and absorb-above *)
   Alcotest.(check int) "zero in bucket 0" 0 (Metrics.bucket_of 0.0);
   Alcotest.(check int) "negative in bucket 0" 0 (Metrics.bucket_of (-7.0));
+  Alcotest.(check int) "tiny positive in bucket 1" 1
+    (Metrics.bucket_of 1e-300);
   Alcotest.(check int) "huge in last bucket" (Metrics.num_buckets - 1)
     (Metrics.bucket_of 1e300);
   let lo0, _ = Metrics.bucket_bounds 0 in
@@ -204,7 +208,12 @@ let test_histogram_quantiles () =
   (* a single sample pins every quantile to itself *)
   let one = Metrics.histogram_of_samples [ 42.0 ] in
   Alcotest.(check (float 1e-9)) "singleton p50" 42.0 (Metrics.quantile one 0.5);
-  Alcotest.(check (float 1e-9)) "singleton p99" 42.0 (Metrics.quantile one 0.99)
+  Alcotest.(check (float 1e-9)) "singleton p99" 42.0 (Metrics.quantile one 0.99);
+  (* zero samples are real samples: a quantile whose rank falls on them
+     is 0, not the bottom bucket's edge *)
+  let zeros = Metrics.histogram_of_samples [ 0.0; 0.0; 0.0; 5.0 ] in
+  Alcotest.(check (float 0.0)) "zero-heavy p50" 0.0 (Metrics.quantile zeros 0.5);
+  Alcotest.(check (float 0.0)) "zero-heavy p99" 5.0 (Metrics.quantile zeros 0.99)
 
 (* ---- Chrome trace export ---- *)
 

@@ -1,9 +1,9 @@
-(* Tests for the per-domain sharded span recorder: pool tasks recording
-   on several domains with correct nesting, the deterministic
-   (stream, local order) merge across domain counts and consecutive
-   runs, the orphan stream for un-pooled worker spans, and the
-   disabled-mode guarantee that worker-domain span calls record nothing
-   and allocate nothing. *)
+(* Tests for the per-task span recorders: pool tasks recording on
+   several domains with correct nesting, batches spliced in task order
+   between the caller's spans, one merged sequence across domain counts
+   and consecutive runs, stray worker-domain spans dropped and counted,
+   and the disabled-mode guarantee that worker-domain span calls record
+   nothing and allocate nothing. *)
 
 module Obs = Dr_obs.Obs
 module Slicer = Dr_slicing.Slicer
@@ -50,7 +50,7 @@ let test_pool_spans_multi_domain () =
     List.sort_uniq Int.compare (List.map (fun s -> s.Obs.sp_dom) claims)
   in
   Alcotest.(check int) "claims on two distinct domains" 2 (List.length doms);
-  (* nesting relative to the task's stream: claim at 0, exec at 1, the
+  (* nesting within the task's recorder: claim at 0, exec at 1, the
      user span at 2 — identical whichever domain claimed the task *)
   List.iter
     (fun (s : Obs.span) -> Alcotest.(check int) "claim depth" 0 s.Obs.sp_depth)
@@ -61,9 +61,8 @@ let test_pool_spans_multi_domain () =
   List.iter
     (fun (s : Obs.span) -> Alcotest.(check int) "body depth" 2 s.Obs.sp_depth)
     bodies;
-  (* the merge key is the logical stream: task i's spans carry stream
-     base + i, so the body spans come back in task order even though
-     the two domains raced *)
+  (* task recorders are spliced in task order, so the body spans come
+     back in task order even though the two domains raced *)
   let body_order =
     List.map
       (fun (s : Obs.span) ->
@@ -73,14 +72,26 @@ let test_pool_spans_multi_domain () =
       bodies
   in
   Alcotest.(check (list int)) "bodies merged in task order" [ 0; 1 ]
-    body_order;
-  let streams = List.map (fun (s : Obs.span) -> s.Obs.sp_stream) bodies in
-  Alcotest.(check bool) "streams distinct and ordered" true
-    (match streams with [ a; b ] -> a < b | _ -> false)
+    body_order
 
-(* ---- worker-domain spans outside any pool task: the orphan stream ---- *)
+(* ---- a batch sits where it ran in program order ---- *)
 
-let test_unpooled_worker_span_is_orphan () =
+let test_batch_between_main_spans () =
+  fresh ();
+  Obs.with_span ~cat:"test" "main.before" (fun _ -> ());
+  Pool.with_pool ~domains:2 (fun pool -> Pool.run pool (barrier_tasks 2));
+  Obs.with_span ~cat:"test" "main.after" (fun _ -> ());
+  Obs.set_enabled false;
+  let names = Array.to_list (Obs.spans ()) |> List.map (fun s -> s.Obs.sp_name) in
+  let task = [ "task.body"; "pool.exec"; "pool.claim" ] in
+  Alcotest.(check (list string)) "batch spans between the main spans"
+    ([ "main.before" ] @ task @ task @ [ "main.after" ])
+    names;
+  Alcotest.(check int) "no mismatches" 0 (Obs.mismatch_count ())
+
+(* ---- worker-domain spans outside any pool task ---- *)
+
+let test_stray_worker_span_dropped () =
   fresh ();
   Obs.with_span ~cat:"test" "main.before" (fun _ -> ());
   let d =
@@ -90,9 +101,11 @@ let test_unpooled_worker_span_is_orphan () =
   Obs.with_span ~cat:"test" "main.after" (fun _ -> ());
   Obs.set_enabled false;
   let names = Array.to_list (Obs.spans ()) |> List.map (fun s -> s.Obs.sp_name) in
-  (* the stray span is kept but sorts after every deterministic stream *)
-  Alcotest.(check (list string)) "orphans sort last"
-    [ "main.before"; "main.after"; "stray" ] names
+  Alcotest.(check (list string)) "stray span not recorded"
+    [ "main.before"; "main.after" ] names;
+  Alcotest.(check int) "counted as one mismatch" 1 (Obs.mismatch_count ());
+  Alcotest.(check int) "one mismatch message" 1
+    (List.length (Obs.mismatch_messages ()))
 
 (* ---- deterministic merge across domain counts and runs ---- *)
 
@@ -144,25 +157,11 @@ let fixture =
      let lp = Dr_slicing.Lp.prepare gt in
      (gt, lp, criteria_of gt ~n:4))
 
-(* names + depths + relative stream ranks, timestamps and physical
-   domains excluded — the sequence the determinism contract promises *)
+(* names + depths, timestamps and physical domains excluded — the
+   sequence the determinism contract promises *)
 let merged_shape () =
-  let spans = Obs.spans () in
-  let streams =
-    Array.to_list spans
-    |> List.map (fun s -> s.Obs.sp_stream)
-    |> List.sort_uniq Int.compare
-  in
-  let rank st =
-    let rec go i = function
-      | [] -> -1
-      | s :: rest -> if s = st then i else go (i + 1) rest
-    in
-    go 0 streams
-  in
-  Array.to_list spans
-  |> List.map (fun s ->
-         (s.Obs.sp_name, s.Obs.sp_depth, rank s.Obs.sp_stream))
+  Array.to_list (Obs.spans ())
+  |> List.map (fun s -> (s.Obs.sp_name, s.Obs.sp_depth))
 
 let traced_compute_many ~domains () =
   let gt, lp, crits = Lazy.force fixture in
@@ -245,8 +244,10 @@ let () =
         [ ( "pool recording",
             [ Alcotest.test_case "spans on two domains, correct nesting"
                 `Quick test_pool_spans_multi_domain;
-              Alcotest.test_case "un-pooled worker span lands on orphan"
-                `Quick test_unpooled_worker_span_is_orphan ] );
+              Alcotest.test_case "batch spans sit between main spans"
+                `Quick test_batch_between_main_spans;
+              Alcotest.test_case "stray worker span is dropped and counted as one mismatch"
+                `Quick test_stray_worker_span_dropped ] );
           ( "deterministic merge",
             [ QCheck_alcotest.to_alcotest prop_merge_independent_of_domains;
               Alcotest.test_case "consecutive traced runs identical" `Quick

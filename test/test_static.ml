@@ -164,18 +164,18 @@ let test_callgraph_direct_and_spawn () =
     [| true; true; true |] reach
 
 let test_callgraph_unreachable_function () =
-  (* the orphan's address is taken but nothing spawns or calls
+  (* the dead function is never called, and nothing spawns or calls
      indirectly, so no edge reaches it *)
   let prog =
     raw
       [| Instr.Call 3; Instr.Mov (Reg.r2, Instr.Imm 5); Instr.Sys Instr.Exit;
          (* helper *) Instr.Ret; Instr.Nop;
-         (* orphan *) Instr.Push Reg.fp; Instr.Pop Reg.fp; Instr.Ret |]
+         (* dead *) Instr.Push Reg.fp; Instr.Pop Reg.fp; Instr.Ret |]
   in
   let cg = build_cg prog in
   Alcotest.(check int) "three functions" 3 (Callgraph.num_functions cg);
   let reach = Callgraph.reachable_from_entry cg ~entry_pc:prog.Program.entry in
-  Alcotest.(check (array bool)) "orphan unreachable" [| true; true; false |]
+  Alcotest.(check (array bool)) "dead function unreachable" [| true; true; false |]
     reach
 
 let test_callgraph_callind_resolution () =
