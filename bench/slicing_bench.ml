@@ -134,22 +134,6 @@ let prepare_generated ~seeds ~keep ~n_criteria =
 
 (* ---- measurement ---- *)
 
-let canonical_edges (s : Dr_slicing.Slicer.t) =
-  let tag = function
-    | Dr_slicing.Slicer.Data l -> (0, l)
-    | Dr_slicing.Slicer.Data_bypassed l -> (1, l)
-    | Dr_slicing.Slicer.Control -> (2, -1)
-  in
-  let l =
-    Array.to_list
-      (Array.map
-         (fun (e : Dr_slicing.Slicer.edge) ->
-           let k, loc = tag e.Dr_slicing.Slicer.kind in
-           (e.Dr_slicing.Slicer.from_pos, e.Dr_slicing.Slicer.to_pos, k, loc))
-         s.Dr_slicing.Slicer.edges)
-  in
-  List.sort compare l
-
 type measured = {
   records : int;
   n_criteria : int;
@@ -230,9 +214,7 @@ let measure_spill (p : prepared) =
              Dr_slicing.Slicer.compute_governed ~budget gt' crit
            in
            List.for_all
-             (fun s ->
-               s.Dr_slicing.Slicer.positions = base.Dr_slicing.Slicer.positions
-               && canonical_edges s = canonical_edges base)
+             (fun s -> Dr_slicing.Slicer.equal s base)
              [ spilled crit;
                spilled ~driver:`Scan_skip crit;
                spilled ~driver:`Scan crit;
@@ -262,8 +244,7 @@ let measure_spill (p : prepared) =
       (fun crit ->
         let base = clean crit in
         let s = reexec crit in
-        s.Dr_slicing.Slicer.positions = base.Dr_slicing.Slicer.positions
-        && canonical_edges s = canonical_edges base)
+        Dr_slicing.Slicer.equal s base)
       p.criteria
   in
   let _, reexec_slice_s =
@@ -301,11 +282,8 @@ let measure ~reps ~pool (p : prepared) : measured =
         let fast = compute crit in
         let skip = compute ~driver:`Scan_skip crit in
         let noskip = compute ~driver:`Scan crit in
-        fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions
-        && skip.Dr_slicing.Slicer.positions
-           = noskip.Dr_slicing.Slicer.positions
-        && canonical_edges fast = canonical_edges skip
-        && canonical_edges skip = canonical_edges noskip)
+        Dr_slicing.Slicer.equal fast skip
+        && Dr_slicing.Slicer.equal skip noskip)
       p.criteria
   in
   (* stats from one pass per driver *)
@@ -338,8 +316,7 @@ let measure ~reps ~pool (p : prepared) : measured =
     List.for_all2
       (fun crit par_s ->
         let seq = compute crit in
-        par_s.Dr_slicing.Slicer.positions = seq.Dr_slicing.Slicer.positions
-        && canonical_edges par_s = canonical_edges seq)
+        Dr_slicing.Slicer.equal par_s seq)
       p.criteria par
   in
   let par_slice_size_total =

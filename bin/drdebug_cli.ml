@@ -321,16 +321,7 @@ let run_analyze workload source passes out metrics_out =
     end
     else begin
     let cfg = Dr_cfg.Cfg.build prog in
-    let cands =
-      Dr_slicing.Prune.static_candidates prog
-        ~functions:(Dr_cfg.Cfg.functions cfg)
-    in
-    let to_assoc h = Hashtbl.fold (fun pc r acc -> (pc, r) :: acc) h [] in
-    let candidates =
-      ( to_assoc cands.Dr_slicing.Prune.saves,
-        to_assoc cands.Dr_slicing.Prune.restores )
-    in
-    let lint, doc = Dr_static.Report.analyze ~candidates ?passes prog in
+    let lint, doc = Dr_static.Report.analyze ?passes prog in
     Printf.printf "analyze %s: %d instructions, %d functions\n"
       prog.Dr_isa.Program.name
       (Array.length prog.Dr_isa.Program.code)

@@ -9,17 +9,25 @@
      pinball_tool verify <file.pinball> --workload <name> [--threads N --iters N]
                                                  # ... plus a double-replay check
      pinball_tool record --workload <name> [--seed N] [--digest-interval N] -o <file.pinball>
+
+   Exit codes, as in drdebug_cli: 0 success, 1 failure (unreadable file,
+   failed check), 2 usage error, 3 pinball container error
+   (Pinball_error: bad magic, CRC, bounds).
 *)
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+let usage =
+  "usage: pinball_tool info|dump|verify|record <file> [--workload N] [--seed N] [-o F]"
+
+let exit_with code fmt = Printf.ksprintf (fun s -> prerr_endline s; exit code) fmt
+let die fmt = exit_with 1 fmt
 
 let load path =
   try Dr_pinplay.Pinball.load_file path with
   | Sys_error e -> die "cannot read %s: %s" path e
   | Dr_pinplay.Pinball.Pinball_error e ->
-    die "%s is not a valid pinball: %s" path
+    exit_with 3 "%s is not a valid pinball: %s" path
       (Dr_pinplay.Pinball.error_to_string e)
-  | Dr_util.Codec.Corrupt e -> die "%s is not a valid pinball: %s" path e
+  | Dr_util.Codec.Corrupt e -> exit_with 3 "%s is not a valid pinball: %s" path e
 
 let info path =
   let pb = load path in
@@ -161,8 +169,16 @@ let () =
   let req name what =
     match opt name with Some v -> v | None -> die "%s needs %s" what name
   in
-  let threads = int_of_string (opt_or "--threads" "4") in
-  let iters = int_of_string (opt_or "--iters" "500") in
+  let int_opt name default =
+    match opt name with
+    | None -> default
+    | Some v -> (
+      match int_of_string_opt v with
+      | Some n -> n
+      | None -> exit_with 2 "%s expects an integer, got %S\n%s" name v usage)
+  in
+  let threads = int_opt "--threads" 4 in
+  let iters = int_opt "--iters" 500 in
   match args with
   | _ :: "info" :: path :: _ -> info path
   | _ :: "dump" :: path :: _ -> dump path
@@ -170,10 +186,9 @@ let () =
   | _ :: "record" :: _ ->
     record
       (req "--workload" "record")
-      (int_of_string (opt_or "--seed" "1"))
+      (int_opt "--seed" 1)
       (opt_or "-o" "out.pinball") threads iters
-      (int_of_string (opt_or "--digest-interval" "64"))
+      (int_opt "--digest-interval" 64)
   | _ ->
-    prerr_endline
-      "usage: pinball_tool info|dump|verify|record <file> [--workload N] [--seed N] [-o F]";
+    prerr_endline usage;
     exit 2

@@ -92,14 +92,6 @@ let oracle_span kind f =
     anything longer is a runaway we skip rather than fuzz. *)
 let max_case_steps = 2_000_000
 
-(* splitmix-style chaining for run digests *)
-let mix h x =
-  let h = h lxor x in
-  let h = h * 0x9e3779b97f4a7c1 in
-  let h = h lxor (h lsr 29) in
-  let h = h * 0xbf58476d1ce4e5b in
-  h lxor (h lsr 32)
-
 (* ---- oracle 1: replay determinism ---- *)
 
 (* One full replay, reduced to (chained digest, steps, output). *)
@@ -111,7 +103,7 @@ let replay_digest prog pb =
     { Driver.on_event =
         (fun ev ->
           incr steps;
-          h := mix !h (Exec_digest.hash m ev ~step:!steps)) }
+          h := Exec_digest.mix !h (Exec_digest.hash m ev ~step:!steps)) }
   in
   (try ignore (Replayer.resume ~hooks r)
    with Replayer.Divergence d ->
@@ -148,13 +140,6 @@ let check_roundtrip pb =
 
 (* ---- oracle 3: driver agreement ---- *)
 
-let slice_signature (s : Slicer.t) =
-  ( Array.to_list s.Slicer.positions,
-    List.sort compare
-      (List.map
-         (fun e -> (e.Slicer.from_pos, e.Slicer.to_pos, e.Slicer.kind))
-         (Array.to_list s.Slicer.edges)) )
-
 (* Four drivers: indexed, scan+LP-skip, plain scan, and on-demand
    re-execution (record lookups replayed from checkpoints — no
    stored-record walk).  Returns the indexed slice so the caller can
@@ -164,11 +149,7 @@ let check_agreement gt ~lp ~pairs ~rx crit =
   let b = Slicer.compute ~lp ~pairs ~driver:`Scan_skip gt crit in
   let c = Slicer.compute ~lp ~pairs ~driver:`Scan gt crit in
   let d = Slicer.compute ~lp ~pairs ~driver:(`Reexec rx) gt crit in
-  let sa = slice_signature a
-  and sb = slice_signature b
-  and sc = slice_signature c
-  and sd = slice_signature d in
-  if sa <> sb || sb <> sc || sc <> sd then
+  if not (Slicer.equal a b && Slicer.equal b c && Slicer.equal c d) then
     fail Driver_agreement
       "drivers disagree at crit_pos %d: indexed %d, scan+skip %d, scan %d, \
        reexec %d positions"
@@ -648,7 +629,6 @@ let cleanup_spill_dir dir =
 
 let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     ~(clean : Slicer.t) =
-  let clean_sig = slice_signature clean in
   let clean_pos = clean.Slicer.positions in
   let crit = { Slicer.crit_pos; crit_locs = None } in
   let spilled_rebuild () =
@@ -663,17 +643,14 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     in
     (budget, store)
   in
-  let slice_sig_of_store ?(driver = `Indexed) store =
+  let slice_of_store ?(driver = `Indexed) store =
     let gt = Global_trace.construct { c with Collector.records = store } in
-    let s =
-      match driver with
-      | (`Indexed | `Scan_skip | `Scan) as driver ->
-        Slicer.compute ~pairs:c.Collector.pairs ~driver gt crit
-      | `Governed budget ->
-        (Slicer.compute_governed ~pairs:c.Collector.pairs ~budget gt crit)
-          .Slicer.g_slice
-    in
-    (slice_signature s, s)
+    match driver with
+    | (`Indexed | `Scan_skip | `Scan) as driver ->
+      Slicer.compute ~pairs:c.Collector.pairs ~driver gt crit
+    | `Governed budget ->
+      (Slicer.compute_governed ~pairs:c.Collector.pairs ~budget gt crit)
+        .Slicer.g_slice
   in
   Fun.protect ~finally:(fun () -> cleanup_spill_dir rc.r_spill_dir)
   @@ fun () ->
@@ -685,11 +662,11 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
       "a zero memory budget rebuilt the trace without spilling any segment";
   List.iter
     (fun (name, driver) ->
-      let sg, s = slice_sig_of_store ~driver store in
+      let s = slice_of_store ~driver store in
       if s.Slicer.stats.Slicer.truncated then
         fail Resource_robustness
           "spilled %s slice marked truncated with no time budget" name;
-      if sg <> clean_sig then
+      if not (Slicer.equal s clean) then
         fail Resource_robustness
           "spilled %s slice differs from the in-memory slice at crit_pos %d \
            (%d vs %d positions)"
@@ -735,9 +712,9 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     (match faulted_store with
     | Error _ -> ()  (* ending (b): a structured Resource_error *)
     | Ok store -> (
-      match slice_sig_of_store store with
+      match slice_of_store store with
       | exception Dr_util.Budget.Resource_error _ -> ()  (* ending (b) *)
-      | sg, s ->
+      | s ->
         if s.Slicer.stats.Slicer.truncated then begin
           (* ending (c): honestly-marked partial — must be a subset *)
           let clean_set = Hashtbl.create (Array.length clean_pos) in
@@ -751,7 +728,7 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
                   (disk_fault_name fault) p)
             s.Slicer.positions
         end
-        else if sg <> clean_sig then
+        else if not (Slicer.equal s clean) then
           (* the one forbidden ending: a silently wrong slice *)
           fail Resource_robustness
             "slice after %s fault differs from the clean slice without an \

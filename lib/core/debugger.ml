@@ -10,9 +10,9 @@
     integration ([maple]).  Commands return their output as a string, so
     the same engine drives the interactive CLI, scripts, and tests. *)
 
-type t = { session : Session.t; mutable last_output : string }
+type t = { session : Session.t }
 
-let create (session : Session.t) : t = { session; last_output = "" }
+let create (session : Session.t) : t = { session }
 
 let of_program ?input ?seed prog = create (Session.create ?input ?seed prog)
 
@@ -589,8 +589,4 @@ let exec (t : t) (line : string) : (string, string) result =
         Ok ())
     | cmd :: _ -> Error (Printf.sprintf "unknown command %s (try help)" cmd)
   in
-  match result with
-  | Ok () ->
-    t.last_output <- Buffer.contents b;
-    Ok (Buffer.contents b)
-  | Error e -> Error e
+  Result.map (fun () -> Buffer.contents b) result

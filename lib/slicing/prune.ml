@@ -9,11 +9,8 @@
 
     Detection is two-stage, exactly as in the paper:
 
-    - {e static candidates}: the first [max_save] push instructions at a
-      function entry and the last [max_save] pops before each return
-      (compiler idioms such as the [mov fp, sp] and stack adjustments in
-      between are skipped, but any other instruction ends the scan — so
-      mid-function pushes of expression temporaries are never candidates);
+    - {e static candidates}: the prologue pushes and epilogue pops found
+      by {!Dr_isa.Frame.scan};
     - {e dynamic confirmation}: a candidate pair is confirmed for one
       invocation only if the pop reads the same value from the same stack
       slot that the push wrote from the same register. *)
@@ -25,53 +22,18 @@ type candidates = {
   restores : (int, Reg.t) Hashtbl.t;  (** pc of candidate restore pop -> register *)
 }
 
-let default_max_save = 10
-
-(* Instructions that may appear interleaved with prologue pushes /
-   epilogue pops without ending the candidate scan. *)
-let is_frame_glue = function
-  | Instr.Mov (rd, Instr.Reg rs) -> rd = Reg.fp && rs = Reg.sp
-  | Instr.Bin ((Instr.Sub | Instr.Add), rd, rs, Instr.Imm _) ->
-    rd = Reg.sp && (rs = Reg.sp || rs = Reg.fp)
-  | _ -> false
+let default_max_save = Frame.default_max_save
 
 (** Scan every function of [prog] for candidate saves and restores. *)
 let static_candidates ?(max_save = default_max_save) (prog : Program.t)
     ~(functions : (int * int) list) : candidates =
   let saves = Hashtbl.create 64 and restores = Hashtbl.create 64 in
-  let code = prog.Program.code in
+  let add tbl = List.iter (fun (pc, r) -> Hashtbl.replace tbl pc r) in
   List.iter
-    (fun (entry, fend) ->
-      (* forward scan from entry *)
-      let count = ref 0 in
-      let pc = ref entry in
-      let continue = ref true in
-      while !continue && !pc < fend && !count < max_save do
-        (match code.(!pc) with
-        | Instr.Push r ->
-          Hashtbl.replace saves !pc r;
-          incr count
-        | i when is_frame_glue i -> ()
-        | _ -> continue := false);
-        incr pc
-      done;
-      (* backward scan from each ret *)
-      for ret_pc = entry to fend - 1 do
-        if code.(ret_pc) = Instr.Ret then begin
-          let count = ref 0 in
-          let pc = ref (ret_pc - 1) in
-          let continue = ref true in
-          while !continue && !pc >= entry && !count < max_save do
-            (match code.(!pc) with
-            | Instr.Pop r ->
-              Hashtbl.replace restores !pc r;
-              incr count
-            | i when is_frame_glue i -> ()
-            | _ -> continue := false);
-            decr pc
-          done
-        end
-      done)
+    (fun (fentry, fend) ->
+      let s = Frame.scan ~max_save prog.Program.code ~fentry ~fend in
+      add saves s.Frame.saves;
+      List.iter (fun (_, pops) -> add restores pops) s.Frame.rets)
     functions;
   { saves; restores }
 

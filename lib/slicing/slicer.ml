@@ -89,6 +89,14 @@ type t = {
 
 let size t = Array.length t.positions
 
+let equal a b =
+  let sorted_edges t =
+    let e = Array.copy t.edges in
+    Array.sort compare e;
+    e
+  in
+  a.positions = b.positions && sorted_edges a = sorted_edges b
+
 let mem t pos =
   (* positions is sorted ascending *)
   let a = t.positions in

@@ -8,7 +8,7 @@
     candidate positions found by binary search in the {!Def_index}; the
     {e scan} driver walks every position, skipping blocks via the {!Lp}
     summaries.  Both produce the same positions and edges (edge array
-    order is unspecified; compare canonically).  With save/restore
+    order is unspecified; compare with {!equal}).  With save/restore
     [pairs], wanted registers satisfied by a confirmed restore are
     bypassed: the search resumes below the matching save and a direct
     edge to the true definition is recorded. *)
@@ -56,6 +56,10 @@ type t = {
 
 (** Number of trace records in the slice. *)
 val size : t -> int
+
+(** Same positions and the same edge multiset — the agreement every
+    driver guarantees.  Stats are not compared. *)
+val equal : t -> t -> bool
 
 (** Is the record at this global-trace position in the slice? *)
 val mem : t -> int -> bool

@@ -17,9 +17,8 @@
       is expected to confirm (paper §5.1).
     - {b save-restore}: prologue/epilogue discipline — for every [Ret],
       the pops before it must restore exactly the prologue's pushes in
-      reverse order.  The candidate scan uses the same idiom rules as
-      {!Dr_slicing.Prune.static_candidates} and is cross-checked against
-      that module's output when the caller provides it.
+      reverse order.  The candidates come from {!Dr_isa.Frame.scan}, the
+      scan {!Dr_slicing.Prune.static_candidates} is built from.
     - {b races}: ranked static data-race candidate pairs from {!Race} —
       conflicting shared accesses reachable in distinct threads with
       disjoint must-locksets and no static happens-before order.
@@ -50,13 +49,11 @@ type sr_kind =
   | Missing_restore  (** a prologue save with no matching epilogue pop *)
   | Unmatched_restore  (** an epilogue pop with no matching prologue push *)
   | Order_mismatch  (** pops are not the reverse of the pushes *)
-  | Candidate_mismatch  (** disagreement with [Prune.static_candidates] *)
 
 let sr_kind_name = function
   | Missing_restore -> "missing-restore"
   | Unmatched_restore -> "unmatched-restore"
   | Order_mismatch -> "order-mismatch"
-  | Candidate_mismatch -> "candidate-mismatch"
 
 type sr_issue = { sr_fentry : int; sr_kind : sr_kind; sr_pc : int; sr_reg : Reg.t }
 
@@ -159,59 +156,18 @@ let indirect_audit (prog : Program.t) (cfg : Cfg.t) (cg : Callgraph.t)
 
 (* ---- pass: save/restore verification ---- *)
 
-(* Same idiom rule as Prune.is_frame_glue; the Candidate_mismatch
-   cross-check below catches any drift between the two. *)
-let is_frame_glue = function
-  | Instr.Mov (rd, Instr.Reg rs) -> rd = Reg.fp && rs = Reg.sp
-  | Instr.Bin ((Instr.Sub | Instr.Add), rd, rs, Instr.Imm _) ->
-    rd = Reg.sp && (rs = Reg.sp || rs = Reg.fp)
-  | _ -> false
-
-(* Ordered variant of the Prune.static_candidates scan: prologue pushes in
-   execution order, and per-ret pops in execution order. *)
-let scan_saves code ~fentry ~fend ~max_save =
-  let saves = ref [] in
-  let count = ref 0 and pc = ref fentry and continue = ref true in
-  while !continue && !pc < fend && !count < max_save do
-    (match code.(!pc) with
-    | Instr.Push r ->
-      saves := (!pc, r) :: !saves;
-      incr count
-    | i when is_frame_glue i -> ()
-    | _ -> continue := false);
-    incr pc
-  done;
-  List.rev !saves
-
-let scan_restores code ~fentry ~ret_pc ~max_save =
-  let pops = ref [] in
-  let count = ref 0 and pc = ref (ret_pc - 1) and continue = ref true in
-  while !continue && !pc >= fentry && !count < max_save do
-    (match code.(!pc) with
-    | Instr.Pop r ->
-      pops := (!pc, r) :: !pops;
-      incr count
-    | i when is_frame_glue i -> ()
-    | _ -> continue := false);
-    decr pc
-  done;
-  !pops (* already in execution order: collected walking backwards *)
-
-let save_restore ?(max_save = 10)
-    ?(candidates : ((int * Reg.t) list * (int * Reg.t) list) option)
-    (prog : Program.t) (cfg : Cfg.t) : sr_issue list * int * int =
+let save_restore (prog : Program.t) (cfg : Cfg.t) : sr_issue list * int * int =
   let code = prog.Program.code in
   let issues = ref [] in
-  let my_saves = ref [] and my_restores = ref [] in
+  let nsaves = ref 0 and nrestores = ref 0 in
   List.iter
     (fun (f : Cfg.func) ->
-      let fentry = f.Cfg.fentry and fend = f.Cfg.fend in
-      let saves = scan_saves code ~fentry ~fend ~max_save in
-      my_saves := saves @ !my_saves;
-      for ret_pc = fentry to fend - 1 do
-        if code.(ret_pc) = Instr.Ret then begin
-          let pops = scan_restores code ~fentry ~ret_pc ~max_save in
-          my_restores := pops @ !my_restores;
+      let fentry = f.Cfg.fentry in
+      let { Frame.saves; rets } = Frame.scan code ~fentry ~fend:f.Cfg.fend in
+      nsaves := !nsaves + List.length saves;
+      List.iter
+        (fun (ret_pc, pops) ->
+          nrestores := !nrestores + List.length pops;
           let expected = List.rev_map snd saves in
           let got = List.map snd pops in
           if got <> expected then begin
@@ -234,39 +190,15 @@ let save_restore ?(max_save = 10)
             if List.sort compare got = List.sort compare expected then
               issues := { sr_fentry = fentry; sr_kind = Order_mismatch;
                           sr_pc = ret_pc; sr_reg = List.hd got } :: !issues
-          end
-        end
-      done)
+          end)
+        rets)
     cfg.Cfg.funcs;
-  (* cross-check against Prune.static_candidates when provided *)
-  (match candidates with
-  | None -> ()
-  | Some (cand_saves, cand_restores) ->
-    let fentry_of pc =
-      match Cfg.func_at cfg pc with Some f -> f.Cfg.fentry | None -> -1
-    in
-    let diff kind mine theirs =
-      let mine = List.sort compare mine and theirs = List.sort compare theirs in
-      if mine <> theirs then begin
-        let missing l l' = List.filter (fun x -> not (List.mem x l')) l in
-        List.iter
-          (fun (pc, r) ->
-            issues := { sr_fentry = fentry_of pc; sr_kind = kind; sr_pc = pc;
-                        sr_reg = r } :: !issues)
-          (missing mine theirs @ missing theirs mine)
-      end
-    in
-    diff Candidate_mismatch !my_saves cand_saves;
-    diff Candidate_mismatch !my_restores cand_restores);
-  (!issues, List.length !my_saves, List.length !my_restores)
+  (!issues, !nsaves, !nrestores)
 
-(** Run the pass suite.  [candidates] is the
-    [Prune.static_candidates] output as assoc lists (saves, restores) for
-    the cross-check — the caller converts, keeping this library
-    independent of [dr_slicing].  [passes] restricts to a subset of
+(** Run the pass suite.  [passes] restricts to a subset of
     {!pass_names} (default: all); unknown names raise
     [Invalid_argument]. *)
-let run ?max_save ?candidates ?(passes = pass_names) (prog : Program.t) : t =
+let run ?(passes = pass_names) (prog : Program.t) : t =
   List.iter
     (fun p ->
       if not (List.mem p pass_names) then
@@ -276,7 +208,7 @@ let run ?max_save ?candidates ?(passes = pass_names) (prog : Program.t) : t =
   let cfg = Cfg.build prog in
   let cg = Callgraph.build prog ~cfg in
   let save_restore, candidate_saves, candidate_restores =
-    if on "save-restore" then save_restore ?max_save ?candidates prog cfg
+    if on "save-restore" then save_restore prog cfg
     else ([], 0, 0)
   in
   let races, race_mutexes =

@@ -156,9 +156,9 @@ let validate (doc : Json.t) : (unit, string) result =
   Ok ()
 
 (** Analyze [prog] end to end: run the lint suite and package the
-    report.  [candidates] and [passes] as in {!Lint.run}. *)
-let analyze ?max_save ?candidates ?passes (prog : Program.t) : Lint.t * Json.t =
+    report.  [passes] as in {!Lint.run}. *)
+let analyze ?passes (prog : Program.t) : Lint.t * Json.t =
   let cfg = Dr_cfg.Cfg.build prog in
   let cg = Callgraph.build prog ~cfg in
-  let lint = Lint.run ?max_save ?candidates ?passes prog in
+  let lint = Lint.run ?passes prog in
   (lint, make prog lint cg)

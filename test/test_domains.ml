@@ -65,22 +65,6 @@ let criteria_of gt ~n =
     (fun p -> { Slicer.crit_pos = p; crit_locs = None })
     picks
 
-let canonical_edges (s : Slicer.t) =
-  let tag = function
-    | Slicer.Data l -> (0, l)
-    | Slicer.Data_bypassed l -> (1, l)
-    | Slicer.Control -> (2, -1)
-  in
-  let l =
-    Array.to_list
-      (Array.map
-         (fun (e : Slicer.edge) ->
-           let k, loc = tag e.Slicer.kind in
-           (e.Slicer.from_pos, e.Slicer.to_pos, k, loc))
-         s.Slicer.edges)
-  in
-  List.sort compare l
-
 (* everything but slice_time, which is schedule-dependent by contract *)
 let stats_eq (a : Slicer.stats) (b : Slicer.stats) =
   a.Slicer.visited = b.Slicer.visited
@@ -89,8 +73,7 @@ let stats_eq (a : Slicer.stats) (b : Slicer.stats) =
   && a.Slicer.truncated = b.Slicer.truncated
 
 let slice_eq (a : Slicer.t) (b : Slicer.t) =
-  a.Slicer.positions = b.Slicer.positions
-  && canonical_edges a = canonical_edges b
+  Slicer.equal a b
   && stats_eq a.Slicer.stats b.Slicer.stats
 
 (* shared fixture: trace, criteria, and sequential reference slices *)

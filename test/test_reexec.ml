@@ -43,27 +43,10 @@ let criteria_of gt ~n =
   let picks = if !picks = [] then [ len - 1 ] else List.rev !picks in
   List.map (fun p -> { Slicer.crit_pos = p; crit_locs = None }) picks
 
-let canonical_edges (s : Slicer.t) =
-  let tag = function
-    | Slicer.Data l -> (0, l)
-    | Slicer.Data_bypassed l -> (1, l)
-    | Slicer.Control -> (2, -1)
-  in
-  let l =
-    Array.to_list
-      (Array.map
-         (fun (e : Slicer.edge) ->
-           let k, loc = tag e.Slicer.kind in
-           (e.Slicer.from_pos, e.Slicer.to_pos, k, loc))
-         s.Slicer.edges)
-  in
-  List.sort compare l
-
 (* positions + edges only: the reexec driver runs the plain-scan
    traversal, so visited/skip stats legitimately differ from indexed *)
 let slice_eq (a : Slicer.t) (b : Slicer.t) =
-  a.Slicer.positions = b.Slicer.positions
-  && canonical_edges a = canonical_edges b
+  Slicer.equal a b
   && a.Slicer.stats.Slicer.truncated = b.Slicer.stats.Slicer.truncated
 
 type fx = {

@@ -645,20 +645,6 @@ let test_no_clustering_same_slice () =
 
 (* ---- indexed fast path, def index, and fixed skip logic ---- *)
 
-(* canonical edge view: the drivers guarantee the same edge multiset,
-   not the same array order *)
-let canonical_edges (s : Dr_slicing.Slicer.t) =
-  let tag = function
-    | Dr_slicing.Slicer.Data l -> (0, l)
-    | Dr_slicing.Slicer.Data_bypassed l -> (1, l)
-    | Dr_slicing.Slicer.Control -> (2, -1)
-  in
-  Array.to_list s.Dr_slicing.Slicer.edges
-  |> List.map (fun (e : Dr_slicing.Slicer.edge) ->
-         let k, loc = tag e.Dr_slicing.Slicer.kind in
-         (e.Dr_slicing.Slicer.from_pos, e.Dr_slicing.Slicer.to_pos, k, loc))
-  |> List.sort compare
-
 let check_drivers_agree ?pairs ~lp gt crit =
   let compute driver = Dr_slicing.Slicer.compute ~lp ?pairs ~driver gt crit in
   let fast = compute `Indexed in
@@ -669,9 +655,9 @@ let check_drivers_agree ?pairs ~lp gt crit =
   Alcotest.(check bool) "indexed positions identical" true
     (fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions);
   Alcotest.(check bool) "skip/noskip edges identical" true
-    (canonical_edges skip = canonical_edges noskip);
+    (Dr_slicing.Slicer.equal skip noskip);
   Alcotest.(check bool) "indexed edges identical" true
-    (canonical_edges fast = canonical_edges skip);
+    (Dr_slicing.Slicer.equal fast skip);
   (fast, skip, noskip)
 
 let test_final_partial_block_criterion () =
@@ -778,10 +764,7 @@ let prop_drivers_agree_on_generated =
       let fast = compute `Indexed in
       let skip = compute `Scan_skip in
       let noskip = compute `Scan in
-      fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions
-      && skip.Dr_slicing.Slicer.positions = noskip.Dr_slicing.Slicer.positions
-      && canonical_edges fast = canonical_edges skip
-      && canonical_edges skip = canonical_edges noskip)
+      Dr_slicing.Slicer.equal fast skip && Dr_slicing.Slicer.equal skip noskip)
 
 let test_def_index () =
   let prog = compile fig5_src in
@@ -933,14 +916,14 @@ let test_prune_bypass_wrong_reg () =
 
 let test_prune_frame_glue () =
   Alcotest.(check bool) "mov fp, sp is glue" true
-    (Dr_slicing.Prune.is_frame_glue
+    (Dr_isa.Frame.is_frame_glue
        (Dr_isa.Instr.Mov (Dr_isa.Reg.fp, Dr_isa.Instr.Reg Dr_isa.Reg.sp)));
   Alcotest.(check bool) "sub sp, sp, 4 is glue" true
-    (Dr_slicing.Prune.is_frame_glue
+    (Dr_isa.Frame.is_frame_glue
        (Dr_isa.Instr.Bin
           (Dr_isa.Instr.Sub, Dr_isa.Reg.sp, Dr_isa.Reg.sp, Dr_isa.Instr.Imm 4)));
   Alcotest.(check bool) "ordinary add is not glue" false
-    (Dr_slicing.Prune.is_frame_glue
+    (Dr_isa.Frame.is_frame_glue
        (Dr_isa.Instr.Bin (Dr_isa.Instr.Add, 2, 3, Dr_isa.Instr.Imm 1)))
 
 (* ---- resource governance: segments, budgets, degradation ---- *)

@@ -333,45 +333,6 @@ let test_lint_order_mismatch () =
     Alcotest.(check int) "flagged at the ret" 5 s.Lint.sr_pc
   | l -> Alcotest.failf "expected one save/restore issue, got %d" (List.length l)
 
-let calls_src =
-  {|fn add3(int a, int b, int c) {
-  int s = a + b;
-  return s + c;
-}
-fn main() {
-  int x = add3(1, 2, 3);
-  int y = add3(x, x, x);
-  print(x + y);
-}|}
-
-let test_lint_candidate_crosscheck () =
-  (* the ordered lint scan and Prune.static_candidates implement the
-     same idiom; on a compiled program they must agree exactly *)
-  let prog = compile calls_src in
-  let cfg = Dr_cfg.Cfg.build prog in
-  let cands =
-    Dr_slicing.Prune.static_candidates prog
-      ~functions:(Dr_cfg.Cfg.functions cfg)
-  in
-  let to_assoc h = Hashtbl.fold (fun pc r acc -> (pc, r) :: acc) h [] in
-  let candidates =
-    (to_assoc cands.Dr_slicing.Prune.saves, to_assoc cands.Dr_slicing.Prune.restores)
-  in
-  let lint = Lint.run ~candidates prog in
-  let mismatches =
-    List.filter
-      (fun s -> s.Lint.sr_kind = Lint.Candidate_mismatch)
-      lint.Lint.save_restore
-  in
-  Alcotest.(check int) "no candidate mismatch" 0 (List.length mismatches);
-  (* a bogus extra candidate must surface as a mismatch *)
-  let saves, restores = candidates in
-  let bogus = Lint.run ~candidates:((999, Reg.r6) :: saves, restores) prog in
-  Alcotest.(check bool) "planted mismatch detected" true
-    (List.exists
-       (fun s -> s.Lint.sr_kind = Lint.Candidate_mismatch && s.Lint.sr_pc = 999)
-       bogus.Lint.save_restore)
-
 let switch_src =
   {|fn pick(int x) {
   int r = 0;
@@ -483,8 +444,6 @@ let () =
           Alcotest.test_case "unreachable block" `Quick test_lint_unreachable_block;
           Alcotest.test_case "missing restore" `Quick test_lint_missing_restore;
           Alcotest.test_case "order mismatch" `Quick test_lint_order_mismatch;
-          Alcotest.test_case "candidate cross-check" `Quick
-            test_lint_candidate_crosscheck;
           Alcotest.test_case "indirect audit" `Quick test_lint_indirect_audit;
         ] );
       ( "report",
