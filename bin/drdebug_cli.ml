@@ -7,6 +7,9 @@
      drdebug_cli slice --workload pbzip2 --trace-out trace.json --report-out report.json
      drdebug_cli fuzz --runs 50 --stats
      drdebug_cli report report.json
+     drdebug_cli pinball record --workload pbzip2 --iters 30 -o t.pinball
+     drdebug_cli pinball info|dump|verify t.pinball
+     drdebug_cli pinball verify t.pinball --workload pbzip2 --iters 30
 
    Without --script, reads commands from stdin (one per line; `quit`
    exits).  See `help` inside the session for the command set.
@@ -17,8 +20,9 @@
 
    Exit codes (stable, documented in README "Resource limits"):
      0  success
-     1  generic failure (bad arguments, failed run, fuzz failures)
-     2  command-line usage error (cmdliner)
+     1  generic failure (bad arguments, failed run, fuzz failures,
+        unreadable or unwritable file)
+     2  command-line usage error (unknown option, malformed value)
      3  pinball container error (Pinball_error: bad magic, CRC, bounds)
      4  slice file error (Slice_file_error: bad header or statement)
      5  resource error (Resource_error: budget exceeded, disk full,
@@ -42,6 +46,9 @@ let guarded f =
   | Dr_util.Budget.Resource_error e ->
     Printf.eprintf "resource error: %s\n" (Dr_util.Budget.error_to_string e);
     exit_resource_error
+  | Sys_error e ->
+    Printf.eprintf "cannot read/write %s\n" e;
+    1
 
 (* ---- observability plumbing shared by the subcommands ---- *)
 
@@ -86,22 +93,18 @@ let finish_obs ~trace_out ~report_out ~metrics_out ~stats ~label =
     (fun m -> Printf.eprintf "span mismatch: %s\n" m)
     (Dr_obs.Obs.mismatch_messages ())
 
-let load_program workload source =
+let load_program ?(threads = 4) ?(iters = 500) workload source =
   match (workload, source) with
   | Some name, None -> (
     match Dr_workloads.Registry.find name with
-    | Some e -> Ok (e.Dr_workloads.Registry.compile ~threads:4 ~iters:500)
+    | Some e -> Ok (e.Dr_workloads.Registry.compile ~threads ~iters)
     | None ->
       Error
         (Printf.sprintf "unknown workload %s (available: %s)" name
            (String.concat ", " (Dr_workloads.Registry.names ()))))
-  | None, Some path -> (
-    match
-      In_channel.with_open_text path In_channel.input_all |> fun src ->
-      Dr_lang.Codegen.compile_result ~name:(Filename.basename path) ~file:path src
-    with
-    | Ok p -> Ok p
-    | Error e -> Error e)
+  | None, Some path ->
+    In_channel.with_open_text path In_channel.input_all
+    |> Dr_lang.Codegen.compile_result ~name:(Filename.basename path) ~file:path
   | _ -> Error "specify exactly one of --workload or --source"
 
 let run workload source seed input script stats trace_out report_out
@@ -507,32 +510,29 @@ let run_slice_file path metrics_out =
    embedded report (BENCH_slicing.json's "report" member) is unwrapped,
    so the @obs CI gate can diff bench trajectories directly. *)
 let load_report path : (Dr_util.Json.t, int) result =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e ->
-    Printf.eprintf "cannot read %s: %s\n" path e;
+  match
+    Dr_util.Json.parse (In_channel.with_open_text path In_channel.input_all)
+  with
+  | Error e ->
+    Printf.eprintf "%s: not valid JSON: %s\n" path e;
     Error 1
-  | contents -> (
-    match Dr_util.Json.parse contents with
+  | Ok doc -> (
+    let doc =
+      match
+        Option.bind (Dr_util.Json.member "schema" doc) Dr_util.Json.to_str
+      with
+      | Some s when s <> Dr_obs.Report.schema_version -> (
+        match Dr_util.Json.member "report" doc with
+        | Some embedded -> embedded
+        | None -> doc)
+      | _ -> doc
+    in
+    match Dr_obs.Report.validate doc with
     | Error e ->
-      Printf.eprintf "%s: not valid JSON: %s\n" path e;
+      Printf.eprintf "%s: invalid %s document: %s\n" path
+        Dr_obs.Report.schema_version e;
       Error 1
-    | Ok doc -> (
-      let doc =
-        match
-          Option.bind (Dr_util.Json.member "schema" doc) Dr_util.Json.to_str
-        with
-        | Some s when s <> Dr_obs.Report.schema_version -> (
-          match Dr_util.Json.member "report" doc with
-          | Some embedded -> embedded
-          | None -> doc)
-        | _ -> doc
-      in
-      match Dr_obs.Report.validate doc with
-      | Error e ->
-        Printf.eprintf "%s: invalid %s document: %s\n" path
-          Dr_obs.Report.schema_version e;
-        Error 1
-      | Ok () -> Ok doc))
+    | Ok () -> Ok doc)
 
 (* `report FILE` validates and pretty-prints; `report diff BASE CUR`
    compares the timing trajectories and exits 1 on a regression beyond
@@ -584,6 +584,157 @@ let run_metrics path out =
       | Some dst ->
         Dr_util.Atomic_file.with_out dst (fun oc -> output_string oc text);
         Printf.printf "metrics written to %s\n" dst);
+      0)
+
+(* ---- pinball subcommands: inspect, verify and record pinball files ---- *)
+
+(* Pinballs are portable artifacts shipped between developers (paper
+   §1); these are the commands you run on one you received.  A corrupt
+   container raises Pinball_error, which [guarded] maps to exit 3. *)
+
+let run_pinball_info path =
+  guarded @@ fun () ->
+  let pb = Dr_pinplay.Pinball.load_file path in
+  let open Dr_pinplay.Pinball in
+  Printf.printf "pinball: %s\n" path;
+  Printf.printf "  program:       %s\n" pb.program_name;
+  Printf.printf "  kind:          %s\n"
+    (match pb.kind with Region -> "region" | Slice -> "slice");
+  Printf.printf "  region:        skip=%d length=%d (main-thread instructions)\n"
+    pb.region.skip pb.region.length;
+  Printf.printf "  instructions:  %d (all threads)\n" (schedule_instructions pb);
+  Printf.printf "  schedule:      %d slices\n" (Array.length pb.schedule);
+  Printf.printf "  syscalls:      %d logged results\n" (Array.length pb.syscalls);
+  Printf.printf "  threads:       %d in snapshot\n"
+    (List.length pb.snapshot.Dr_machine.Snapshot.threads);
+  Printf.printf "  locks held:    %d\n" (List.length pb.snapshot.Dr_machine.Snapshot.locks);
+  Printf.printf "  digests:       %d (every %d instructions)\n"
+    (Array.length pb.digests) pb.digest_interval;
+  (match pb.kind with
+  | Slice ->
+    Printf.printf "  slice events:  %d (%d executed instructions, %d injections)\n"
+      (Array.length pb.slice_events) (step_count pb)
+      (Array.length pb.injections)
+  | Region -> ());
+  Printf.printf "  size on disk:  %d bytes\n" (size_bytes pb);
+  0
+
+let run_pinball_dump path =
+  guarded @@ fun () ->
+  let pb = Dr_pinplay.Pinball.load_file path in
+  let open Dr_pinplay.Pinball in
+  Printf.printf "schedule (tid x count):\n ";
+  Array.iter (fun (tid, n) -> Printf.printf " %d x%d" tid n) pb.schedule;
+  Printf.printf "\nsyscall results:\n ";
+  Array.iter (fun v -> Printf.printf " %d" v) pb.syscalls;
+  print_newline ();
+  if pb.kind = Slice then begin
+    Printf.printf "slice events:\n";
+    Array.iter
+      (fun ev ->
+        match ev with
+        | Step { tid; pc } -> Printf.printf "  step tid=%d pc=%d\n" tid pc
+        | Inject i ->
+          let inj = pb.injections.(i) in
+          Printf.printf "  inject tid=%d (%d cells, %d regs)\n" inj.inj_tid
+            (List.length inj.inj_mem) (List.length inj.inj_regs))
+      pb.slice_events
+  end;
+  0
+
+(* Integrity verification: header, section CRCs, trailer CRC, full
+   decode.  Prints one line per section; false on any problem. *)
+let verify_integrity path =
+  let r = Dr_pinplay.Pinball.verify_file path in
+  let open Dr_pinplay.Pinball in
+  Printf.printf "pinball: %s\n" path;
+  Printf.printf "  format:  v%d\n" r.r_version;
+  List.iter
+    (fun s ->
+      Printf.printf "  section %-12s %8d bytes  crc %s\n" s.sr_name s.sr_bytes
+        (if s.sr_crc_ok then "ok" else "MISMATCH"))
+    r.r_sections;
+  if r.r_version > 0 then
+    Printf.printf "  trailer: %s\n" (if r.r_trailer_ok then "ok" else "MISMATCH");
+  if r.r_digest_count > 0 then
+    Printf.printf "  digests: %d replay checkpoints\n" r.r_digest_count;
+  if report_ok r then begin
+    print_endline "verify: OK — all checksums match";
+    true
+  end
+  else begin
+    List.iter (fun p -> Printf.printf "  problem: %s\n" p) r.r_problems;
+    print_endline "verify: FAILED — pinball is corrupt";
+    false
+  end
+
+(* Replay verification: two replays of the pinball against the
+   workload's program must be bit-identical (the paper's repeatability
+   guarantee). *)
+let verify_replay path name threads iters =
+  let pb = Dr_pinplay.Pinball.load_file path in
+  if pb.Dr_pinplay.Pinball.kind <> Dr_pinplay.Pinball.Region then begin
+    prerr_endline "replay verify supports region pinballs";
+    1
+  end
+  else
+    match load_program ~threads ~iters (Some name) None with
+    | Error e ->
+      prerr_endline e;
+      1
+    | Ok prog -> (
+      try
+        let m, reason = Dr_pinplay.Replayer.replay prog pb in
+        Printf.printf "replay 1: %s (%d instructions)\n"
+          (Format.asprintf "%a" Dr_machine.Driver.pp_stop_reason reason)
+          (Dr_machine.Machine.total_icount m
+          - pb.Dr_pinplay.Pinball.snapshot.Dr_machine.Snapshot.total_icount);
+        let m2, _ = Dr_pinplay.Replayer.replay prog pb in
+        if
+          Dr_machine.Machine.output_list m = Dr_machine.Machine.output_list m2
+          && m.Dr_machine.Machine.mem = m2.Dr_machine.Machine.mem
+        then begin
+          print_endline "verify: OK — two replays are bit-identical";
+          0
+        end
+        else begin
+          prerr_endline
+            "verify: FAILED — replays diverged (pinball/program mismatch?)";
+          1
+        end
+      with Dr_pinplay.Replayer.Divergence d ->
+        Printf.eprintf "verify: FAILED — %s (wrong program build?)\n"
+          (Dr_pinplay.Replayer.divergence_message d);
+        1)
+
+let run_pinball_verify path workload threads iters =
+  guarded @@ fun () ->
+  if not (verify_integrity path) then 1
+  else
+    match workload with
+    | Some name -> verify_replay path name threads iters
+    | None -> 0
+
+let run_pinball_record name seed out threads iters digest_interval =
+  guarded @@ fun () ->
+  match load_program ~threads ~iters (Some name) None with
+  | Error e ->
+    prerr_endline e;
+    1
+  | Ok prog -> (
+    match
+      Dr_pinplay.Logger.log
+        ~policy:(Dr_machine.Driver.Seeded { seed; max_quantum = 6 })
+        ~digest_interval prog Dr_pinplay.Logger.Whole
+    with
+    | Error e ->
+      Format.eprintf "recording failed: %a@." Dr_pinplay.Logger.pp_error e;
+      1
+    | Ok (pb, stats) ->
+      Dr_pinplay.Pinball.save_file out pb;
+      Printf.printf "recorded %s: %d instructions -> %s (%d bytes)\n" name
+        stats.Dr_pinplay.Logger.region_instructions out
+        stats.Dr_pinplay.Logger.pinball_bytes;
       0)
 
 open Cmdliner
@@ -659,7 +810,7 @@ let analyze_cmd =
   let doc =
     "static binary lint: unreachable blocks, maybe-uninitialized registers, \
      unresolved-indirect audit with refinement suggestions, save/restore \
-     discipline (cross-checked against the slicer's candidate scan), and \
+     discipline (over the candidate scan the slicer prunes with), and \
      static data-race candidates (lockset + happens-before)"
   in
   let out =
@@ -777,10 +928,66 @@ let slice_file_cmd =
   Cmd.v (Cmd.info "slice-file" ~doc)
     Term.(const run_slice_file $ file $ metrics_out)
 
+let pinball_cmd =
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Pinball file.")
+  in
+  let threads =
+    Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Thread count the workload is compiled for.")
+  in
+  let iters =
+    Arg.(value & opt int 500 & info [ "iters" ] ~doc:"Iteration count the workload is compiled for.")
+  in
+  let info_cmd =
+    Cmd.v (Cmd.info "info" ~doc:"summarize a pinball's header and sections")
+      Term.(const run_pinball_info $ file)
+  in
+  let dump_cmd =
+    Cmd.v (Cmd.info "dump" ~doc:"print the schedule, syscall results and slice events")
+      Term.(const run_pinball_dump $ file)
+  in
+  let verify_cmd =
+    let doc =
+      "check every checksum and decode the whole file; with --workload, also \
+       replay it twice against that workload and require bit-identical runs"
+    in
+    Cmd.v (Cmd.info "verify" ~doc)
+      Term.(const run_pinball_verify $ file $ workload $ threads $ iters)
+  in
+  let record_cmd =
+    let workload =
+      Arg.(required & opt (some string) None & info [ "workload"; "w" ] ~doc:"Named workload to record.")
+    in
+    let out =
+      Arg.(value & opt string "out.pinball" & info [ "o" ] ~docv:"FILE" ~doc:"Pinball file to write.")
+    in
+    let digest_interval =
+      Arg.(value & opt int 64 & info [ "digest-interval" ]
+             ~doc:"Record an execution digest every this many instructions; 0 = none.")
+    in
+    Cmd.v
+      (Cmd.info "record" ~doc:"record a whole run of a workload into a pinball")
+      Term.(
+        const run_pinball_record $ workload $ seed $ out $ threads $ iters
+        $ digest_interval)
+  in
+  Cmd.group
+    (Cmd.info "pinball"
+       ~doc:"inspect, verify and record pinball files (exit 3 on a corrupt container)")
+    [ info_cmd; dump_cmd; verify_cmd; record_cmd ]
+
 let cmd =
   let doc = "deterministic replay based cyclic debugging with dynamic slicing" in
   Cmd.group ~default:debug_term (Cmd.info "drdebug" ~doc)
     [ slice_cmd; analyze_cmd; maple_cmd; fuzz_cmd; report_cmd; metrics_cmd;
-      slice_file_cmd ]
+      slice_file_cmd; pinball_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+(* A parse or term error is a usage error (exit 2), not cmdliner's
+   default 124. *)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -18,13 +18,8 @@ let fail_counter kind =
 
 (* ---- deterministic case derivation ---- *)
 
-let mix64 h x =
-  let h = h lxor x in
-  let h = h * 0x9e3779b97f4a7c1 in
-  let h = h lxor (h lsr 29) in
-  let h = h * 0xbf58476d1ce4e5b in
-  (* 30 bits: derived seeds survive a JSON float round-trip exactly *)
-  (h lxor (h lsr 32)) land 0x3fffffff
+(* 30 bits: derived seeds survive a JSON float round-trip exactly *)
+let mix64 h x = Dr_pinplay.Exec_digest.mix h x land 0x3fffffff
 
 let prog_seed ~master id = mix64 (mix64 master 1) id
 
@@ -136,11 +131,6 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
-
 (* ---- corpus files: load + replay ---- *)
 
 type corpus_case = {
@@ -190,11 +180,7 @@ let corpus_case_of_json (j : Dr_util.Json.t) : (corpus_case, string) result =
          cc_detail }
 
 let load_corpus_case path : (corpus_case, string) result =
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
+  let contents = In_channel.with_open_bin path In_channel.input_all in
   match Dr_util.Json.parse contents with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
   | Ok j -> (
@@ -326,7 +312,7 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     (match out_dir with
     | Some d ->
       let path = Filename.concat d (Printf.sprintf "case-%d.json" case_id) in
-      write_file path
+      Dr_util.Atomic_file.write_string path
         (Dr_util.Json.to_string (failure_json ~master_seed:seed f));
       log (Printf.sprintf "case %d: shrunk to %d lines, saved %s" case_id
              (Array.length f.fr_lines) path)
@@ -408,7 +394,7 @@ let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
   in
   (match out_dir with
   | Some d ->
-    write_file (Filename.concat d "report.json")
+    Dr_util.Atomic_file.write_string (Filename.concat d "report.json")
       (Dr_util.Json.to_string (summary_json s))
   | None -> ());
   s

@@ -587,24 +587,20 @@ type resource_config = {
     traces span several segments. *)
 let oracle_seg_records = 64
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let apply_file_fault fault ~salt path =
   match fault with
   | Fault_delete -> Sys.remove path
   | Fault_truncate ->
-    let data = read_whole_file path in
+    let data = In_channel.with_open_bin path In_channel.input_all in
     let keep = salt mod max 1 (String.length data) in
     let oc = open_out_bin path in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> output_string oc (String.sub data 0 keep))
   | Fault_bit_flip ->
-    let data = Bytes.of_string (read_whole_file path) in
+    let data =
+      Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+    in
     if Bytes.length data > 0 then begin
       let bit = salt mod (Bytes.length data * 8) in
       let byte = bit / 8 in

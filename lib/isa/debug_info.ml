@@ -80,94 +80,3 @@ let lookup_var t ~pc name =
 let source_line t n =
   let lines = String.split_on_char '\n' t.source in
   List.nth_opt lines (n - 1)
-
-(* ---- serialization ---- *)
-
-let encode_var_loc e = function
-  | Global a -> Dr_util.Codec.put_uint e 0; Dr_util.Codec.put_uint e a
-  | Frame off -> Dr_util.Codec.put_uint e 1; Dr_util.Codec.put_int e off
-  | Register r -> Dr_util.Codec.put_uint e 2; Dr_util.Codec.put_uint e r
-
-let decode_var_loc d =
-  match Dr_util.Codec.get_uint d with
-  | 0 -> Global (Dr_util.Codec.get_uint d)
-  | 1 -> Frame (Dr_util.Codec.get_int d)
-  | 2 -> Register (Dr_util.Codec.get_uint d)
-  | _ -> raise (Dr_util.Codec.Corrupt "var_loc")
-
-let encode e t =
-  let open Dr_util.Codec in
-  put_string e t.file;
-  put_string e t.source;
-  put_list e
-    (fun e f ->
-      put_string e f.fname;
-      put_uint e f.entry;
-      put_uint e f.code_end;
-      put_list e (fun e p -> put_string e p) f.params;
-      put_list e
-        (fun e v ->
-          put_string e v.vname;
-          encode_var_loc e v.vloc;
-          match v.varray with
-          | None -> put_uint e 0
-          | Some n -> put_uint e 1; put_uint e n)
-        f.vars)
-    t.funcs;
-  put_uint e (Array.length t.lines);
-  Array.iter
-    (fun (p, l) ->
-      put_uint e p;
-      put_uint e l)
-    t.lines;
-  put_list e
-    (fun e (n, a, sz) ->
-      put_string e n;
-      put_uint e a;
-      match sz with None -> put_uint e 0 | Some s -> put_uint e 1; put_uint e s)
-    t.globals
-
-let decode d =
-  let open Dr_util.Codec in
-  let file = get_string d in
-  let source = get_string d in
-  let funcs =
-    get_list d (fun d ->
-        let fname = get_string d in
-        let entry = get_uint d in
-        let code_end = get_uint d in
-        let params = get_list d (fun d -> get_string d) in
-        let vars =
-          get_list d (fun d ->
-              let vname = get_string d in
-              let vloc = decode_var_loc d in
-              let varray =
-                match get_uint d with
-                | 0 -> None
-                | 1 -> Some (get_uint d)
-                | _ -> raise (Corrupt "varray")
-              in
-              { vname; vloc; varray })
-        in
-        { fname; entry; code_end; params; vars })
-  in
-  let nlines = get_uint d in
-  let lines =
-    Array.init nlines (fun _ ->
-        let p = get_uint d in
-        let l = get_uint d in
-        (p, l))
-  in
-  let globals =
-    get_list d (fun d ->
-        let n = get_string d in
-        let a = get_uint d in
-        let sz =
-          match get_uint d with
-          | 0 -> None
-          | 1 -> Some (get_uint d)
-          | _ -> raise (Corrupt "gsize")
-        in
-        (n, a, sz))
-  in
-  { file; source; funcs; lines; globals }

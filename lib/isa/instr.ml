@@ -177,96 +177,3 @@ let static_successors ~pc = function
     (* Intra-procedural CFG: a call falls through to its continuation. *)
     Some [ pc + 1 ]
   | _ -> Some [ pc + 1 ]
-
-(* ---- Serialization (used by pinballs that embed programs) ---- *)
-
-let binop_code = function
-  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Mod -> 4
-  | And -> 5 | Or -> 6 | Xor -> 7 | Shl -> 8 | Shr -> 9
-
-let binop_of_code = function
-  | 0 -> Add | 1 -> Sub | 2 -> Mul | 3 -> Div | 4 -> Mod
-  | 5 -> And | 6 -> Or | 7 -> Xor | 8 -> Shl | 9 -> Shr
-  | _ -> raise (Dr_util.Codec.Corrupt "binop")
-
-let cond_code = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
-
-let cond_of_code = function
-  | 0 -> Eq | 1 -> Ne | 2 -> Lt | 3 -> Le | 4 -> Gt | 5 -> Ge
-  | _ -> raise (Dr_util.Codec.Corrupt "cond")
-
-let syscall_code = function
-  | Exit -> 0 | Print -> 1 | Rand -> 2 | Time -> 3 | Read -> 4 | Spawn -> 5
-  | Join -> 6 | Lock -> 7 | Unlock -> 8 | Yield -> 9 | Alloc -> 10
-  | Wait -> 11 | Signal -> 12 | Broadcast -> 13
-
-let syscall_of_code = function
-  | 0 -> Exit | 1 -> Print | 2 -> Rand | 3 -> Time | 4 -> Read | 5 -> Spawn
-  | 6 -> Join | 7 -> Lock | 8 -> Unlock | 9 -> Yield | 10 -> Alloc
-  | 11 -> Wait | 12 -> Signal | 13 -> Broadcast
-  | _ -> raise (Dr_util.Codec.Corrupt "syscall")
-
-let encode_operand e = function
-  | Reg r ->
-    Dr_util.Codec.put_uint e 0;
-    Dr_util.Codec.put_uint e r
-  | Imm n ->
-    Dr_util.Codec.put_uint e 1;
-    Dr_util.Codec.put_int e n
-
-let decode_operand d =
-  match Dr_util.Codec.get_uint d with
-  | 0 -> Reg (Dr_util.Codec.get_uint d)
-  | 1 -> Imm (Dr_util.Codec.get_int d)
-  | _ -> raise (Dr_util.Codec.Corrupt "operand")
-
-let encode e i =
-  let open Dr_util.Codec in
-  match i with
-  | Mov (rd, op) -> put_uint e 0; put_uint e rd; encode_operand e op
-  | Bin (b, rd, rs, op) ->
-    put_uint e 1; put_uint e (binop_code b); put_uint e rd; put_uint e rs;
-    encode_operand e op
-  | Load (rd, rb, off) -> put_uint e 2; put_uint e rd; put_uint e rb; put_int e off
-  | Store (rb, off, rs) -> put_uint e 3; put_uint e rb; put_int e off; put_uint e rs
-  | Push r -> put_uint e 4; put_uint e r
-  | Pop r -> put_uint e 5; put_uint e r
-  | Cmp (r, op) -> put_uint e 6; put_uint e r; encode_operand e op
-  | Setcc (c, r) -> put_uint e 7; put_uint e (cond_code c); put_uint e r
-  | Jmp t -> put_uint e 8; put_uint e t
-  | Jcc (c, t) -> put_uint e 9; put_uint e (cond_code c); put_uint e t
-  | Jind r -> put_uint e 10; put_uint e r
-  | Call t -> put_uint e 11; put_uint e t
-  | Callind r -> put_uint e 12; put_uint e r
-  | Ret -> put_uint e 13
-  | Sys s -> put_uint e 14; put_uint e (syscall_code s)
-  | Assert (r, m) -> put_uint e 15; put_uint e r; put_uint e m
-  | Halt -> put_uint e 16
-  | Nop -> put_uint e 17
-
-let decode d =
-  let open Dr_util.Codec in
-  match get_uint d with
-  | 0 -> let rd = get_uint d in Mov (rd, decode_operand d)
-  | 1 ->
-    let b = binop_of_code (get_uint d) in
-    let rd = get_uint d in
-    let rs = get_uint d in
-    Bin (b, rd, rs, decode_operand d)
-  | 2 -> let rd = get_uint d in let rb = get_uint d in Load (rd, rb, get_int d)
-  | 3 -> let rb = get_uint d in let off = get_int d in Store (rb, off, get_uint d)
-  | 4 -> Push (get_uint d)
-  | 5 -> Pop (get_uint d)
-  | 6 -> let r = get_uint d in Cmp (r, decode_operand d)
-  | 7 -> let c = cond_of_code (get_uint d) in Setcc (c, get_uint d)
-  | 8 -> Jmp (get_uint d)
-  | 9 -> let c = cond_of_code (get_uint d) in Jcc (c, get_uint d)
-  | 10 -> Jind (get_uint d)
-  | 11 -> Call (get_uint d)
-  | 12 -> Callind (get_uint d)
-  | 13 -> Ret
-  | 14 -> Sys (syscall_of_code (get_uint d))
-  | 15 -> let r = get_uint d in Assert (r, get_uint d)
-  | 16 -> Halt
-  | 17 -> Nop
-  | _ -> raise (Dr_util.Codec.Corrupt "instr")

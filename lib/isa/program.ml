@@ -53,44 +53,3 @@ let stack_base t ~tid = t.mem_size - (tid * t.stack_words)
 
 (** Lowest address thread [tid]'s stack may touch. *)
 let stack_limit t ~tid = stack_base t ~tid - t.stack_words
-
-let encode e t =
-  let open Dr_util.Codec in
-  put_string e t.name;
-  put_uint e (Array.length t.code);
-  Array.iter (Instr.encode e) t.code;
-  put_uint e t.entry;
-  put_list e
-    (fun e (a, v) ->
-      put_uint e a;
-      put_int e v)
-    t.data;
-  put_uint e t.data_end;
-  put_uint e t.mem_size;
-  put_uint e t.stack_words;
-  put_uint e t.max_threads;
-  put_uint e (Array.length t.strings);
-  Array.iter (put_string e) t.strings;
-  Debug_info.encode e t.debug
-
-let decode d =
-  let open Dr_util.Codec in
-  let name = get_string d in
-  let ncode = get_uint d in
-  let code = Array.init ncode (fun _ -> Instr.decode d) in
-  let entry = get_uint d in
-  let data =
-    get_list d (fun d ->
-        let a = get_uint d in
-        let v = get_int d in
-        (a, v))
-  in
-  let data_end = get_uint d in
-  let mem_size = get_uint d in
-  let stack_words = get_uint d in
-  let max_threads = get_uint d in
-  let nstr = get_uint d in
-  let strings = Array.init nstr (fun _ -> get_string d) in
-  let debug = Debug_info.decode d in
-  { name; code; entry; data; data_end; mem_size; stack_words; max_threads;
-    strings; debug }

@@ -450,7 +450,7 @@ let load_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> of_bytes (really_input_string ic (in_channel_length ic)))
 
-(* ---- integrity verification (pinball_tool verify) ---- *)
+(* ---- integrity verification (drdebug_cli pinball verify) ---- *)
 
 type section_report = { sr_name : string; sr_bytes : int; sr_crc_ok : bool }
 

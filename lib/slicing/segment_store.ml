@@ -247,9 +247,9 @@ let length t = t.total
 
 let is_resident t = t.flat <> None
 
-(** The flat record array when the store never spilled — the hot-path
-    escape hatch {!Global_trace} uses to keep in-memory access at plain
-    array cost. *)
+(** The flat record array when the store never spilled, [None] once it
+    has.  Tests use it to check that a resident store holds little
+    beyond that array. *)
 let as_flat t = t.flat
 
 let spilled_segments t =

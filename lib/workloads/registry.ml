@@ -32,12 +32,6 @@ let find name = List.find_opt (fun e -> e.name = name) all
 
 let names () = List.map (fun e -> e.name) all
 
-let kind_name = function
-  | Bug -> "bug"
-  | Parsec_app -> "parsec-app"
-  | Parsec_kernel -> "parsec-kernel"
-  | Specomp -> "specomp"
-
 (** Main-thread instructions consumed by a full run with the given
     iteration count (probe run under round-robin). *)
 let probe_main_icount (e : entry) ~threads ~iters : int =

@@ -146,6 +146,111 @@ let test_bit_flips () =
         (Dr_pinplay.Pinball.report_ok (Dr_pinplay.Pinball.verify_bytes mutated))
   done
 
+(* ---- CRC-valid section damage ---- *)
+
+(* Split a container into its header fields and section payloads, and
+   seal it again with fresh section CRCs and trailer, so damage to a
+   payload gets past every checksum and reaches the section decoders. *)
+let unseal bytes =
+  let open Dr_util.Codec in
+  let d = decoder bytes in
+  let magic = get_string d in
+  let version = get_uint d in
+  let flags = get_uint d in
+  let table =
+    List.init (get_uint d) (fun _ ->
+        let id = get_uint d in
+        let len = get_uint d in
+        ignore (get_uint d : int);
+        (id, len))
+  in
+  let off = ref d.pos in
+  let sections =
+    List.map
+      (fun (id, len) ->
+        let payload = String.sub bytes !off len in
+        off := !off + len;
+        (id, payload))
+      table
+  in
+  (magic, version, flags, sections)
+
+let reseal (magic, version, flags, sections) =
+  let open Dr_util.Codec in
+  let e = encoder () in
+  put_string e magic;
+  put_uint e version;
+  put_uint e flags;
+  put_uint e (List.length sections);
+  List.iter
+    (fun (id, p) ->
+      put_uint e id;
+      put_uint e (String.length p);
+      put_uint e (Dr_util.Crc32.string p))
+    sections;
+  List.iter (fun (_, p) -> Buffer.add_string e p) sections;
+  let body = to_string e in
+  let crc = Dr_util.Crc32.string body in
+  body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * (3 - i))) land 0xff))
+
+(* Up to 16 prefixes and 16 spread bit flips of every section payload,
+   each resealed; every decode builds a whole memory image, so the sweep
+   samples rather than enumerates.  [of_bytes] may accept the damage (a
+   flipped count can still decode) but may raise nothing other than
+   [Pinball_error]: no bare [Dr_util.Codec.Corrupt] escapes a section
+   decoder.  One damaged file per section also goes through
+   [load_file]. *)
+let test_resealed_sections () =
+  let check what s =
+    match Dr_pinplay.Pinball.of_bytes s with
+    | _ | (exception Dr_pinplay.Pinball.Pinball_error _) -> ()
+    | exception e ->
+      Alcotest.failf "%s: unstructured exception %s" what (Printexc.to_string e)
+  in
+  let sweep bytes =
+    let magic, version, flags, sections = unseal bytes in
+    Alcotest.(check bool) "reseal is the identity" true
+      (reseal (magic, version, flags, sections) = bytes);
+    List.iteri
+      (fun k (id, payload) ->
+        let with_payload p =
+          reseal
+            (magic, version, flags,
+             List.mapi (fun j s -> if j = k then (id, p) else s) sections)
+        in
+        let n = String.length payload in
+        let cut len =
+          check
+            (Printf.sprintf "section %d cut to %d/%d" id len n)
+            (with_payload (String.sub payload 0 len))
+        in
+        for i = 0 to min n 16 - 1 do
+          cut (i * n / min n 16)
+        done;
+        if n > 0 then cut (n - 1);
+        check (Printf.sprintf "section %d + 1 byte" id) (with_payload (payload ^ "\x01"));
+        for f = 1 to if n = 0 then 0 else 16 do
+          let bit = (f * 2654435761) mod (n * 8) in
+          check
+            (Printf.sprintf "section %d bit %d" id bit)
+            (with_payload (flip_bit payload (bit / 8) (bit mod 8)))
+        done;
+        let path = Filename.temp_file "fault" ".pinball" in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (with_payload (String.sub payload 0 (n / 2))));
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            match Dr_pinplay.Pinball.load_file path with
+            | _ | (exception Dr_pinplay.Pinball.Pinball_error _) -> ()
+            | exception e ->
+              Alcotest.failf "load_file, section %d: unstructured exception %s"
+                id (Printexc.to_string e)))
+      sections
+  in
+  sweep (Dr_pinplay.Pinball.to_bytes (snd (log_whole racy_src)));
+  sweep (Dr_pinplay.Pinball.to_bytes (slice_pinball ()))
+
 (* ---- hostile tiny inputs: structured errors, bounded allocation ---- *)
 
 let test_tiny_inputs () =
@@ -275,7 +380,9 @@ let () =
       ( "corruption",
         [ Alcotest.test_case "256 seeded bit flips" `Quick test_bit_flips;
           Alcotest.test_case "hostile tiny inputs" `Quick test_tiny_inputs;
-          Alcotest.test_case "trailing garbage" `Quick test_trailing_bytes ] );
+          Alcotest.test_case "trailing garbage" `Quick test_trailing_bytes;
+          Alcotest.test_case "resealed section damage" `Quick
+            test_resealed_sections ] );
       ( "compat",
         [ Alcotest.test_case "v1 magic rejected" `Quick test_v1_rejected ] );
       ( "verify",

@@ -1,62 +1,4 @@
-(* Tests for dr_isa: location encoding, instruction serialization,
-   program/debug-info round-trips. *)
-
-let instr_gen : Dr_isa.Instr.t QCheck.Gen.t =
-  let open QCheck.Gen in
-  let reg = int_bound 15 in
-  let operand =
-    oneof
-      [ map (fun r -> Dr_isa.Instr.Reg r) reg;
-        map (fun n -> Dr_isa.Instr.Imm n) (int_range (-1000) 1000) ]
-  in
-  let binop =
-    oneofl
-      Dr_isa.Instr.[ Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr ]
-  in
-  let cond = oneofl Dr_isa.Instr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
-  let sys =
-    oneofl
-      Dr_isa.Instr.
-        [ Exit; Print; Rand; Time; Read; Spawn; Join; Lock; Unlock; Yield; Alloc ]
-  in
-  oneof
-    [ map2 (fun r o -> Dr_isa.Instr.Mov (r, o)) reg operand;
-      (let* b = binop in
-       let* rd = reg in
-       let* rs = reg in
-       let* o = operand in
-       return (Dr_isa.Instr.Bin (b, rd, rs, o)));
-      (let* rd = reg in
-       let* rb = reg in
-       let* off = int_range (-64) 64 in
-       return (Dr_isa.Instr.Load (rd, rb, off)));
-      (let* rb = reg in
-       let* off = int_range (-64) 64 in
-       let* rs = reg in
-       return (Dr_isa.Instr.Store (rb, off, rs)));
-      map (fun r -> Dr_isa.Instr.Push r) reg;
-      map (fun r -> Dr_isa.Instr.Pop r) reg;
-      map2 (fun r o -> Dr_isa.Instr.Cmp (r, o)) reg operand;
-      map2 (fun c r -> Dr_isa.Instr.Setcc (c, r)) cond reg;
-      map (fun t -> Dr_isa.Instr.Jmp t) (int_bound 1000);
-      map2 (fun c t -> Dr_isa.Instr.Jcc (c, t)) cond (int_bound 1000);
-      map (fun r -> Dr_isa.Instr.Jind r) reg;
-      map (fun t -> Dr_isa.Instr.Call t) (int_bound 1000);
-      map (fun r -> Dr_isa.Instr.Callind r) reg;
-      return Dr_isa.Instr.Ret;
-      map (fun s -> Dr_isa.Instr.Sys s) sys;
-      map2 (fun r m -> Dr_isa.Instr.Assert (r, m)) reg (int_bound 10);
-      return Dr_isa.Instr.Halt;
-      return Dr_isa.Instr.Nop ]
-
-let prop_instr_roundtrip =
-  QCheck.Test.make ~name:"instr encode/decode round-trip" ~count:1000
-    (QCheck.make instr_gen ~print:Dr_isa.Instr.to_string)
-    (fun i ->
-      let e = Dr_util.Codec.encoder () in
-      Dr_isa.Instr.encode e i;
-      let d = Dr_util.Codec.decoder (Dr_util.Codec.to_string e) in
-      Dr_isa.Instr.decode d = i)
+(* Tests for dr_isa: location encoding, stack layout, line table. *)
 
 let test_loc_encoding () =
   let m = Dr_isa.Loc.mem 1234 in
@@ -104,43 +46,6 @@ let sample_program () =
     ~entry:0
     [ Mov (0, Imm 1); Assert (0, 0); Halt ]
 
-let test_program_roundtrip () =
-  let p = sample_program () in
-  let e = Dr_util.Codec.encoder () in
-  Dr_isa.Program.encode e p;
-  let d = Dr_util.Codec.decoder (Dr_util.Codec.to_string e) in
-  let p' = Dr_isa.Program.decode d in
-  Alcotest.(check string) "name" p.Dr_isa.Program.name p'.Dr_isa.Program.name;
-  Alcotest.(check int) "code size" (Dr_isa.Program.code_size p)
-    (Dr_isa.Program.code_size p');
-  Alcotest.(check bool) "code equal" true
-    (p.Dr_isa.Program.code = p'.Dr_isa.Program.code);
-  Alcotest.(check bool) "data equal" true
-    (p.Dr_isa.Program.data = p'.Dr_isa.Program.data);
-  Alcotest.(check string) "strings" "oops" (Dr_isa.Program.string_at p' 0)
-
-let test_debug_info_roundtrip () =
-  let src = {|
-fn helper(int x) { return x * 2; }
-fn main() { print(helper(21)); }
-|} in
-  let p =
-    match Dr_lang.Codegen.compile_result ~name:"dbg" src with
-    | Ok p -> p
-    | Error m -> Alcotest.failf "compile: %s" m
-  in
-  let e = Dr_util.Codec.encoder () in
-  Dr_isa.Debug_info.encode e p.Dr_isa.Program.debug;
-  let d = Dr_util.Codec.decoder (Dr_util.Codec.to_string e) in
-  let dbg = Dr_isa.Debug_info.decode d in
-  Alcotest.(check bool) "funcs preserved" true
-    (List.map (fun f -> f.Dr_isa.Debug_info.fname) dbg.Dr_isa.Debug_info.funcs
-    = List.map
-        (fun f -> f.Dr_isa.Debug_info.fname)
-        p.Dr_isa.Program.debug.Dr_isa.Debug_info.funcs);
-  Alcotest.(check bool) "lines preserved" true
-    (dbg.Dr_isa.Debug_info.lines = p.Dr_isa.Program.debug.Dr_isa.Debug_info.lines)
-
 let test_stack_layout () =
   let p = sample_program () in
   let b0 = Dr_isa.Program.stack_base p ~tid:0 in
@@ -168,11 +73,6 @@ let () =
         [ Alcotest.test_case "encoding" `Quick test_loc_encoding;
           Alcotest.test_case "mem/reg disjoint" `Quick test_loc_mem_reg_disjoint;
           QCheck_alcotest.to_alcotest prop_loc_distinct ] );
-      ( "instr",
-        [ QCheck_alcotest.to_alcotest prop_instr_roundtrip ] );
       ( "program",
-        [ Alcotest.test_case "round-trip" `Quick test_program_roundtrip;
-          Alcotest.test_case "debug info round-trip" `Quick
-            test_debug_info_roundtrip;
-          Alcotest.test_case "stack layout" `Quick test_stack_layout;
+        [ Alcotest.test_case "stack layout" `Quick test_stack_layout;
           Alcotest.test_case "line table" `Quick test_line_of_pc_boundaries ] ) ]
