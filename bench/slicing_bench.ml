@@ -173,8 +173,11 @@ let measure_spill (p : prepared) =
   let c = p.w_collect in
   let n = Dr_slicing.Segment_store.length c.Dr_slicing.Collector.records in
   let total_bytes = ref 0 in
-  Dr_slicing.Segment_store.iter c.Dr_slicing.Collector.records (fun _ r ->
-      total_bytes := !total_bytes + Dr_slicing.Segment_store.record_bytes r);
+  for g = 0 to n - 1 do
+    total_bytes :=
+      !total_bytes
+      + Dr_slicing.Segment_store.record_bytes c.Dr_slicing.Collector.records g
+  done;
   let spill_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "drdebug-bench-spill-%d-%s" (Unix.getpid ()) p.w_name)

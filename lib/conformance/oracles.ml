@@ -372,7 +372,7 @@ let observe prog pb (c : Collector.result) ~included ~crit_gseq :
           let pre = shadow tid in
           o_sp_fp.(2 * gseq) <- pre.(Dr_isa.Reg.sp);
           o_sp_fp.((2 * gseq) + 1) <- pre.(Dr_isa.Reg.fp);
-          if Dr_exeslice.Exclusion.forced rec_ then
+          if Dr_exeslice.Exclusion.forced c.Collector.records gseq then
             Hashtbl.replace o_sync_regs gseq (Array.copy pre);
           (match ev.Event.sys with
           | Event.Sys_nondet { result; _ } -> Hashtbl.replace o_nondet gseq result
@@ -817,7 +817,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
         slice.Slicer.positions;
       let included g =
         Dr_util.Bitset.mem in_slice g
-        || Dr_exeslice.Exclusion.forced (Segment_store.get c.Collector.records g)
+        || Dr_exeslice.Exclusion.forced c.Collector.records g
       in
       let exclusions, _xstats =
         Dr_exeslice.Exclusion.build ~slice ~collector:c
@@ -851,7 +851,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
         closure.Slicer.positions;
       let included_cl g =
         Dr_util.Bitset.mem in_closure g
-        || Dr_exeslice.Exclusion.forced (Segment_store.get c.Collector.records g)
+        || Dr_exeslice.Exclusion.forced c.Collector.records g
       in
       check_reexec prog pb c ~included:included_cl ~in_slice:in_closure
         ~crit_gseq obs;

@@ -21,25 +21,28 @@ type stats = {
   regions : int;
 }
 
-(** Should this record be kept even if it is not in the slice? *)
-let forced (r : Dr_slicing.Trace.record) =
-  Dr_slicing.Trace.is_sync r || Dr_slicing.Trace.is_final_ret r
+let forced_flags flags =
+  flags land (Dr_slicing.Trace.flag_sync lor Dr_slicing.Trace.flag_final_ret)
+  <> 0
+
+(** Should the record with this gseq be kept even if it is not in the
+    slice? *)
+let forced (records : Dr_slicing.Segment_store.t) g =
+  forced_flags (Dr_slicing.Segment_store.flags records g)
 
 (** Build the exclusion regions for [slice] over the collector's
     per-thread traces. *)
 let build ~(slice : Dr_slicing.Slicer.t) ~(collector : Dr_slicing.Collector.result)
     : Dr_pinplay.Relogger.exclusion list * stats =
+  let module Chunk = Dr_slicing.Segment_store.Chunk in
   let gt = slice.Dr_slicing.Slicer.gt in
-  let n = Dr_slicing.Segment_store.length collector.Dr_slicing.Collector.records in
+  let records = collector.Dr_slicing.Collector.records in
+  let n = Dr_slicing.Segment_store.length records in
   let in_slice = Dr_util.Bitset.create n in
   Array.iter
     (fun pos ->
-      let r = Dr_slicing.Global_trace.record gt pos in
-      Dr_util.Bitset.add in_slice r.Dr_slicing.Trace.gseq)
+      Dr_util.Bitset.add in_slice (Dr_slicing.Global_trace.gseq_at gt pos))
     slice.Dr_slicing.Slicer.positions;
-  let keep (r : Dr_slicing.Trace.record) =
-    Dr_util.Bitset.mem in_slice r.Dr_slicing.Trace.gseq || forced r
-  in
   let exclusions = ref [] in
   let included = ref 0 and excluded = ref 0 and regions = ref 0 in
   Array.iteri
@@ -47,17 +50,18 @@ let build ~(slice : Dr_slicing.Slicer.t) ~(collector : Dr_slicing.Collector.resu
       let run_start = ref None in
       Array.iter
         (fun g ->
-          let r =
-            Dr_slicing.Segment_store.get collector.Dr_slicing.Collector.records g
+          let c = Dr_slicing.Segment_store.chunk records g in
+          let keep =
+            Dr_util.Bitset.mem in_slice g || forced_flags (Chunk.flags c g)
           in
-          if keep r then begin
+          if keep then begin
             incr included;
             match !run_start with
             | Some (spc, sinst) ->
               exclusions :=
                 { Dr_pinplay.Relogger.x_tid = tid; x_start_pc = spc;
                   x_start_instance = sinst;
-                  x_end = Some (r.Dr_slicing.Trace.pc, r.Dr_slicing.Trace.instance) }
+                  x_end = Some (Chunk.pc c g, Chunk.instance c g) }
                 :: !exclusions;
               incr regions;
               run_start := None
@@ -66,7 +70,7 @@ let build ~(slice : Dr_slicing.Slicer.t) ~(collector : Dr_slicing.Collector.resu
           else begin
             incr excluded;
             if !run_start = None then
-              run_start := Some (r.Dr_slicing.Trace.pc, r.Dr_slicing.Trace.instance)
+              run_start := Some (Chunk.pc c g, Chunk.instance c g)
           end)
         gseqs;
       match !run_start with

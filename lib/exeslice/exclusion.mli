@@ -13,8 +13,8 @@ type stats = {
   regions : int;
 }
 
-(** Is this record kept regardless of slice membership? *)
-val forced : Dr_slicing.Trace.record -> bool
+(** Is the record with this gseq kept regardless of slice membership? *)
+val forced : Dr_slicing.Segment_store.t -> int -> bool
 
 (** Build the exclusion regions for [slice] over the collector's
     per-thread traces. *)

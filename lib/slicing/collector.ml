@@ -53,11 +53,13 @@ type thread_st = {
     same event boundary as the machine snapshot.
 
     Both users drive it identically: one {!Derive.next} call per retired
-    instruction, in event order.  The collector keeps its own concerns
-    (segment appends, access-order edges, save/restore confirmation,
-    watchdog polling) outside, so a byte-for-byte agreement between a
-    collected record and a re-derived one follows from determinism of
-    the replay plus this shared core. *)
+    instruction, in event order, each writing one row into a
+    {!Segment_store.Chunk} (the collector's segment builder, or a
+    re-execution window).  The collector keeps its own concerns
+    (access-order edges, save/restore confirmation, watchdog polling)
+    outside, so a field-for-field agreement between a collected row and
+    a re-derived one follows from determinism of the replay plus this
+    shared core. *)
 module Derive = struct
   type t = {
     nline : int;
@@ -136,10 +138,12 @@ module Derive = struct
     | e :: rest when e.cd_depth = d -> drop_frame d rest
     | stack -> stack
 
-  (** Derive the trace record for the [gseq]-th retired instruction and
-      advance the derivation state.  Must be called exactly once per
-      event, in execution order. *)
-  let next (t : t) ~(gseq : int) (ev : Event.t) : Trace.record =
+  (** Derive the trace record of a retired instruction, append it to
+      [chunk] as row [base + length] (that is its gseq) and advance the
+      derivation state.  Must be called exactly once per event, in
+      execution order. *)
+  let next (t : t) (chunk : Segment_store.Chunk.t) (ev : Event.t) : unit =
+    let gseq = Segment_store.Chunk.base chunk + Segment_store.Chunk.length chunk in
     let tid = ev.Event.tid and pc = ev.Event.pc in
     let st = thread t tid in
     (* 1. close control-dependence regions ending at this pc *)
@@ -150,8 +154,6 @@ module Derive = struct
     Dr_util.Vec.Int_vec.clear t.scratch_defs;
     Dr_util.Vec.Int_vec.clear t.scratch_uses;
     Def_use.collect ev ~defs:t.scratch_defs ~uses:t.scratch_uses;
-    let defs = Dr_util.Vec.Int_vec.to_array t.scratch_defs in
-    let uses = Dr_util.Vec.Int_vec.to_array t.scratch_uses in
     (* 4. flags and instance *)
     let instr = ev.Event.instr in
     let is_branch = Dr_isa.Instr.is_branch instr in
@@ -176,11 +178,10 @@ module Derive = struct
     let instance = Instance_count.next st.instances pc in
     let lidx = st.lidx in
     st.lidx <- lidx + 1;
-    let record =
-      { Trace.gseq; tid; pc; instance; lidx; defs; uses; cd; flags;
-        line = (if pc < t.nline then t.line_of_pc.(pc) else -1) }
-    in
-    (* 5. maintain CD frame depth (the record above is already built) *)
+    Segment_store.Chunk.push chunk ~tid ~pc ~instance ~lidx ~cd ~flags
+      ~line:(if pc < t.nline then t.line_of_pc.(pc) else -1)
+      ~defs:t.scratch_defs ~uses:t.scratch_uses;
+    (* 5. maintain CD frame depth (the row above is already written) *)
     (match instr with
     | Dr_isa.Instr.Call _ | Dr_isa.Instr.Callind _ -> st.depth <- st.depth + 1
     | Dr_isa.Instr.Ret ->
@@ -201,8 +202,7 @@ module Derive = struct
       | Dr_cfg.Cfg.At p ->
         st.stack <-
           { branch_gseq = gseq; ipdom_pc = p; cd_depth = st.depth } :: st.stack
-    end;
-    record
+    end
 end
 
 (* per-address access-order state *)
@@ -251,6 +251,27 @@ let rec push_war_edges order_edges ~tid ~gseq = function
     if rt <> tid then Dr_util.Vec.push order_edges (rg, gseq);
     push_war_edges order_edges ~tid ~gseq rest
 
+(* tid -> gseqs in program order, from the tids of all records in gseq
+   order: one pass counts each thread's records, one fills. *)
+let per_thread_of_tids ~nthreads tids =
+  let counts = Array.make nthreads 0 in
+  let d = Dr_util.Codec.decoder tids in
+  while not (Dr_util.Codec.at_end d) do
+    let tid = Dr_util.Codec.get_uint d in
+    counts.(tid) <- counts.(tid) + 1
+  done;
+  let per_thread = Array.map (fun k -> Array.make k 0) counts in
+  let fill = Array.make nthreads 0 in
+  let d = Dr_util.Codec.decoder tids in
+  let gseq = ref 0 in
+  while not (Dr_util.Codec.at_end d) do
+    let tid = Dr_util.Codec.get_uint d in
+    per_thread.(tid).(fill.(tid)) <- !gseq;
+    fill.(tid) <- fill.(tid) + 1;
+    incr gseq
+  done;
+  per_thread
+
 (** Collect the full region trace.  [refine] (default true) enables the
     two-pass CFG refinement of §5.1; [max_save] is the save/restore
     candidate window of §5.2.  [budget] governs resources: records spill
@@ -278,11 +299,9 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
   let watchdog =
     Option.bind budget (Dr_util.Budget.watchdog_of ~what:"collector.collect")
   in
-  (* tid -> gseqs; the machine numbers threads below [max_threads] *)
-  let per_thread =
-    Array.init prog.Dr_isa.Program.max_threads (fun _ ->
-        Dr_util.Vec.Int_vec.create ())
-  in
+  (* the tid of every record, one varint each, from which [per_thread]
+     is built exactly sized once the count per thread is known *)
+  let tids = Dr_util.Codec.encoder () in
   let max_tid = ref 0 in
   let order_edges = Dr_util.Vec.create ~dummy:(0, 0) in
   let addr_states : (int, addr_state) Hashtbl.t = Hashtbl.create 4096 in
@@ -293,9 +312,8 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
     if gseq land 4095 = 0 then Option.iter Dr_util.Budget.check watchdog;
     (* cd / def-use / flags / instance / lidx: the shared derivation
        core (also replayed window-by-window by {!Reexec}) *)
-    let record = Derive.next derive ~gseq ev in
-    Segment_store.append records record;
-    Dr_util.Vec.Int_vec.push per_thread.(tid) gseq;
+    Derive.next derive (Segment_store.sink records) ev;
+    Dr_util.Codec.put_uint tids tid;
     if tid > !max_tid then max_tid := tid;
     (* 5. shared-memory access order edges *)
     if ev.Event.mem_read >= 0 then begin
@@ -330,8 +348,7 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
   let replayer = Dr_pinplay.Replayer.create prog pinball in
   ignore (Dr_pinplay.Replayer.resume ~hooks:{ Driver.on_event } replayer);
   let per_thread =
-    Array.init (!max_tid + 1) (fun tid ->
-        Dr_util.Vec.Int_vec.to_array per_thread.(tid))
+    per_thread_of_tids ~nthreads:(!max_tid + 1) (Dr_util.Codec.to_string tids)
   in
   let records = Segment_store.seal records in
   Dr_obs.Obs.add_attr sp "records" (Dr_obs.Obs.Int (Segment_store.length records));

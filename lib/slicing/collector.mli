@@ -28,8 +28,9 @@ type result = {
     that wants to resume derivation mid-trace carries a {!Derive.copy}
     taken at the same event boundary as the machine snapshot.  Both
     users call {!Derive.next} exactly once per retired instruction, in
-    execution order — byte-identical records follow from replay
-    determinism plus this shared core. *)
+    execution order, writing one row into a {!Segment_store.Chunk} —
+    field-identical rows follow from replay determinism plus this
+    shared core. *)
 module Derive : sig
   type t
 
@@ -41,9 +42,10 @@ module Derive : sig
   (** Deep copy, safe to advance independently of the original. *)
   val copy : t -> t
 
-  (** Derive the trace record for the [gseq]-th retired instruction and
-      advance the state. *)
-  val next : t -> gseq:int -> Dr_machine.Event.t -> Trace.record
+  (** Derive the trace record of a retired instruction, append it to
+      the chunk as row [base + length] (its gseq) and advance the
+      state.  Allocation-free unless the chunk's location pool grows. *)
+  val next : t -> Segment_store.Chunk.t -> Dr_machine.Event.t -> unit
 end
 
 (** Pass-1 helper: the dynamically observed targets of every indirect
@@ -55,9 +57,10 @@ val collect_indirect_targets :
 (** Collect the full region trace.  [refine] (default true) enables the
     two-pass CFG refinement of §5.1; [max_save] is the save/restore
     candidate window of §5.2.  With [budget], records past the memory
-    budget spill to disk in segments of [seg_records] records and the
-    wall-clock watchdog aborts collection with a structured
-    {!Dr_util.Budget.Resource_error} (a partial trace is useless). *)
+    budget spill to disk in segments of [seg_records] records (rounded
+    up to a power of two) and the wall-clock watchdog aborts collection
+    with a structured {!Dr_util.Budget.Resource_error} (a partial trace
+    is useless). *)
 val collect :
   ?refine:bool ->
   ?max_save:int ->

@@ -26,18 +26,20 @@ let build (gt : Global_trace.t) : t =
   Dr_obs.Metrics.bump m_builds;
   Dr_obs.Obs.with_span ~cat:"slice" "def_index.build" @@ fun _ ->
   let n = Global_trace.length gt in
+  let records = gt.Global_trace.records in
   let acc : (int, Dr_util.Vec.Int_vec.t) Hashtbl.t = Hashtbl.create 256 in
-  for pos = 0 to n - 1 do
-    let r = Global_trace.record gt pos in
-    Array.iter
-      (fun d ->
-        match Hashtbl.find_opt acc d with
-        | Some v -> Dr_util.Vec.Int_vec.push v pos
-        | None ->
-          let v = Dr_util.Vec.Int_vec.create () in
-          Dr_util.Vec.Int_vec.push v pos;
-          Hashtbl.replace acc d v)
-      r.Trace.defs
+  let pos = ref 0 in
+  let add d =
+    match Hashtbl.find_opt acc d with
+    | Some v -> Dr_util.Vec.Int_vec.push v !pos
+    | None ->
+      let v = Dr_util.Vec.Int_vec.create () in
+      Dr_util.Vec.Int_vec.push v !pos;
+      Hashtbl.replace acc d v
+  in
+  for p = 0 to n - 1 do
+    pos := p;
+    Segment_store.iter_defs records (Global_trace.gseq_at gt p) add
   done;
   let defs_by_loc = Hashtbl.create (Hashtbl.length acc) in
   Hashtbl.iter

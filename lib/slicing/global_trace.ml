@@ -72,15 +72,16 @@ let construct ?(cluster = true) (c : Collector.result) : t =
       out_edges.(fill.(src)) <- dst;
       fill.(src) <- fill.(src) + 1)
     c.Collector.order_edges;
-  (* per-thread cursors *)
+  (* per-thread cursors; a head of -1 means the thread is done *)
   let nthreads = Array.length c.Collector.per_thread in
   let cursor = Array.make nthreads 0 in
   let head tid =
     let tr = c.Collector.per_thread.(tid) in
-    if cursor.(tid) < Array.length tr then Some tr.(cursor.(tid)) else None
+    if cursor.(tid) < Array.length tr then tr.(cursor.(tid)) else -1
   in
   let ready tid =
-    match head tid with Some g -> indeg.(g) = 0 | None -> false
+    let g = head tid in
+    g >= 0 && indeg.(g) = 0
   in
   let order = Array.make n 0 in
   let pos_of_gseq = Array.make n 0 in
@@ -103,14 +104,13 @@ let construct ?(cluster = true) (c : Collector.result) : t =
           (* every thread head is blocked: report the offending window *)
           let heads = ref [] in
           for tid = nthreads - 1 downto 0 do
-            match head tid with
-            | Some g ->
-              let r = Segment_store.get c.Collector.records g in
+            let g = head tid in
+            if g >= 0 then
               heads :=
-                { ch_tid = tid; ch_gseq = g; ch_pc = r.Trace.pc;
+                { ch_tid = tid; ch_gseq = g;
+                  ch_pc = Segment_store.pc c.Collector.records g;
                   ch_indeg = indeg.(g) }
                 :: !heads
-            | None -> ()
           done;
           raise (Cycle { cy_emitted = !emitted; cy_total = n; cy_heads = !heads })
         end;
@@ -118,7 +118,7 @@ let construct ?(cluster = true) (c : Collector.result) : t =
       end
     in
     cur := tid;
-    let g = Option.get (head tid) in
+    let g = head tid in
     cursor.(tid) <- cursor.(tid) + 1;
     order.(!emitted) <- g;
     pos_of_gseq.(g) <- !emitted;
@@ -132,7 +132,7 @@ let construct ?(cluster = true) (c : Collector.result) : t =
 
 let length t = Array.length t.order
 
-(** Record at merge position [pos]. *)
+(** Record at merge position [pos], as a view built on each call. *)
 let record t pos = Segment_store.get t.records t.order.(pos)
 
 (** Position of the record with the given gseq. *)

@@ -37,9 +37,11 @@ val construct : ?cluster:bool -> Collector.result -> t
 
 val length : t -> int
 
-(** Record at merge position [pos].  In-memory traces hit the flat
-    array; spilled traces go through the segment cache (which can raise
-    {!Dr_util.Budget.Resource_error} on a corrupt segment). *)
+(** Record at merge position [pos], as a view built on each call (for
+    printing, oracles and tests; hot paths read the columns through
+    {!gseq_at} and the [Segment_store] accessors).  Spilled traces go
+    through the segment cache, which can raise
+    {!Dr_util.Budget.Resource_error} on a corrupt segment. *)
 val record : t -> int -> Trace.record
 
 (** Merge position of the record with the given gseq. *)

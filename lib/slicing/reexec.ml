@@ -8,13 +8,14 @@
     {!Dr_pinplay.Replayer.checkpoint} (machine snapshot + replay
     cursor) every [ckpt_interval] retired instructions {e together
     with} a {!Collector.Derive.copy} of the record-derivation state at
-    the same event boundary.  A later [record ~gseq] request seeks to
-    the nearest earlier checkpoint and replays forward at most one
-    window, re-deriving the records of that window only.  Because
-    replay is deterministic (paper §3) and both passes drive the same
-    {!Collector.Derive} core, the re-derived records are byte-identical
-    to what {!Collector.collect} would have stored — without ever
-    holding more than O(ckpt_interval) records in memory.
+    the same event boundary.  A later lookup of gseq [g] seeks to the
+    nearest earlier checkpoint and replays forward at most one window,
+    re-deriving the rows of that window only, into one columnar
+    {!Segment_store.Chunk}.  Because replay is deterministic (paper §3)
+    and both passes drive the same {!Collector.Derive} core, the
+    re-derived rows are field-identical to what {!Collector.collect}
+    would have stored — without ever holding more than O(ckpt_interval)
+    records in memory.
 
     Re-derived windows are the {e derived} segments of a
     {!Segment_store}: its LRU keeps the most recently re-derived windows,
@@ -53,15 +54,16 @@ type t = {
   checkpoints : int;
 }
 
-(* Re-derive the records of window [w] by replaying forward from its
-   checkpoint; [offset] is the requested record's place in the window.
-   Runs under the store's cache lock. *)
+(* Re-derive the records of window [w] into a fresh chunk by replaying
+   forward from its checkpoint; [offset] is the requested record's
+   place in the window.  [clobber], a test hook, rewrites the window's
+   rows as views.  Runs under the store's cache lock. *)
 let rederive ~prog ~pinball ~clobber ~interval ~nrec (ckpts : ckpt array) w
-    ~offset : Trace.record array =
+    ~offset : Segment_store.Chunk.t =
   Dr_obs.Metrics.observe h_seek (float_of_int offset);
   let base = w * interval in
   let len = min interval (nrec - base) in
-  let frag = Array.make len Trace.dummy in
+  let chunk = Segment_store.Chunk.create ~base ~cap:len in
   Dr_obs.Obs.with_span ~cat:"slice" "reexec.window" @@ fun sp ->
   Dr_obs.Obs.add_attr sp "window" (Dr_obs.Obs.Int w);
   let ck = ckpts.(w) in
@@ -69,24 +71,23 @@ let rederive ~prog ~pinball ~clobber ~interval ~nrec (ckpts : ckpt array) w
      pristine for the next request on this window *)
   let derive = Collector.Derive.copy ck.k_derive in
   let replayer = Dr_pinplay.Replayer.create ~from:ck.k_replay prog pinball in
-  let i = ref 0 in
   let hooks =
-    { Driver.on_event =
-        (fun ev ->
-          let r = Collector.Derive.next derive ~gseq:(base + !i) ev in
-          let r = match clobber with Some f -> f r | None -> r in
-          frag.(!i) <- r;
-          incr i) }
+    { Driver.on_event = (fun ev -> Collector.Derive.next derive chunk ev) }
   in
   ignore (Dr_pinplay.Replayer.resume ~hooks ~max_steps:len replayer);
-  if !i <> len then
+  let got = Segment_store.Chunk.length chunk in
+  if got <> len then
     failwith
       (Printf.sprintf
-         "Reexec.rederive: window %d replayed %d records, expected %d" w !i
+         "Reexec.rederive: window %d replayed %d records, expected %d" w got
          len);
   Dr_obs.Metrics.add m_windows 1;
   Dr_obs.Metrics.add m_records len;
-  frag
+  match clobber with
+  | Some f ->
+    Segment_store.Chunk.of_records ~base
+      (Array.map f (Segment_store.Chunk.records chunk))
+  | None -> Segment_store.Chunk.seal chunk
 
 (** Build the checkpoint ladder with one full replay of the region.
     [cfg] must be the {e refined} CFG the collector used (pass
@@ -99,10 +100,13 @@ let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ~cfg ?clobber
   let replayer = Dr_pinplay.Replayer.create prog pinball in
   let count = ref 0 in
   let ckpts = ref [] in
+  (* the build pass only advances the derivation state: each window's
+     rows go to one scratch chunk, emptied at the window boundary *)
+  let scratch = Segment_store.Chunk.create ~base:0 ~cap:ckpt_interval in
   let hooks =
     { Driver.on_event =
         (fun ev ->
-          ignore (Collector.Derive.next derive ~gseq:!count ev);
+          Collector.Derive.next derive scratch ev;
           incr count) }
   in
   let continue = ref true in
@@ -115,6 +119,7 @@ let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ~cfg ?clobber
         k_derive = Collector.Derive.copy derive }
       :: !ckpts;
     let before = !count in
+    Segment_store.Chunk.reset scratch ~base:before;
     (match Dr_pinplay.Replayer.resume ~hooks ~max_steps:ckpt_interval replayer
      with
     | Driver.Max_steps when !count > before -> ()
@@ -134,8 +139,12 @@ let length t = Segment_store.length t.store
 
 let num_checkpoints t = t.checkpoints
 
-(** Fetch the record with global sequence number [gseq], re-executing
-    its checkpoint window if it is not cached. *)
+(** The re-derived trace as a store: its accessors re-execute a
+    checkpoint window on a cache miss. *)
+let store t = t.store
+
+(** The record with global sequence number [gseq] as a view,
+    re-executing its checkpoint window if it is not cached. *)
 let record (t : t) ~(gseq : int) : Trace.record =
   if gseq < 0 || gseq >= length t then
     invalid_arg (Printf.sprintf "Reexec.record: gseq %d out of range" gseq);

@@ -176,12 +176,12 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
       | `Reexec _ -> Lp.prepare_lite gt
       | _ -> Lp.prepare gt)
   in
-  (* record lookups: from the stored trace, or re-derived on demand *)
-  let fetch =
+  (* record columns: the stored trace, or re-derived on demand; both
+     are indexed by gseq *)
+  let records =
     match driver with
-    | `Reexec rx ->
-      fun pos -> Reexec.record rx ~gseq:(Global_trace.gseq_at gt pos)
-    | _ -> Global_trace.record gt
+    | `Reexec rx -> Reexec.store rx
+    | _ -> gt.Global_trace.records
   in
   let index = Lp.def_index lp in
   let wanted : (int, want_entry) Hashtbl.t = Hashtbl.create 256 in
@@ -247,24 +247,26 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
     if not (Dr_util.Bitset.mem in_slice pos) then begin
       Dr_util.Bitset.add in_slice pos;
       Dr_util.Vec.Int_vec.push slice_positions pos;
-      let r = fetch pos in
-      Array.iter (fun u -> add_want ~cap:(pos - 1) u pos) r.Trace.uses;
-      if r.Trace.cd >= 0 then mark_cd ~branch_gseq:r.Trace.cd ~requester:pos
+      let g = Global_trace.gseq_at gt pos in
+      let c = Segment_store.chunk records g in
+      Segment_store.Chunk.iter_uses c g (fun u -> add_want ~cap:(pos - 1) u pos);
+      let cd = Segment_store.Chunk.cd c g in
+      if cd >= 0 then mark_cd ~branch_gseq:cd ~requester:pos
     end
   in
   (* seed from the criterion *)
-  let crit_rec = fetch criterion.crit_pos in
+  let crit_g = Global_trace.gseq_at gt criterion.crit_pos in
+  let crit_chunk = Segment_store.chunk records crit_g in
   Dr_util.Bitset.add in_slice criterion.crit_pos;
   Dr_util.Vec.Int_vec.push slice_positions criterion.crit_pos;
   let crit_cap = criterion.crit_pos - 1 in
   (match criterion.crit_locs with
   | Some locs -> List.iter (fun l -> add_want ~cap:crit_cap l criterion.crit_pos) locs
   | None ->
-    Array.iter
-      (fun u -> add_want ~cap:crit_cap u criterion.crit_pos)
-      crit_rec.Trace.uses);
-  if crit_rec.Trace.cd >= 0 then
-    mark_cd ~branch_gseq:crit_rec.Trace.cd ~requester:criterion.crit_pos;
+    Segment_store.Chunk.iter_uses crit_chunk crit_g (fun u ->
+        add_want ~cap:crit_cap u criterion.crit_pos));
+  let crit_cd = Segment_store.Chunk.cd crit_chunk crit_g in
+  if crit_cd >= 0 then mark_cd ~branch_gseq:crit_cd ~requester:criterion.crit_pos;
   (* process one record — shared by both traversal drivers *)
   let process pos =
     incr visited;
@@ -281,15 +283,15 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
             d.d_requesters)
         active
     end;
-    let r = fetch pos in
+    let g = Global_trace.gseq_at gt pos in
+    let c = Segment_store.chunk records g in
     let included = ref (Dr_util.Bitset.mem to_include pos) in
     if !included then begin
       Dr_util.Bitset.remove to_include pos;
       let b = Lp.block_of lp pos in
       to_include_in_block.(b) <- to_include_in_block.(b) - 1
     end;
-    Array.iter
-      (fun d ->
+    Segment_store.Chunk.iter_defs c g (fun d ->
         match Hashtbl.find_opt wanted d with
         | None -> ()
         | Some e ->
@@ -299,7 +301,7 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
             | Some pairs -> (
               match Dr_isa.Loc.view d with
               | Dr_isa.Loc.Reg { reg; _ } -> (
-                match Prune.bypass pairs ~gseq:r.Trace.gseq ~reg with
+                match Prune.bypass pairs ~gseq:g ~reg with
                 | Some save_gseq ->
                   Some (Global_trace.position gt ~gseq:save_gseq)
                 | None -> None)
@@ -327,8 +329,7 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
                     kind = (if via_bypass then Data_bypassed d else Data d) })
               e.reqs;
             included := true);
-          Hashtbl.remove wanted d)
-      r.Trace.defs;
+          Hashtbl.remove wanted d);
     if !included then include_record pos
   in
   if indexed then begin
@@ -500,12 +501,17 @@ let compute_governed ?lp ?pairs ~(budget : Dr_util.Budget.t)
 
 (* ---- derived views ---- *)
 
+(* the chunk and gseq of the record at merge position [pos] *)
+let row t pos =
+  let g = Global_trace.gseq_at t.gt pos in
+  (Segment_store.chunk t.gt.Global_trace.records g, g)
+
 (** The slice as (tid, pc, instance) statements, in trace order. *)
 let statements t =
   Array.map
     (fun pos ->
-      let r = Global_trace.record t.gt pos in
-      (r.Trace.tid, r.Trace.pc, r.Trace.instance))
+      let c, g = row t pos in
+      Segment_store.Chunk.(tid c g, pc c g, instance c g))
     t.positions
 
 (** Distinct source lines touched by the slice (for GUI highlighting). *)
@@ -513,8 +519,9 @@ let source_lines t =
   let lines = Hashtbl.create 32 in
   Array.iter
     (fun pos ->
-      let r = Global_trace.record t.gt pos in
-      if r.Trace.line >= 0 then Hashtbl.replace lines r.Trace.line ())
+      let c, g = row t pos in
+      let line = Segment_store.Chunk.line c g in
+      if line >= 0 then Hashtbl.replace lines line ())
     t.positions;
   List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) lines [])
 
@@ -586,14 +593,15 @@ let save_file path t =
   Dr_util.Atomic_file.with_out path
     (fun oc ->
       Printf.fprintf oc "%s\n" slice_file_header;
-      let r = Global_trace.record t.gt t.criterion.crit_pos in
-      Printf.fprintf oc "criterion %d %d %d\n" r.Trace.tid r.Trace.pc
-        r.Trace.instance;
+      let c, g = row t t.criterion.crit_pos in
+      Printf.fprintf oc "criterion %d %d %d\n" (Segment_store.Chunk.tid c g)
+        (Segment_store.Chunk.pc c g) (Segment_store.Chunk.instance c g);
       Array.iter
         (fun pos ->
-          let r = Global_trace.record t.gt pos in
-          Printf.fprintf oc "stmt %d %d %d %d\n" r.Trace.tid r.Trace.pc
-            r.Trace.instance r.Trace.line)
+          let c, g = row t pos in
+          Printf.fprintf oc "stmt %d %d %d %d\n" (Segment_store.Chunk.tid c g)
+            (Segment_store.Chunk.pc c g) (Segment_store.Chunk.instance c g)
+            (Segment_store.Chunk.line c g))
         t.positions;
       Array.iter
         (fun e ->

@@ -4,7 +4,11 @@
     are thread-local locations and memory addresses are global, both
     encoded with {!Dr_isa.Loc}.  [cd] points to the dynamically
     controlling branch record (by global sequence number), computed online
-    with the Xin–Zhang algorithm during collection. *)
+    with the Xin–Zhang algorithm during collection.
+
+    The trace itself is stored in columns ({!Segment_store}); a
+    [record] is a view of one row, built on demand for printing,
+    oracles and tests. *)
 
 (* Flag bits. *)
 let flag_sync = 1  (** spawn/join/lock/unlock/exit/alloc *)
@@ -27,19 +31,12 @@ type record = {
   lidx : int;  (** index within the thread's local trace, 0-based *)
   defs : int array;  (** encoded locations *)
   uses : int array;
-  mutable cd : int;  (** gseq of the controlling branch record, or -1 *)
+  cd : int;  (** gseq of the controlling branch record, or -1 *)
   flags : int;
   line : int;  (** source line, or -1 *)
 }
 
-let is_sync r = r.flags land flag_sync <> 0
-let is_final_ret r = r.flags land flag_final_ret <> 0
 let is_load r = r.flags land flag_load <> 0
-
-(** Placeholder record used as a vector dummy. *)
-let dummy =
-  { gseq = -1; tid = 0; pc = 0; instance = 0; lidx = 0; defs = [||];
-    uses = [||]; cd = -1; flags = 0; line = -1 }
 
 let pp fmt r =
   Format.fprintf fmt "#%d t%d pc=%d i=%d defs=[%s] uses=[%s] cd=%d" r.gseq

@@ -257,7 +257,7 @@ let test_cache_and_peak_memory () =
     let w = g / interval in
     window_bytes.(w) <-
       window_bytes.(w)
-      + Dr_slicing.Segment_store.record_bytes (Global_trace.record fx.f_gt p)
+      + Dr_slicing.Segment_store.record_bytes fx.f_gt.Global_trace.records g
   done;
   let max_window = Array.fold_left max 0 window_bytes in
   let total = Array.fold_left ( + ) 0 window_bytes in

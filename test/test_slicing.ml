@@ -989,8 +989,7 @@ let test_segment_spill_roundtrip () =
     for i = s * 32 to min n ((s + 1) * 32) - 1 do
       bytes :=
         !bytes
-        + Dr_slicing.Segment_store.record_bytes
-            (Dr_slicing.Segment_store.get c.Dr_slicing.Collector.records i)
+        + Dr_slicing.Segment_store.record_bytes c.Dr_slicing.Collector.records i
     done;
     largest := max !largest !bytes
   done;
@@ -1009,8 +1008,8 @@ let test_segment_spill_roundtrip () =
   Alcotest.(check bool) "identical slice positions" true
     (clean.Dr_slicing.Slicer.positions = spilled.Dr_slicing.Slicer.positions)
 
-(* A sealed in-memory store is its flat record array plus a constant:
-   the builder's per-segment arrays must not stay reachable. *)
+(* A sealed in-memory store is its chunks plus a constant: the
+   builder's working buffers must not stay reachable. *)
 let test_sealed_store_flat_only () =
   let c = collect (compile loop_src) in
   let store = c.Dr_slicing.Collector.records in
@@ -1022,7 +1021,7 @@ let test_sealed_store_flat_only () =
       Obj.reachable_words (Obj.repr store) - Obj.reachable_words (Obj.repr flat)
     in
     if extra >= n / 2 then
-      Alcotest.failf "store holds %d words beyond its %d-record flat array"
+      Alcotest.failf "store holds %d words beyond the chunks of its %d records"
         extra n
 
 let test_segment_corrupt_detected () =
@@ -1048,14 +1047,121 @@ let test_segment_corrupt_detected () =
   output_bytes oc b;
   close_out oc;
   (* reading every record must surface Segment_corrupt, never garbage *)
-  match
-    for i = 0 to Dr_slicing.Segment_store.length store - 1 do
-      ignore (Dr_slicing.Segment_store.get store i)
-    done
-  with
+  (match
+     for i = 0 to Dr_slicing.Segment_store.length store - 1 do
+       ignore (Dr_slicing.Segment_store.get store i)
+     done
+   with
   | () -> Alcotest.fail "bit flip went undetected"
   | exception Dr_util.Budget.Resource_error (Dr_util.Budget.Segment_corrupt _)
-    -> ()
+    -> ());
+  (* the decoder is total: every truncation and 256 seeded bit flips of
+     the intact segment raise Segment_corrupt and nothing else *)
+  let index, _ = List.nth paths (List.length paths - 1) in
+  let base = index * 32 in
+  let count = Dr_slicing.Segment_store.length store - base in
+  let decode raw =
+    Dr_slicing.Segment_store.decode_segment ~path:victim ~base
+      ~expected_count:count raw
+  in
+  let rejects what raw =
+    match decode raw with
+    | _ -> Alcotest.failf "%s decoded" what
+    | exception Dr_util.Budget.Resource_error (Dr_util.Budget.Segment_corrupt _)
+      -> ()
+    | exception e ->
+      Alcotest.failf "%s raised %s, not Segment_corrupt" what
+        (Printexc.to_string e)
+  in
+  let rows = Dr_slicing.Segment_store.Chunk.records (decode buf) in
+  Alcotest.(check bool) "intact segment decodes to the collected rows" true
+    (rows
+    = Array.init count (fun j ->
+          Dr_slicing.Segment_store.get c.Dr_slicing.Collector.records (base + j)));
+  for k = 0 to len - 1 do
+    rejects (Printf.sprintf "truncation to %d bytes" k) (String.sub buf 0 k)
+  done;
+  let rng = Random.State.make [| 0xd5e9 |] in
+  for _ = 1 to 256 do
+    let bit = Random.State.int rng (8 * len) in
+    let b = Bytes.of_string buf in
+    Bytes.set b (bit / 8)
+      (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+    rejects (Printf.sprintf "flip of bit %d" bit) (Bytes.to_string b)
+  done
+  ;
+  (* payloads that pass the CRC but not the structural checks *)
+  let reseal payload =
+    let t = Bytes.create 4 in
+    Bytes.set_int32_le t 0 (Int32.of_int (Dr_util.Crc32.string payload));
+    payload ^ Bytes.to_string t
+  in
+  let header ~m =
+    let e = Dr_util.Codec.encoder () in
+    Buffer.add_string e Dr_slicing.Segment_store.magic;
+    Dr_util.Codec.put_uint e count;
+    Dr_util.Codec.put_bits e m;
+    Dr_util.Codec.to_string e
+  in
+  let m = (decode buf).Dr_slicing.Segment_store.Chunk.nlocs in
+  let hlen = String.length (header ~m) in
+  let body = String.sub buf hlen (len - 4 - hlen) in
+  Alcotest.(check bool) "re-sealed intact payload decodes" true
+    (Dr_slicing.Segment_store.Chunk.records (decode (reseal (header ~m ^ body)))
+    = rows);
+  rejects "negative pool length" (reseal (header ~m:(-4) ^ body));
+  rejects "pool one location short" (reseal (header ~m:(m + 1) ^ body));
+  let off1 = 4 * ((7 * count) + 1) in
+  let forged = Bytes.of_string body in
+  Bytes.set_int32_le forged off1 (Int32.of_int (m + 1));
+  rejects "offset past the pool" (reseal (header ~m ^ Bytes.to_string forged))
+
+(* One trace in three store shapes — the collector's resident chunks, a
+   rebuild spilled in 32-record segments, and Reexec's re-derived
+   windows — reads back field-identical at every gseq, with the same
+   budget bytes, which are the row's cells in the columns and the pool. *)
+let test_store_shapes_agree () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Dr_workloads.Registry.find name) in
+      let prog = e.Dr_workloads.Registry.compile ~threads:3 ~iters:6 in
+      let pb = log_whole prog in
+      let c = Dr_slicing.Collector.collect prog pb in
+      let flat = c.Dr_slicing.Collector.records in
+      let budget = spill_budget () in
+      Fun.protect ~finally:(fun () -> cleanup_spill budget) @@ fun () ->
+      let spilled =
+        Dr_slicing.Segment_store.rebuild ~budget ~seg_records:32
+          ~cache_segments:2 flat
+      in
+      let rx =
+        Dr_slicing.Reexec.create ~ckpt_interval:100 ~cache_windows:2
+          ~cfg:c.Dr_slicing.Collector.cfg prog pb
+      in
+      let derived = Dr_slicing.Reexec.store rx in
+      Alcotest.(check bool) (name ^ ": resident") true
+        (Dr_slicing.Segment_store.is_resident flat);
+      Alcotest.(check bool) (name ^ ": spilled") true
+        (Dr_slicing.Segment_store.spilled_segments spilled > 0);
+      let n = Dr_slicing.Segment_store.length flat in
+      Alcotest.(check (list int)) (name ^ ": lengths") [ n; n ]
+        (List.map Dr_slicing.Segment_store.length [ spilled; derived ]);
+      for g = 0 to n - 1 do
+        let r = Dr_slicing.Segment_store.get flat g in
+        let bytes = Dr_slicing.Segment_store.record_bytes flat g in
+        if bytes <> 4 * (9 + Array.length r.Dr_slicing.Trace.defs
+                         + Array.length r.Dr_slicing.Trace.uses)
+        then Alcotest.failf "%s: record %d: %d budget bytes" name g bytes;
+        List.iter
+          (fun (shape, store) ->
+            if Dr_slicing.Segment_store.get store g <> r then
+              Alcotest.failf "%s: record %d differs in the %s store" name g shape;
+            if Dr_slicing.Segment_store.record_bytes store g <> bytes then
+              Alcotest.failf "%s: record %d: budget bytes differ in the %s store"
+                name g shape)
+          [ ("spilled", spilled); ("derived", derived) ]
+      done)
+    [ "streamcluster"; "ammp"; "blackscholes"; "fluidanimate" ]
 
 let test_watchdog_truncates_slice () =
   let prog = compile loop_src in
@@ -1118,7 +1224,7 @@ let test_cycle_structured_error () =
      edges: 0 before 1 AND 1 before 0 *)
   let c =
     { Dr_slicing.Collector.records =
-        Dr_slicing.Segment_store.of_array [| mk 0 0; mk 1 1 |];
+        Dr_slicing.Segment_store.of_records [| mk 0 0; mk 1 1 |];
       per_thread = [| [| 0 |]; [| 1 |] |];
       order_edges = [| (0, 1); (1, 0) |];
       indirect_targets = [];
@@ -1146,10 +1252,9 @@ let test_cycle_structured_error () =
 (* ---- collection: pass-1 skipping and dense derivation state ---- *)
 
 let record_list (c : Dr_slicing.Collector.result) =
-  let acc = ref [] in
-  Dr_slicing.Segment_store.iter c.Dr_slicing.Collector.records (fun _ r ->
-      acc := r :: !acc);
-  List.rev !acc
+  let records = c.Dr_slicing.Collector.records in
+  List.init (Dr_slicing.Segment_store.length records)
+    (Dr_slicing.Segment_store.get records)
 
 let pair_bindings (c : Dr_slicing.Collector.result) =
   List.sort compare
@@ -1227,13 +1332,19 @@ let test_derive_copy_deep () =
   let total = Array.length evs in
   let k = total / 3 and n = total / 2 in
   let c = Dr_slicing.Collector.collect prog pb in
+  let module Chunk = Dr_slicing.Segment_store.Chunk in
   let d = Dr_slicing.Collector.Derive.create ~cfg:c.Dr_slicing.Collector.cfg prog in
+  let prefix = Chunk.create ~base:0 ~cap:k in
   for g = 0 to k - 1 do
-    ignore (Dr_slicing.Collector.Derive.next d ~gseq:g evs.(g))
+    Dr_slicing.Collector.Derive.next d prefix evs.(g)
   done;
   let copy = Dr_slicing.Collector.Derive.copy d in
   let advance d =
-    List.init n (fun i -> Dr_slicing.Collector.Derive.next d ~gseq:(k + i) evs.(k + i))
+    let rows = Chunk.create ~base:k ~cap:n in
+    for i = 0 to n - 1 do
+      Dr_slicing.Collector.Derive.next d rows evs.(k + i)
+    done;
+    Array.to_list (Chunk.records rows)
   in
   let from_original = advance d in
   let from_copy = advance copy in
@@ -1326,6 +1437,31 @@ let test_def_use_no_alloc () =
     true
     (calls -. empty < 16.)
 
+(* Collection writes each record into the store's columns instead of
+   boxing it: on fluidanimate (4 threads) Collector.collect allocates at
+   most 8 minor words per record, and the global-trace merge at most
+   one. *)
+let test_collect_alloc () =
+  let e = Option.get (Dr_workloads.Registry.find "fluidanimate") in
+  let prog = e.Dr_workloads.Registry.compile ~threads:4 ~iters:100 in
+  let pb = log_whole prog in
+  let w0 = Gc.minor_words () in
+  let c = Dr_slicing.Collector.collect prog pb in
+  let w1 = Gc.minor_words () in
+  let gt = Dr_slicing.Global_trace.construct c in
+  let w2 = Gc.minor_words () in
+  let n = float_of_int (Dr_slicing.Global_trace.length gt) in
+  Alcotest.(check bool) "region of at least 50k records" true (n >= 50_000.);
+  let per_record what words bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f minor words per record over %.0f records" what
+         (words /. n) n)
+      true
+      (words /. n <= bound)
+  in
+  per_record "Collector.collect" (w1 -. w0) 8.0;
+  per_record "Global_trace.construct" (w2 -. w1) 1.0
+
 (* The step loop under every layer allocates per run or per digest chunk,
    never per step: a whole-region replay and a bare round-robin run each
    stay under a quarter of a minor word per retired step (syscall effects
@@ -1392,7 +1528,8 @@ let () =
           Alcotest.test_case "pc past the code end" `Quick test_pc_past_code_end;
           Alcotest.test_case "def/use allocation-free" `Quick
             test_def_use_no_alloc;
-          Alcotest.test_case "step loop allocation" `Quick test_step_loop_alloc ] );
+          Alcotest.test_case "step loop allocation" `Quick test_step_loop_alloc;
+          Alcotest.test_case "collection allocation" `Quick test_collect_alloc ] );
       ( "fig 8 (save/restore)",
         [ Alcotest.test_case "unpruned spurious" `Quick
             test_fig8_unpruned_is_spurious;
@@ -1440,6 +1577,8 @@ let () =
             test_sealed_store_flat_only;
           Alcotest.test_case "corrupt segment detected" `Quick
             test_segment_corrupt_detected;
+          Alcotest.test_case "store shapes agree" `Quick
+            test_store_shapes_agree;
           Alcotest.test_case "watchdog truncates" `Quick
             test_watchdog_truncates_slice;
           Alcotest.test_case "governed ladder" `Quick test_governed_ladder_scan;
