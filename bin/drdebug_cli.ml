@@ -301,34 +301,12 @@ let run_analyze workload source passes out metrics_out =
     prerr_endline e;
     1
   | Ok prog ->
-    let passes =
-      match passes with
-      | None -> None
-      | Some s ->
-        Some
-          (List.filter
-             (fun p -> p <> "")
-             (String.split_on_char ',' (String.trim s)))
-    in
-    let bad =
-      match passes with
-      | None -> []
-      | Some l ->
-        List.filter (fun p -> not (List.mem p Dr_static.Lint.pass_names)) l
-    in
-    if bad <> [] then begin
-      Printf.eprintf "unknown pass(es): %s (valid: %s)\n"
-        (String.concat ", " bad)
-        (String.concat ", " Dr_static.Lint.pass_names);
-      1
-    end
-    else begin
-    let cfg = Dr_cfg.Cfg.build prog in
-    let lint, doc = Dr_static.Report.analyze ?passes prog in
+    let g = Dr_static.Supercfg.build prog in
+    let lint, doc = Dr_static.Report.analyze ?passes g in
     Printf.printf "analyze %s: %d instructions, %d functions\n"
       prog.Dr_isa.Program.name
       (Array.length prog.Dr_isa.Program.code)
-      (List.length (Dr_cfg.Cfg.functions cfg));
+      (Dr_static.Callgraph.num_functions g.Dr_static.Supercfg.cg);
     let ran = lint.Dr_static.Lint.passes_run in
     let pass name count =
       if List.mem name ran then Printf.printf "  %-20s %d\n" name count
@@ -406,7 +384,6 @@ let run_analyze workload source passes out metrics_out =
             Out_channel.output_char oc '\n');
         Printf.printf "report written to %s\n" path;
         0)
-    end
 
 (* ---- maple subcommand: active iRoot testing campaign ---- *)
 
@@ -424,7 +401,7 @@ let run_maple workload source static_races max_candidates max_steps out
   | Ok prog ->
     let static_pairs =
       if static_races then begin
-        let r = Dr_static.Race.analyze prog in
+        let r = Dr_static.Race.analyze (Dr_static.Supercfg.build prog) in
         let pairs = Dr_static.Race.candidate_pairs r in
         Printf.printf "static race candidates: %d%s\n" (List.length pairs)
           (if Dr_static.Race.fully_resolved r then "" else " (degraded: unresolved targets)");
@@ -818,10 +795,12 @@ let analyze_cmd =
            ~doc:"Write the drdebug-analyze-v1 JSON report.")
   in
   let passes =
-    Arg.(value & opt (some string) None & info [ "passes" ]
-           ~doc:"Comma-separated subset of lint passes to run \
-                 (unreachable-blocks, maybe-uninit, indirect-audit, \
-                 save-restore, races). Default: all.")
+    let names = List.map (fun p -> (p, p)) Dr_static.Lint.pass_names in
+    Arg.(value & opt (some (list (enum names))) None & info [ "passes" ]
+           ~doc:(Printf.sprintf
+                   "Comma-separated subset of lint passes to run (%s). \
+                    Default: all."
+                   (String.concat ", " Dr_static.Lint.pass_names)))
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(const run_analyze $ workload $ source $ passes $ out $ metrics_out)

@@ -159,34 +159,32 @@ let check_agreement gt ~lp ~pairs ~rx crit =
 
 (* ---- oracle 6: static slice as a soundness bound ---- *)
 
+(* The shared precondition of oracles 6 and 8: every thread entered at a
+   statically known entry (the program entry or an address-taken
+   function), so the static analyses saw every thread's code. *)
+let entries_known (g : Dr_static.Supercfg.t) (c : Collector.result) =
+  let known =
+    g.Dr_static.Supercfg.prog.Dr_isa.Program.entry
+    :: Dr_static.Supercfg.address_taken_entries g
+  in
+  Array.for_all
+    (fun gseqs ->
+      Array.length gseqs = 0
+      || List.mem (Segment_store.pc c.Collector.records gseqs.(0)) known)
+    c.Collector.per_thread
+
 (* Every pc in a dynamic slice must lie in the static backward slice of
    the criterion's pc: the static PDG over-approximates every dynamic
    dependence (register RD is thread-blind, memory is one global cell,
    control regions cover the dynamic tracker's [branch, ipdom) marks).
    The bound only holds when the super-CFG is complete — every indirect
-   jump/call resolved by refinement — and every thread entered at a
-   statically known entry (the program entry or an address-taken
-   function).  When a precondition fails the oracle checks nothing
+   jump/call resolved by refinement — and {!entries_known}.  When a precondition fails the oracle checks nothing
    rather than reporting Skip: corpus replay treats Skip as a failure,
    and an unresolved CFG is a property of the program, not a bug. *)
-let check_static_bound prog (c : Collector.result) gt
+let check_static_bound g (c : Collector.result) gt
     ~(slices : (int * Slicer.t) list) =
-  let pdg =
-    Dr_static.Pdg.build ~indirect_targets:c.Collector.indirect_targets prog
-  in
-  let known_entries =
-    prog.Dr_isa.Program.entry :: Dr_static.Pdg.address_taken_entries pdg
-  in
-  let entries_known =
-    Array.for_all
-      (fun gseqs ->
-        Array.length gseqs = 0
-        || List.mem
-             (Segment_store.get c.Collector.records gseqs.(0)).Trace.pc
-             known_entries)
-      c.Collector.per_thread
-  in
-  if Dr_static.Pdg.fully_resolved pdg && entries_known then
+  let pdg = Dr_static.Pdg.build g in
+  if Dr_static.Pdg.fully_resolved pdg && entries_known g c then
     List.iter
       (fun (pos, (slice : Slicer.t)) ->
         let crit_pc = (Global_trace.record gt pos).Trace.pc in
@@ -214,26 +212,10 @@ let check_static_bound prog (c : Collector.result) gt
    clocks encode exactly the spawn/join/signal orderings the static HB
    skeleton under-approximates — so a dynamic pair escaping the static
    set is a genuine soundness bug in {!Dr_static.Race}. *)
-let check_race_soundness prog (c : Collector.result) pb =
-  let race =
-    Dr_static.Race.analyze ~indirect_targets:c.Collector.indirect_targets prog
-  in
-  let known_entries =
-    prog.Dr_isa.Program.entry
-    :: List.map
-         (fun i -> race.Dr_static.Race.cg.Dr_static.Callgraph.entries.(i))
-         race.Dr_static.Race.cg.Dr_static.Callgraph.address_taken
-  in
-  let entries_known =
-    Array.for_all
-      (fun gseqs ->
-        Array.length gseqs = 0
-        || List.mem
-             (Segment_store.get c.Collector.records gseqs.(0)).Trace.pc
-             known_entries)
-      c.Collector.per_thread
-  in
-  if Dr_static.Race.fully_resolved race && entries_known then begin
+let check_race_soundness g (c : Collector.result) pb =
+  let prog = g.Dr_static.Supercfg.prog in
+  let race = Dr_static.Race.analyze g in
+  if Dr_static.Race.fully_resolved race && entries_known g c then begin
     let dyn =
       try Racecheck.observe_pinball prog pb
       with Replayer.Divergence d ->
@@ -796,9 +778,14 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
                 { Slicer.crit_pos = p; crit_locs = None } ))
           crits
       in
+      (* oracles 6 and 8 read one super-CFG, refined like the collector's *)
+      let g =
+        Dr_static.Supercfg.build
+          ~indirect_targets:c.Collector.indirect_targets prog
+      in
       oracle_span Static_slice_bound (fun () ->
-          check_static_bound prog c gt ~slices);
-      oracle_span Race_soundness (fun () -> check_race_soundness prog c pb);
+          check_static_bound g c gt ~slices);
+      oracle_span Race_soundness (fun () -> check_race_soundness g c pb);
       let slice0 = List.assoc crit_pos slices in
       (match resource with
       | Some rc ->

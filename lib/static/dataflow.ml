@@ -7,7 +7,7 @@
     is the classic [out = gen ∪ (in \ kill)].
 
     The engine is instantiated in this library for reaching definitions
-    (forward, over the whole-program super-CFG in {!Pdg}), register
+    (forward, over the whole-program super-CFG in {!Supercfg}), register
     liveness (backward) and maybe-uninitialized registers (forward, a
     kill-only problem) in {!Analysis}.  Callers supply [entry] facts for
     boundary nodes (e.g. the function entry for uninitialized-register

@@ -1,7 +1,8 @@
 (** Binary lint pass suite over a program image.
 
-    Five passes, all purely static (run on the unrefined CFG, as a
-    front-line audit before any dynamic information exists):
+    Five passes, all purely static, over one {!Supercfg.t} (the command
+    line passes the unrefined graph, as a front-line audit before any
+    dynamic information exists):
 
     - {b unreachable-blocks}: basic blocks unreachable from their function
       entry.  Blocks ending in an {e unresolved} indirect jump are treated
@@ -122,8 +123,8 @@ let maybe_uninit (prog : Program.t) (cfg : Cfg.t) : uninit list =
 
 (* ---- pass: unresolved-indirect audit ---- *)
 
-let indirect_audit (prog : Program.t) (cfg : Cfg.t) (cg : Callgraph.t)
-    : indirect list =
+let indirect_audit (g : Supercfg.t) : indirect list =
+  let prog = g.Supercfg.prog in
   let code = prog.Program.code in
   let n = Array.length code in
   let acc = ref [] in
@@ -133,7 +134,7 @@ let indirect_audit (prog : Program.t) (cfg : Cfg.t) (cg : Callgraph.t)
       (* suggestions: initial-data words that look like pcs in the same
          function — exactly what the compiler's jump tables contain *)
       let suggestions =
-        match Cfg.func_at cfg pc with
+        match Cfg.func_at g.Supercfg.cfg pc with
         | None -> []
         | Some f ->
           List.sort_uniq compare
@@ -145,11 +146,8 @@ let indirect_audit (prog : Program.t) (cfg : Cfg.t) (cg : Callgraph.t)
       acc := { ind_pc = pc; ind_kind = `Jind; ind_reg = r;
                ind_suggestions = suggestions } :: !acc
     | Instr.Callind r ->
-      let suggestions =
-        List.map (fun i -> cg.Callgraph.entries.(i)) cg.Callgraph.address_taken
-      in
       acc := { ind_pc = pc; ind_kind = `Callind; ind_reg = r;
-               ind_suggestions = suggestions } :: !acc
+               ind_suggestions = Supercfg.address_taken_entries g } :: !acc
     | _ -> ()
   done;
   !acc
@@ -198,22 +196,21 @@ let save_restore (prog : Program.t) (cfg : Cfg.t) : sr_issue list * int * int =
 (** Run the pass suite.  [passes] restricts to a subset of
     {!pass_names} (default: all); unknown names raise
     [Invalid_argument]. *)
-let run ?(passes = pass_names) (prog : Program.t) : t =
+let run ?(passes = pass_names) (g : Supercfg.t) : t =
   List.iter
     (fun p ->
       if not (List.mem p pass_names) then
         invalid_arg (Printf.sprintf "Lint.run: unknown pass %S" p))
     passes;
   let on p = List.mem p passes in
-  let cfg = Cfg.build prog in
-  let cg = Callgraph.build prog ~cfg in
+  let prog = g.Supercfg.prog and cfg = g.Supercfg.cfg in
   let save_restore, candidate_saves, candidate_restores =
     if on "save-restore" then save_restore prog cfg
     else ([], 0, 0)
   in
   let races, race_mutexes =
     if on "races" then begin
-      let r = Race.analyze prog in
+      let r = Race.analyze g in
       (r.Race.candidates, List.length r.Race.mutexes)
     end
     else ([], 0)
@@ -221,7 +218,7 @@ let run ?(passes = pass_names) (prog : Program.t) : t =
   {
     unreachable = (if on "unreachable-blocks" then unreachable_blocks cfg else []);
     uninit = (if on "maybe-uninit" then maybe_uninit prog cfg else []);
-    indirect = (if on "indirect-audit" then indirect_audit prog cfg cg else []);
+    indirect = (if on "indirect-audit" then indirect_audit g else []);
     save_restore;
     candidate_saves;
     candidate_restores;

@@ -1,16 +1,13 @@
 (** Static program-dependence graph and backward static slicer.
 
-    The PDG is built at pc granularity over a whole-program {e super-CFG}
-    whose edges over-approximate every per-thread transition the machine
-    can make: fallthrough and direct jumps, resolved indirect targets,
-    call → callee-entry plus a conservative call → continuation bypass,
-    ret → every continuation of the function's call sites, and
-    spawn → every address-taken entry (so the parent's argument write
-    reaches the child's body).  Register dependences come from reaching
-    definitions over register {e numbers} (thread-blind — a sound superset
-    of the dynamic thread-local resolution); memory is treated as one
-    global cell, so every memory-reading pc depends on every
-    memory-writing pc (memory is shared across threads, and any
+    The PDG is built at pc granularity over the shared whole-program
+    super-CFG ({!Supercfg}), whose edges over-approximate every
+    per-thread transition the machine can make, plus spawn → every
+    address-taken entry.  Register dependences come from the super-CFG's
+    reaching definitions over register {e numbers} (thread-blind — a
+    sound superset of the dynamic thread-local resolution); memory is
+    treated as one global cell, so every memory-reading pc depends on
+    every memory-writing pc (memory is shared across threads, and any
     flow-sensitive treatment would be unsound under interleaving).
 
     Control dependences use the {e region} semantics the dynamic
@@ -33,130 +30,26 @@ module Bitset = Dr_util.Bitset
 module Cfg = Dr_cfg.Cfg
 
 type t = {
-  prog : Program.t;
-  cfg : Cfg.t;
-  cg : Callgraph.t;
+  g : Supercfg.t;
   reg_deps : int list array;  (** pc -> def pcs of its register uses *)
   mem_reader : bool array;  (** pc -> may read memory *)
   mem_writers : int list;  (** pcs that may write memory *)
   ctrl_parents : int list array;  (** pc -> controlling branch pcs (intra) *)
   ic : int list array;  (** function index -> invocation-controller pcs *)
-  unresolved : int list;  (** indirect jump/call pcs with no known targets *)
 }
 
 (** No unresolved indirect jumps or calls remain: every super-CFG edge set
     is complete, so static slices are sound upper bounds. *)
-let fully_resolved t = t.unresolved = []
+let fully_resolved t = Supercfg.fully_resolved t.g
 
-let address_taken_entries t =
-  List.map (fun i -> t.cg.Callgraph.entries.(i)) t.cg.Callgraph.address_taken
-
-let build ?(indirect_targets : (int * int list) list = []) (prog : Program.t)
-    : t =
-  let cfg = Cfg.build ~indirect_targets prog in
-  let cg = Callgraph.build ~indirect_targets prog ~cfg in
-  let code = prog.Program.code in
+let build (g : Supercfg.t) : t =
+  let code = g.Supercfg.prog.Program.code and cg = g.Supercfg.cg in
   let n = Array.length code in
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (pc, ts) -> Hashtbl.replace tbl pc ts) indirect_targets;
-  (* return pcs per function, for ret -> continuation edges *)
-  let nf = Callgraph.num_functions cg in
-  let rets = Array.make nf [] in
-  for pc = 0 to n - 1 do
-    if code.(pc) = Instr.Ret then begin
-      let f = cg.Callgraph.fn_of_pc.(pc) in
-      if f >= 0 then rets.(f) <- pc :: rets.(f)
-    end
-  done;
-  (* ---- super-CFG ---- *)
-  let succs = Array.make n [] in
-  let add p q = if p >= 0 && p < n && q >= 0 && q < n then succs.(p) <- q :: succs.(p) in
-  let unresolved = ref [] in
-  let spawn_entries =
-    List.map (fun i -> cg.Callgraph.entries.(i)) cg.Callgraph.address_taken
-  in
-  for pc = 0 to n - 1 do
-    match code.(pc) with
-    | Instr.Jmp t -> add pc t
-    | Instr.Jcc (_, t) ->
-      add pc t;
-      add pc (pc + 1)
-    | Instr.Jind _ -> (
-      match Hashtbl.find_opt tbl pc with
-      | Some ts -> List.iter (add pc) ts
-      | None -> unresolved := pc :: !unresolved)
-    | Instr.Call t ->
-      add pc t;
-      add pc (pc + 1);
-      let f = if t >= 0 && t < n then cg.Callgraph.fn_of_pc.(t) else -1 in
-      if f >= 0 then List.iter (fun r -> add r (pc + 1)) rets.(f)
-    | Instr.Callind _ ->
-      add pc (pc + 1);
-      (match Hashtbl.find_opt tbl pc with
-      | Some ts ->
-        List.iter
-          (fun t ->
-            add pc t;
-            let f = if t >= 0 && t < n then cg.Callgraph.fn_of_pc.(t) else -1 in
-            if f >= 0 then List.iter (fun r -> add r (pc + 1)) rets.(f))
-          ts
-      | None -> unresolved := pc :: !unresolved)
-    | Instr.Ret | Instr.Halt | Instr.Sys Instr.Exit -> ()
-    | Instr.Sys Instr.Spawn ->
-      add pc (pc + 1);
-      List.iter (add pc) spawn_entries
-    | _ -> add pc (pc + 1)
-  done;
-  let preds = Array.make n [] in
-  Array.iteri (fun p qs -> List.iter (fun q -> preds.(q) <- p :: preds.(q)) qs) succs;
-  (* ---- reaching definitions over register def sites ---- *)
-  let num_sites = ref 0 in
-  let sites_at = Array.make n [] in
-  for pc = 0 to n - 1 do
-    Defuse.iter_mask
-      (fun r ->
-        sites_at.(pc) <- (!num_sites, r) :: sites_at.(pc);
-        incr num_sites)
-      (Defuse.def_mask code.(pc))
-  done;
-  let num_sites = !num_sites in
-  let sites_of_reg = Array.init Reg.file_size (fun _ -> Bitset.create num_sites) in
-  let site_pcs_of_reg = Array.make Reg.file_size [] in
-  Array.iteri
-    (fun pc l ->
-      List.iter
-        (fun (s, r) ->
-          Bitset.add sites_of_reg.(r) s;
-          site_pcs_of_reg.(r) <- (s, pc) :: site_pcs_of_reg.(r))
-        l)
-    sites_at;
-  let gen pc =
-    let b = Bitset.create num_sites in
-    List.iter (fun (s, _) -> Bitset.add b s) sites_at.(pc);
-    b
-  in
-  let kill pc =
-    let b = Bitset.create num_sites in
-    Defuse.iter_mask
-      (fun r -> ignore (Bitset.union_into ~src:sites_of_reg.(r) ~dst:b))
-      (Defuse.strong_def_mask code.(pc));
-    b
-  in
-  let rd =
-    Dataflow.solve ~num_nodes:n ~num_facts:num_sites ~direction:Dataflow.Forward
-      ~succs:(fun p -> succs.(p))
-      ~preds:(fun p -> preds.(p))
-      ~gen ~kill ()
-  in
   let reg_deps =
     Array.init n (fun pc ->
         let deps = ref [] in
         Defuse.iter_mask
-          (fun r ->
-            List.iter
-              (fun (s, dpc) ->
-                if Bitset.mem rd.Dataflow.in_.(pc) s then deps := dpc :: !deps)
-              site_pcs_of_reg.(r))
+          (fun reg -> deps := Supercfg.reaching_defs g ~pc ~reg @ !deps)
           (Defuse.use_mask code.(pc));
         List.sort_uniq compare !deps)
   in
@@ -198,9 +91,9 @@ let build ?(indirect_targets : (int * int list) list = []) (prog : Program.t)
         if pc < n then
           ctrl_parents.(pc) <- block_parents.(f.Cfg.block_of_pc.(pc - f.Cfg.fentry))
       done)
-    cfg.Cfg.funcs;
+    g.Supercfg.cfg.Cfg.funcs;
   (* ---- invocation controllers: IC(f) = ∪ cs→f directctrl(cs) ∪ IC(caller) *)
-  let ic_sets = Array.init nf (fun _ -> Hashtbl.create 8) in
+  let ic_sets = Array.init (Callgraph.num_functions cg) (fun _ -> Hashtbl.create 8) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -229,14 +122,13 @@ let build ?(indirect_targets : (int * int list) list = []) (prog : Program.t)
       (fun h -> List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) h []))
       ic_sets
   in
-  { prog; cfg; cg; reg_deps; mem_reader; mem_writers; ctrl_parents; ic;
-    unresolved = List.sort compare !unresolved }
+  { g; reg_deps; mem_reader; mem_writers; ctrl_parents; ic }
 
 (** Pc set of the static backward slice from [pc]: transitive closure over
     register def-use chains, the conservative memory edges, intra-region
     control dependences and invocation controllers. *)
 let backward_slice (t : t) ~pc : Bitset.t =
-  let n = Array.length t.prog.Program.code in
+  let n = Array.length t.reg_deps in
   let inslice = Bitset.create n in
   let mem_pulled = ref false in
   let stack = ref [ pc ] in
@@ -253,7 +145,7 @@ let backward_slice (t : t) ~pc : Bitset.t =
       stack := rest;
       List.iter push t.reg_deps.(p);
       List.iter push t.ctrl_parents.(p);
-      let f = Callgraph.fn_at t.cg p in
+      let f = Callgraph.fn_at t.g.Supercfg.cg p in
       if f >= 0 then List.iter push t.ic.(f);
       if t.mem_reader.(p) && not !mem_pulled then begin
         mem_pulled := true;

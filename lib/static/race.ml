@@ -2,7 +2,8 @@
     happens-before skeleton over the whole-program super-CFG, yielding a
     ranked list of race candidate pairs (DESIGN §14).
 
-    Three cooperating analyses, all per program counter:
+    Three cooperating analyses, all per program counter, over the shared
+    super-CFG and its register reaching definitions ({!Supercfg}):
 
     - {e must-held locksets}: a forward union-meet dataflow on the
       complement ("may-not-held") run on the {!Dataflow} engine.  Facts
@@ -40,7 +41,6 @@
 
 open Dr_isa
 module Bitset = Dr_util.Bitset
-module Cfg = Dr_cfg.Cfg
 
 (** Statically-chased value of a register at a program point. *)
 type value = Const of int | Spawn_result of int | Unknown
@@ -62,9 +62,7 @@ type pair = {
 }
 
 type t = {
-  prog : Program.t;
-  cfg : Cfg.t;
-  cg : Callgraph.t;
+  g : Supercfg.t;
   accesses : access list;
   mutexes : int list;  (** resolved mutex address universe *)
   roots : int list;  (** thread-root entry pcs (program entry first) *)
@@ -100,113 +98,13 @@ let candidate_pairs t =
 (** Is the unordered pc pair [(p, q)] a static race candidate? *)
 let is_candidate t p q = Hashtbl.mem t.pair_tbl (min p q, max p q)
 
-let analyze ?(indirect_targets : (int * int list) list = [])
-    (prog : Program.t) : t =
-  let cfg = Cfg.build ~indirect_targets prog in
-  let cg = Callgraph.build ~indirect_targets prog ~cfg in
+let analyze (g : Supercfg.t) : t =
+  let prog = g.Supercfg.prog and cg = g.Supercfg.cg in
   let code = prog.Program.code in
   let n = Array.length code in
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (pc, ts) -> Hashtbl.replace tbl pc ts) indirect_targets;
-  let nf = Callgraph.num_functions cg in
-  let rets = Array.make nf [] in
-  for pc = 0 to n - 1 do
-    if code.(pc) = Instr.Ret then begin
-      let f = cg.Callgraph.fn_of_pc.(pc) in
-      if f >= 0 then rets.(f) <- pc :: rets.(f)
-    end
-  done;
-  (* ---- super-CFG, in two flavours: [intra] has no spawn -> child-entry
-     edges (per-thread control flow only), [full] adds them (needed by
-     reaching definitions, so the parent's spawn reaches the child's
-     body, and by the lockset flow into child entries). *)
-  let intra = Array.make n [] in
-  let spawn_edges = Array.make n [] in
-  let add p q =
-    if p >= 0 && p < n && q >= 0 && q < n then intra.(p) <- q :: intra.(p)
-  in
-  let unresolved = ref [] in
-  let spawn_entries =
-    List.map (fun i -> cg.Callgraph.entries.(i)) cg.Callgraph.address_taken
-  in
-  for pc = 0 to n - 1 do
-    match code.(pc) with
-    | Instr.Jmp t -> add pc t
-    | Instr.Jcc (_, t) ->
-      add pc t;
-      add pc (pc + 1)
-    | Instr.Jind _ -> (
-      match Hashtbl.find_opt tbl pc with
-      | Some ts -> List.iter (add pc) ts
-      | None -> unresolved := pc :: !unresolved)
-    | Instr.Call t ->
-      add pc t;
-      add pc (pc + 1);
-      let f = if t >= 0 && t < n then cg.Callgraph.fn_of_pc.(t) else -1 in
-      if f >= 0 then List.iter (fun r -> add r (pc + 1)) rets.(f)
-    | Instr.Callind _ ->
-      add pc (pc + 1);
-      (match Hashtbl.find_opt tbl pc with
-      | Some ts ->
-        List.iter
-          (fun t ->
-            add pc t;
-            let f = if t >= 0 && t < n then cg.Callgraph.fn_of_pc.(t) else -1 in
-            if f >= 0 then List.iter (fun r -> add r (pc + 1)) rets.(f))
-          ts
-      | None -> unresolved := pc :: !unresolved)
-    | Instr.Ret | Instr.Halt | Instr.Sys Instr.Exit -> ()
-    | Instr.Sys Instr.Spawn ->
-      add pc (pc + 1);
-      spawn_edges.(pc) <-
-        List.filter (fun e -> e >= 0 && e < n) spawn_entries
-    | _ -> add pc (pc + 1)
-  done;
-  let full = Array.init n (fun p -> spawn_edges.(p) @ intra.(p)) in
-  let full_preds = Array.make n [] in
-  Array.iteri
-    (fun p qs -> List.iter (fun q -> full_preds.(q) <- p :: full_preds.(q)) qs)
-    full;
-  (* ---- reaching definitions over register def sites (full graph) ---- *)
-  let num_sites = ref 0 in
-  let sites_at = Array.make n [] in
-  for pc = 0 to n - 1 do
-    Defuse.iter_mask
-      (fun r ->
-        sites_at.(pc) <- (!num_sites, r) :: sites_at.(pc);
-        incr num_sites)
-      (Defuse.def_mask code.(pc))
-  done;
-  let num_sites = !num_sites in
-  let sites_of_reg = Array.init Reg.file_size (fun _ -> Bitset.create num_sites) in
-  let site_pcs_of_reg = Array.make Reg.file_size [] in
-  Array.iteri
-    (fun pc l ->
-      List.iter
-        (fun (s, r) ->
-          Bitset.add sites_of_reg.(r) s;
-          site_pcs_of_reg.(r) <- (s, pc) :: site_pcs_of_reg.(r))
-        l)
-    sites_at;
-  let gen pc =
-    let b = Bitset.create num_sites in
-    List.iter (fun (s, _) -> Bitset.add b s) sites_at.(pc);
-    b
-  in
-  let kill pc =
-    let b = Bitset.create num_sites in
-    Defuse.iter_mask
-      (fun r -> ignore (Bitset.union_into ~src:sites_of_reg.(r) ~dst:b))
-      (Defuse.strong_def_mask code.(pc));
-    b
-  in
-  let rd =
-    Dataflow.solve ~num_nodes:n ~num_facts:num_sites
-      ~direction:Dataflow.Forward
-      ~succs:(fun p -> full.(p))
-      ~preds:(fun p -> full_preds.(p))
-      ~gen ~kill ()
-  in
+  let intra = g.Supercfg.intra and full = g.Supercfg.succs in
+  let unresolved = ref g.Supercfg.unresolved in
+  let spawn_entries = Supercfg.address_taken_entries g in
   (* ---- unique-reaching-definition value chase ---- *)
   let memo : (int * int, value) Hashtbl.t = Hashtbl.create 64 in
   let rec resolve_at pc reg =
@@ -218,14 +116,9 @@ let analyze ?(indirect_targets : (int * int list) list = [])
       | None ->
         (* break copy cycles: an in-flight query resolves to Unknown *)
         Hashtbl.replace memo (pc, reg) Unknown;
-        let defs =
-          List.filter
-            (fun (s, _) -> Bitset.mem rd.Dataflow.in_.(pc) s)
-            site_pcs_of_reg.(reg)
-        in
         let v =
-          match defs with
-          | [ (_, dpc) ] -> (
+          match Supercfg.reaching_defs g ~pc ~reg with
+          | [ dpc ] -> (
             match code.(dpc) with
             | Instr.Mov (rdst, Instr.Imm v) when rdst = reg -> Const v
             | Instr.Mov (rdst, Instr.Reg rs) when rdst = reg ->
@@ -279,27 +172,8 @@ let analyze ?(indirect_targets : (int * int list) list = [])
         | None -> Some pc)
       spawn_sites
   in
-  (* ---- reachability helpers (intra edges = per-thread flow) ---- *)
-  let bfs ?(avoid = -1) seeds =
-    let seen = Bitset.create n in
-    let stack = ref (List.filter (fun p -> p >= 0 && p < n && p <> avoid) seeds) in
-    List.iter (Bitset.add seen) !stack;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | p :: rest ->
-        stack := rest;
-        List.iter
-          (fun q ->
-            if q <> avoid && not (Bitset.mem seen q) then begin
-              Bitset.add seen q;
-              stack := q :: !stack
-            end)
-          intra.(p)
-    done;
-    seen
-  in
-  let root_reach = List.map (fun r -> (r, bfs [ r ])) roots in
+  (* ---- reachability (intra edges = per-thread flow) ---- *)
+  let root_reach = List.map (fun r -> (r, Supercfg.reach intra [ r ])) roots in
   let roots_of_pc pc =
     if not precise then roots
     else
@@ -314,31 +188,12 @@ let analyze ?(indirect_targets : (int * int list) list = [])
   (* can a spawn site re-execute? (reachable from itself through any
      super-CFG edge, spawn edges included) *)
   let self_reach =
-    let full_bfs seeds =
-      let seen = Bitset.create n in
-      let stack = ref (List.filter (fun p -> p >= 0 && p < n) seeds) in
-      List.iter (Bitset.add seen) !stack;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | p :: rest ->
-          stack := rest;
-          List.iter
-            (fun q ->
-              if not (Bitset.mem seen q) then begin
-                Bitset.add seen q;
-                stack := q :: !stack
-              end)
-            full.(p)
-      done;
-      seen
-    in
     let cache = Hashtbl.create 8 in
     fun pc ->
       match Hashtbl.find_opt cache pc with
       | Some b -> b
       | None ->
-        let b = Bitset.mem (full_bfs full.(pc)) pc in
+        let b = Bitset.mem (Supercfg.reach full full.(pc)) pc in
         Hashtbl.replace cache pc b;
         b
   in
@@ -444,7 +299,7 @@ let analyze ?(indirect_targets : (int * int list) list = [])
         Dataflow.solve ~num_nodes:n ~num_facts:num_mx
           ~direction:Dataflow.Forward
           ~succs:(fun p -> full.(p))
-          ~preds:(fun p -> full_preds.(p))
+          ~preds:(fun p -> g.Supercfg.preds.(p))
           ~gen ~kill ~entry ()
       in
       fun pc ->
@@ -499,7 +354,7 @@ let analyze ?(indirect_targets : (int * int list) list = [])
       match Hashtbl.find_opt cache s with
       | Some b -> b
       | None ->
-        let b = bfs intra.(s) in
+        let b = Supercfg.reach intra intra.(s) in
         Hashtbl.replace cache s b;
         b
   in
@@ -509,7 +364,7 @@ let analyze ?(indirect_targets : (int * int list) list = [])
       match Hashtbl.find_opt cache j with
       | Some b -> b
       | None ->
-        let b = bfs ~avoid:j [ main_root ] in
+        let b = Supercfg.reach ~avoid:j intra [ main_root ] in
         Hashtbl.replace cache j b;
         b
   in
@@ -619,5 +474,5 @@ let analyze ?(indirect_targets : (int * int list) list = [])
       let x = p.p_a.acc_pc and y = p.p_b.acc_pc in
       Hashtbl.replace pair_tbl (min x y, max x y) ())
     candidates;
-  { prog; cfg; cg; accesses; mutexes; roots; candidates; pair_tbl;
+  { g; accesses; mutexes; roots; candidates; pair_tbl;
     lockset_of; unresolved = List.sort_uniq compare !unresolved }

@@ -76,7 +76,8 @@ let callgraph_json (cg : Callgraph.t) ~entry_pc =
             cg.Callgraph.address_taken));
       ("unreachable_functions", Json.List unreachable_fns) ]
 
-let make (prog : Program.t) (lint : Lint.t) (cg : Callgraph.t) : Json.t =
+let make (g : Supercfg.t) (lint : Lint.t) : Json.t =
+  let prog = g.Supercfg.prog and cg = g.Supercfg.cg in
   let all_passes =
     [ ("unreachable-blocks",
        pass_json (List.map unreachable_json lint.Lint.unreachable));
@@ -155,10 +156,8 @@ let validate (doc : Json.t) : (unit, string) result =
   let* _ = need "findings_total" (Option.bind (Json.member "findings_total" doc) Json.to_float) in
   Ok ()
 
-(** Analyze [prog] end to end: run the lint suite and package the
-    report.  [passes] as in {!Lint.run}. *)
-let analyze ?passes (prog : Program.t) : Lint.t * Json.t =
-  let cfg = Dr_cfg.Cfg.build prog in
-  let cg = Callgraph.build prog ~cfg in
-  let lint = Lint.run ?passes prog in
-  (lint, make prog lint cg)
+(** Run the lint suite over [g] and package the report.  [passes] as in
+    {!Lint.run}. *)
+let analyze ?passes (g : Supercfg.t) : Lint.t * Json.t =
+  let lint = Lint.run ?passes g in
+  (lint, make g lint)

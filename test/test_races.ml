@@ -5,6 +5,7 @@
    racy workloads. *)
 
 module Race = Dr_static.Race
+module Supercfg = Dr_static.Supercfg
 module Racecheck = Dr_conformance.Racecheck
 
 let compile src =
@@ -46,7 +47,7 @@ fn main() {
 
 let test_lockset_clears_protected () =
   let prog = compile racy_pair_src in
-  let r = Race.analyze prog in
+  let r = Race.analyze (Supercfg.build prog) in
   Alcotest.(check bool) "fully resolved" true (Race.fully_resolved r);
   Alcotest.(check bool) "has candidates" true (r.Race.candidates <> []);
   (* the mutex-protected counter never pairs with itself: no candidate
@@ -78,7 +79,7 @@ fn main() {
 }
 |}
   in
-  let r = Race.analyze prog in
+  let r = Race.analyze (Supercfg.build prog) in
   Alcotest.(check int) "no threads, no races" 0 (List.length r.Race.candidates)
 
 let test_spawn_join_clean () =
@@ -109,7 +110,7 @@ fn main() {
 }
 |}
   in
-  let r = Race.analyze prog in
+  let r = Race.analyze (Supercfg.build prog) in
   Alcotest.(check int) "spawn/join ordered" 0 (List.length r.Race.candidates)
 
 (* ---- callgraph spawn-target Mov-chain chase (satellite 2) ---- *)
@@ -146,8 +147,7 @@ main:
   halt
 |}
   in
-  let cfg = Dr_cfg.Cfg.build prog in
-  let cg = Dr_static.Callgraph.build prog ~cfg in
+  let cg = (Supercfg.build prog).Supercfg.cg in
   Alcotest.(check int) "both workers address-taken" 2
     (List.length cg.Dr_static.Callgraph.address_taken);
   match spawn_sites cg with
@@ -182,8 +182,7 @@ main:
   halt
 |}
   in
-  let cfg = Dr_cfg.Cfg.build prog in
-  let cg = Dr_static.Callgraph.build prog ~cfg in
+  let cg = (Supercfg.build prog).Supercfg.cg in
   match spawn_sites cg with
   | [ s ] ->
     Alcotest.(check int) "widened to all address-taken" 2
@@ -194,7 +193,7 @@ main:
 
 let test_racecheck_flags_bare_counter () =
   let prog = compile racy_pair_src in
-  let r = Race.analyze prog in
+  let r = Race.analyze (Supercfg.build prog) in
   let result, stop =
     Racecheck.observe_run prog
       ~policy:(Dr_machine.Driver.Round_robin { quantum = 1 })
@@ -302,7 +301,7 @@ let test_bugs_statically_ranked () =
   List.iter
     (fun (b : Dr_workloads.Bugs.t) ->
       let prog = Dr_workloads.Bugs.compile b in
-      let r = Race.analyze prog in
+      let r = Race.analyze (Supercfg.build prog) in
       Alcotest.(check bool)
         (b.Dr_workloads.Bugs.name ^ " fully resolved")
         true (Race.fully_resolved r);
@@ -331,7 +330,7 @@ let test_bugs_dynamically_confirmed () =
     (fun (b : Dr_workloads.Bugs.t) ->
       let name = b.Dr_workloads.Bugs.name in
       let prog = Dr_workloads.Bugs.compile b in
-      let r = Race.analyze prog in
+      let r = Race.analyze (Supercfg.build prog) in
       let static_pairs = Race.candidate_pairs r in
       match Dr_maple.Active.expose ~static_pairs prog with
       | None -> Alcotest.failf "%s: seeded campaign did not expose" name
@@ -361,7 +360,7 @@ let test_bugs_dynamically_confirmed () =
 
 let test_lint_pass_subset () =
   let prog = compile racy_pair_src in
-  let l = Dr_static.Lint.run ~passes:[ "races" ] prog in
+  let l = Dr_static.Lint.run ~passes:[ "races" ] (Supercfg.build prog) in
   Alcotest.(check (list string)) "only races ran" [ "races" ]
     l.Dr_static.Lint.passes_run;
   Alcotest.(check int) "total counts races only"
@@ -369,7 +368,7 @@ let test_lint_pass_subset () =
     (Dr_static.Lint.findings_total l);
   Alcotest.check_raises "unknown pass rejected"
     (Invalid_argument "Lint.run: unknown pass \"nope\"") (fun () ->
-      ignore (Dr_static.Lint.run ~passes:[ "nope" ] prog))
+      ignore (Dr_static.Lint.run ~passes:[ "nope" ] (Supercfg.build prog)))
 
 let () =
   Alcotest.run "races"

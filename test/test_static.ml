@@ -8,7 +8,9 @@ module Bitset = Dr_util.Bitset
 module Dataflow = Dr_static.Dataflow
 module Analysis = Dr_static.Analysis
 module Callgraph = Dr_static.Callgraph
+module Defuse = Dr_static.Defuse
 module Pdg = Dr_static.Pdg
+module Supercfg = Dr_static.Supercfg
 module Lint = Dr_static.Lint
 module Report = Dr_static.Report
 module Json = Dr_util.Json
@@ -133,8 +135,7 @@ let test_maybe_uninit_clean () =
 (* ---- call graph ---- *)
 
 let build_cg ?indirect_targets prog =
-  let cfg = Dr_cfg.Cfg.build ?indirect_targets prog in
-  Callgraph.build ?indirect_targets prog ~cfg
+  (Supercfg.build ?indirect_targets prog).Supercfg.cg
 
 let test_callgraph_direct_and_spawn () =
   (* main spawns a worker (address materialized at pc 0) and calls a
@@ -206,9 +207,10 @@ let test_pdg_resolution_flag () =
          Instr.Mov (Reg.r0, Instr.Imm 1); Instr.Sys Instr.Exit |]
   in
   Alcotest.(check bool) "unrefined jind leaves the pdg unresolved" false
-    (Pdg.fully_resolved (Pdg.build prog));
+    (Pdg.fully_resolved (Pdg.build (Supercfg.build prog)));
   Alcotest.(check bool) "refined jind resolves the pdg" true
-    (Pdg.fully_resolved (Pdg.build ~indirect_targets:[ (1, [ 3 ]) ] prog))
+    (Pdg.fully_resolved
+       (Pdg.build (Supercfg.build ~indirect_targets:[ (1, [ 3 ]) ] prog)))
 
 let test_pdg_straightline_slice () =
   (* the load depends on the store (one-global-cell memory), the store's
@@ -219,7 +221,7 @@ let test_pdg_straightline_slice () =
          Instr.Store (Reg.r1, 0, Reg.r2); Instr.Mov (Reg.r3, Instr.Imm 9);
          Instr.Load (Reg.r4, Reg.r1, 0); Instr.Sys Instr.Exit |]
   in
-  let pdg = Pdg.build prog in
+  let pdg = Pdg.build (Supercfg.build prog) in
   let slice = Pdg.backward_slice pdg ~pc:4 in
   List.iter
     (fun pc ->
@@ -234,7 +236,11 @@ let test_pdg_straightline_slice () =
 let check_static_bounds_dynamic prog =
   let c = collect prog in
   let gt = Dr_slicing.Global_trace.construct c in
-  let pdg = Pdg.build ~indirect_targets:c.Dr_slicing.Collector.indirect_targets prog in
+  let pdg =
+    Pdg.build
+      (Supercfg.build
+         ~indirect_targets:c.Dr_slicing.Collector.indirect_targets prog)
+  in
   if Pdg.fully_resolved pdg then begin
     let len = Dr_slicing.Global_trace.length gt in
     let crit = { Dr_slicing.Slicer.crit_pos = len - 1; crit_locs = None } in
@@ -296,6 +302,128 @@ let test_pdg_bounds_dynamic_generated () =
     (Printf.sprintf "at least one generated program checked (%d/8)" !checked)
     true (!checked > 0)
 
+(* ---- static / dynamic def-use lock-step ---- *)
+
+(* Defuse's masks must cover every location Def_use.collect emits for the
+   same instruction (the PDG bounds dynamic slices through them), and
+   strong_def_mask must name only registers the executing thread really
+   writes (reaching definitions kill through it).  Checked on every
+   retired event; returns the instruction forms exercised. *)
+
+let form = function
+  | Instr.Mov _ -> "mov"
+  | Instr.Bin _ -> "bin"
+  | Instr.Load _ -> "load"
+  | Instr.Store _ -> "store"
+  | Instr.Push _ -> "push"
+  | Instr.Pop _ -> "pop"
+  | Instr.Cmp _ -> "cmp"
+  | Instr.Setcc _ -> "setcc"
+  | Instr.Jmp _ -> "jmp"
+  | Instr.Jcc _ -> "jcc"
+  | Instr.Jind _ -> "jind"
+  | Instr.Call _ -> "call"
+  | Instr.Callind _ -> "callind"
+  | Instr.Ret -> "ret"
+  | Instr.Sys s -> "sys " ^ Instr.syscall_name s
+  | Instr.Assert _ -> "assert"
+  | Instr.Halt -> "halt"
+  | Instr.Nop -> "nop"
+
+let all_forms =
+  [ "mov"; "bin"; "load"; "store"; "push"; "pop"; "cmp"; "setcc"; "jmp";
+    "jcc"; "jind"; "call"; "callind"; "ret"; "assert"; "halt"; "nop" ]
+  @ List.map
+      (fun s -> "sys " ^ Instr.syscall_name s)
+      Instr.
+        [ Exit; Print; Rand; Time; Read; Spawn; Join; Lock; Unlock; Yield;
+          Alloc; Wait; Signal; Broadcast ]
+
+let defuse_forms_of_run ?input prog =
+  let module V = Dr_util.Vec.Int_vec in
+  let defs = V.create () and uses = V.create () in
+  let forms = Hashtbl.create 32 in
+  let on_event (ev : Dr_machine.Event.t) =
+    let i = ev.Dr_machine.Event.instr and tid = ev.Dr_machine.Event.tid in
+    Hashtbl.replace forms (form i) ();
+    let bad what =
+      Alcotest.failf "%s: pc %d (%s): %s" prog.Program.name
+        ev.Dr_machine.Event.pc (Instr.to_string i) what
+    in
+    V.clear defs;
+    V.clear uses;
+    Dr_machine.Def_use.collect ev ~defs ~uses;
+    let own_defs = ref 0 in
+    V.iter
+      (fun l ->
+        match Loc.view l with
+        | Loc.Mem _ -> if not (Defuse.writes_mem i) then bad "memory def"
+        | Loc.Reg { tid = t; reg } ->
+          if Defuse.def_mask i land (1 lsl reg) = 0 then
+            bad ("def of " ^ Reg.name reg ^ " outside def_mask");
+          if t = tid then own_defs := !own_defs lor (1 lsl reg))
+      defs;
+    V.iter
+      (fun l ->
+        match Loc.view l with
+        | Loc.Mem _ -> if not (Defuse.reads_mem i) then bad "memory use"
+        | Loc.Reg { reg; _ } ->
+          if Defuse.use_mask i land (1 lsl reg) = 0 then
+            bad ("use of " ^ Reg.name reg ^ " outside use_mask"))
+      uses;
+    if Defuse.strong_def_mask i land lnot !own_defs <> 0 then
+      bad "strong_def_mask names a register the thread did not write"
+  in
+  let m = Dr_machine.Machine.create ?input prog in
+  ignore
+    (Dr_machine.Driver.run ~max_steps:200_000
+       ~hooks:{ Dr_machine.Driver.on_event }
+       m
+       (Dr_machine.Driver.Seeded { seed = 3; max_quantum = 4 }));
+  Hashtbl.fold (fun f () acc -> f :: acc) forms []
+
+(* The forms the workloads, examples and generated programs leave
+   unexercised, hand-assembled; one program per way of stopping. *)
+let rest_of_forms ending =
+  {|
+.entry main
+callee:
+  ret
+main:
+  nop
+  sys time
+  sys read
+  mov r3, @callee
+  call *r3
+|}
+  ^ ending
+
+let test_defuse_lockstep () =
+  let seen = Hashtbl.create 32 in
+  let run ?input prog =
+    List.iter (fun f -> Hashtbl.replace seen f ()) (defuse_forms_of_run ?input prog)
+  in
+  List.iter
+    (fun (e : Dr_workloads.Registry.entry) ->
+      run (e.Dr_workloads.Registry.compile ~threads:3 ~iters:6))
+    Dr_workloads.Registry.all;
+  List.iter
+    (fun f ->
+      let path = Filename.concat "../examples/analyze" f in
+      run (compile (In_channel.with_open_text path In_channel.input_all)))
+    [ "jump_table.mc"; "racy_pair.mc"; "spawn_clean.mc" ];
+  for seed = 1 to 20 do
+    run (compile (Dr_lang.Gen.program seed))
+  done;
+  List.iter
+    (fun ending ->
+      match Asm.parse (rest_of_forms ending) with
+      | Ok p -> run ~input:[| 5 |] p
+      | Error e -> Alcotest.failf "asm parse failed: %s" e)
+    [ "  halt\n"; "  mov r1, $0\n  sys exit\n" ];
+  Alcotest.(check (list string)) "every instruction form exercised" []
+    (List.filter (fun f -> not (Hashtbl.mem seen f)) all_forms)
+
 (* ---- lint passes ---- *)
 
 let test_lint_unreachable_block () =
@@ -304,7 +432,7 @@ let test_lint_unreachable_block () =
       [| Instr.Mov (Reg.r0, Instr.Imm 1); Instr.Jmp 4;
          Instr.Mov (Reg.r0, Instr.Imm 2); Instr.Jmp 4; Instr.Sys Instr.Exit |]
   in
-  match (Lint.run prog).Lint.unreachable with
+  match (Lint.run (Supercfg.build prog)).Lint.unreachable with
   | [ u ] ->
     Alcotest.(check int) "dead block start" 2 u.Lint.ub_start;
     Alcotest.(check int) "dead block end" 4 u.Lint.ub_end
@@ -314,7 +442,7 @@ let test_lint_missing_restore () =
   let prog =
     raw [| Instr.Push Reg.r6; Instr.Mov (Reg.r0, Instr.Imm 1); Instr.Ret |]
   in
-  match (Lint.run prog).Lint.save_restore with
+  match (Lint.run (Supercfg.build prog)).Lint.save_restore with
   | [ s ] ->
     Alcotest.(check string) "kind" "missing-restore" (Lint.sr_kind_name s.Lint.sr_kind);
     Alcotest.(check int) "save pc" 0 s.Lint.sr_pc;
@@ -327,7 +455,7 @@ let test_lint_order_mismatch () =
       [| Instr.Push Reg.r6; Instr.Push 7; Instr.Mov (Reg.r0, Instr.Imm 1);
          Instr.Pop Reg.r6; Instr.Pop 7; Instr.Ret |]
   in
-  match (Lint.run prog).Lint.save_restore with
+  match (Lint.run (Supercfg.build prog)).Lint.save_restore with
   | [ s ] ->
     Alcotest.(check string) "kind" "order-mismatch" (Lint.sr_kind_name s.Lint.sr_kind);
     Alcotest.(check int) "flagged at the ret" 5 s.Lint.sr_pc
@@ -350,14 +478,15 @@ fn main() {
 
 let test_lint_indirect_audit () =
   let prog = compile switch_src in
-  let lint = Lint.run prog in
+  let g = Supercfg.build prog in
+  let lint = Lint.run g in
   let jinds =
     List.filter (fun i -> i.Lint.ind_kind = `Jind) lint.Lint.indirect
   in
   match jinds with
   | [ i ] ->
     Alcotest.(check bool) "suggestions nonempty" true (i.Lint.ind_suggestions <> []);
-    (match Dr_cfg.Cfg.func_at (Dr_cfg.Cfg.build prog) i.Lint.ind_pc with
+    (match Dr_cfg.Cfg.func_at g.Supercfg.cfg i.Lint.ind_pc with
     | None -> Alcotest.fail "jind outside any function"
     | Some f ->
       List.iter
@@ -382,7 +511,7 @@ let drop_field k = function
 
 let test_report_roundtrip () =
   let prog = compile switch_src in
-  let _, doc = Report.analyze prog in
+  let _, doc = Report.analyze (Supercfg.build prog) in
   (match Report.validate doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "fresh report fails validation: %s" e);
@@ -439,6 +568,9 @@ let () =
           Alcotest.test_case "static bounds dynamic (generated)" `Slow
             test_pdg_bounds_dynamic_generated;
         ] );
+      ( "defuse",
+        [ Alcotest.test_case "static masks cover dynamic def/use" `Slow
+            test_defuse_lockstep ] );
       ( "lint",
         [
           Alcotest.test_case "unreachable block" `Quick test_lint_unreachable_block;
