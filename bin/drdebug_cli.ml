@@ -580,7 +580,7 @@ let run_pinball_info path =
   Printf.printf "  region:        skip=%d length=%d (main-thread instructions)\n"
     pb.region.skip pb.region.length;
   Printf.printf "  instructions:  %d (all threads)\n" (schedule_instructions pb);
-  Printf.printf "  schedule:      %d slices\n" (Array.length pb.schedule);
+  Printf.printf "  schedule:      %d runs\n" (Dr_machine.Schedule.length pb.schedule);
   Printf.printf "  syscalls:      %d logged results\n" (Array.length pb.syscalls);
   Printf.printf "  threads:       %d in snapshot\n"
     (List.length pb.snapshot.Dr_machine.Snapshot.threads);
@@ -601,7 +601,8 @@ let run_pinball_dump path =
   let pb = Dr_pinplay.Pinball.load_file path in
   let open Dr_pinplay.Pinball in
   Printf.printf "schedule (tid x count):\n ";
-  Array.iter (fun (tid, n) -> Printf.printf " %d x%d" tid n) pb.schedule;
+  List.iter (fun (tid, n) -> Printf.printf " %d x%d" tid n)
+    (Dr_machine.Schedule.to_runs pb.schedule);
   Printf.printf "\nsyscall results:\n ";
   Array.iter (fun v -> Printf.printf " %d" v) pb.syscalls;
   print_newline ();

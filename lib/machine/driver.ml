@@ -9,8 +9,7 @@
     - {!Seeded}: pseudo-random thread and run length from a seed — the
       "native" non-deterministic schedule; different seeds give the
       run-to-run variation that makes cyclic debugging hard (paper §1).
-    - {!Scripted}: replay of a recorded schedule (RLE array of
-      [(tid, retired-instruction count)] runs), starting [start]
+    - {!Scripted}: replay of a recorded {!Schedule}, starting [start]
       retired instructions in; divergence raises.
     - {!Custom}: externally controlled, one step per run — used by
       Maple's active scheduler and the conformance schedules. *)
@@ -18,7 +17,7 @@
 type policy =
   | Round_robin of { quantum : int }
   | Seeded of { seed : int; max_quantum : int }
-  | Scripted of { schedule : (int * int) array; start : int }
+  | Scripted of { schedule : Schedule.t; start : int }
   | Custom of (Machine.t -> last:int -> int option)
 
 type stop_reason =
@@ -52,8 +51,8 @@ let next_runnable m start =
 type picker =
   | Pick_round_robin of int  (** quantum, at least 1 *)
   | Pick_seeded of { rng : Random.State.t; max_quantum : int }
-  | Pick_scripted of { schedule : (int * int) array; mutable pos : int }
-      (** [pos]: the next RLE entry to hand out *)
+  | Pick_scripted of { schedule : Schedule.t; mutable pos : int }
+      (** [pos]: the next run to hand out *)
   | Pick_custom of (Machine.t -> last:int -> int option)
 
 (** A resumable scheduling session.  A picker hands out {e runs}: a
@@ -89,18 +88,18 @@ let session ?(nondet : Machine.nondet option) (m : Machine.t) (policy : policy)
            max_quantum = max max_quantum 1 })
       ~run_tid:0 ~run_left:0
   | Scripted { schedule; start } ->
-    (* seek: the entry and remainder [start] instructions in, found by
-       one scan over the counts; the schedule itself is not copied *)
+    (* seek: the run and remainder [start] instructions in, found by one
+       scan over the counts; the schedule itself is not copied *)
+    let n = Schedule.length schedule in
     let pos = ref 0 and skip = ref start in
-    while !pos < Array.length schedule && !skip >= snd schedule.(!pos) do
-      skip := !skip - snd schedule.(!pos);
+    while !pos < n && !skip >= Schedule.count schedule !pos do
+      skip := !skip - Schedule.count schedule !pos;
       incr pos
     done;
-    if !skip > 0 && !pos < Array.length schedule then begin
-      let tid, cnt = schedule.(!pos) in
-      s (Pick_scripted { schedule; pos = !pos + 1 }) ~run_tid:tid
-        ~run_left:(cnt - !skip)
-    end
+    if !skip > 0 && !pos < n then
+      s (Pick_scripted { schedule; pos = !pos + 1 })
+        ~run_tid:(Schedule.tid schedule !pos)
+        ~run_left:(Schedule.count schedule !pos - !skip)
     else s (Pick_scripted { schedule; pos = !pos }) ~run_tid:0 ~run_left:0
   | Custom f -> s (Pick_custom f) ~run_tid:0 ~run_left:0
 
@@ -123,15 +122,15 @@ let pick_run s =
     if t >= 0 then s.run_left <- 2 + Random.State.int rng max_quantum
   | Pick_scripted p ->
     let sched = p.schedule in
-    while p.pos < Array.length sched && snd sched.(p.pos) <= 0 do
+    let n = Schedule.length sched in
+    while p.pos < n && Schedule.count sched p.pos <= 0 do
       p.pos <- p.pos + 1
     done;
-    if p.pos >= Array.length sched then s.run_tid <- -1
+    if p.pos >= n then s.run_tid <- -1
     else begin
-      let tid, cnt = sched.(p.pos) in
-      p.pos <- p.pos + 1;
-      s.run_tid <- tid;
-      s.run_left <- cnt
+      s.run_tid <- Schedule.tid sched p.pos;
+      s.run_left <- Schedule.count sched p.pos;
+      p.pos <- p.pos + 1
     end
   | Pick_custom f -> (
     match f m ~last:s.last with

@@ -31,10 +31,15 @@ let mix h x =
     varint-encodes compactly. *)
 let hash (m : Machine.t) (ev : Event.t) ~step =
   let th = Machine.thread m ev.Event.tid in
+  let regs = th.Machine.regs in
   let h = ref (mix step ev.Event.tid) in
   h := mix !h th.Machine.pc;
   h := mix !h th.Machine.icount;
-  Array.iter (fun r -> h := mix !h r) th.Machine.regs;
+  (* a [for] loop, not [Array.iter]: the ref stays local, so a digest
+     allocates nothing *)
+  for i = 0 to Array.length regs - 1 do
+    h := mix !h regs.(i)
+  done;
   if ev.Event.mem_write >= 0 then begin
     h := mix !h ev.Event.mem_write;
     h := mix !h ev.Event.mem_write_value

@@ -85,12 +85,12 @@ let log ?(policy = Driver.Seeded { seed = 1; max_quantum = 8 })
     let snapshot = Snapshot.capture m in
     let main_start = (Machine.thread m 0).Machine.icount in
     let total_start = Machine.total_icount m in
-    let schedule = Schedule_rle.create () in
+    let schedule = Schedule.recorder () in
     let syscalls = Dr_util.Vec.Int_vec.create () in
     let digests = Dr_util.Vec.create ~dummy:{ Pinball.dg_step = 0; dg_tid = 0; dg_hash = 0 } in
     let steps = ref 0 in
     let on_event (ev : Event.t) =
-      Schedule_rle.step schedule ev.Event.tid;
+      Schedule.record schedule ev.Event.tid;
       incr steps;
       if digest_interval > 0 && !steps mod digest_interval = 0 then
         Dr_util.Vec.push digests
@@ -123,7 +123,7 @@ let log ?(policy = Driver.Seeded { seed = 1; max_quantum = 8 })
         ~program_name:prog.Dr_isa.Program.name
         ~region:{ Pinball.skip; length = main_instructions }
         ~snapshot
-        ~schedule:(Schedule_rle.to_array schedule)
+        ~schedule:(Schedule.recorded schedule)
         ~syscalls:(Dr_util.Vec.Int_vec.to_array syscalls) ()
     in
     let pinball_bytes = Pinball.size_bytes pinball in

@@ -40,7 +40,7 @@ type t = {
   kind : kind;
   region : region_spec;
   snapshot : Dr_machine.Snapshot.t;
-  schedule : (int * int) array;  (** RLE: (tid, retired count) *)
+  schedule : Dr_machine.Schedule.t;  (** runs of (tid, retired count) *)
   syscalls : int array;  (** nondet results in consumption order *)
   injections : injection array;
   slice_events : slice_event array;  (** empty for region pinballs *)
@@ -54,7 +54,7 @@ val make_region :
   program_name:string ->
   region:region_spec ->
   snapshot:Dr_machine.Snapshot.t ->
-  schedule:(int * int) array ->
+  schedule:Dr_machine.Schedule.t ->
   syscalls:int array ->
   unit ->
   t

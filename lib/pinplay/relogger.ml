@@ -67,7 +67,7 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
   let events = Dr_util.Vec.create ~dummy:(Pinball.Inject (-1)) in
   let injections = Dr_util.Vec.create ~dummy:{ Pinball.inj_tid = 0; inj_mem = []; inj_regs = [] } in
   let syscalls = Dr_util.Vec.Int_vec.create () in
-  let schedule = Schedule_rle.create () in
+  let schedule = Schedule.recorder () in
   let replayer = Replayer.create prog pinball in
   let m = Replayer.machine replayer in
   (* Flush the side effects of a just-finished exclusion region: the final
@@ -143,7 +143,7 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
       (* included instruction *)
       if ev.Event.mem_write >= 0 then drop_pending_write per_thread ev.Event.mem_write;
       Dr_util.Vec.push events (Pinball.Step { tid; pc });
-      Schedule_rle.step schedule tid;
+      Schedule.record schedule tid;
       match ev.Event.sys with
       | Event.Sys_nondet { result; _ } -> Dr_util.Vec.Int_vec.push syscalls result
       | _ -> ()
@@ -162,7 +162,7 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
      replay does not follow — they would all misfire, so drop them *)
   { pinball with
     Pinball.kind = Pinball.Slice;
-    schedule = Schedule_rle.to_array schedule;
+    schedule = Schedule.recorded schedule;
     syscalls = Dr_util.Vec.Int_vec.to_array syscalls;
     injections = Dr_util.Vec.to_array injections;
     slice_events = Dr_util.Vec.to_array events;

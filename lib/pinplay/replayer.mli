@@ -43,7 +43,7 @@ type checkpoint = {
 (** Create a replayer for a region pinball, optionally resuming [from] a
     checkpoint taken on an earlier replay of the {e same} pinball.  The
     recorded schedule is used in place: the picker seeks to the
-    checkpoint's step with one allocation-free scan of the RLE counts,
+    checkpoint's step with one allocation-free scan of the run counts,
     so creation costs a snapshot restore, not a copy of the schedule.
     A resumed replay starts with the checkpoint's output and outcome.
     @raise Invalid_argument on slice pinballs (those replay via

@@ -2,9 +2,9 @@
 
     Values are encoded with LEB128-style varints (zig-zag for signed
     values) into a [Buffer]; decoding reads from a string with an explicit
-    cursor.  Pinballs additionally use run-length encoding for schedule
-    logs (see {!Dr_pinplay.Pinball}); this module only provides the
-    primitive layer. *)
+    cursor.  Pinballs store their schedule as (tid, count) runs (see
+    {!Dr_machine.Schedule}); this module only provides the primitive
+    layer. *)
 
 type encoder = Buffer.t
 

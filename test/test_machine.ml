@@ -260,14 +260,16 @@ let test_scripted_divergence () =
       ignore
         (Dr_machine.Driver.run m
            (Dr_machine.Driver.Scripted
-              { schedule = [| (0, 1); (3, 1) |]; start = 0 })))
+              { schedule = Dr_machine.Schedule.of_runs [ (0, 1); (3, 1) ];
+                start = 0 })))
 
 let test_scripted_exact () =
   let p = raw_prog [ Mov (0, Imm 1); Mov (0, Imm 2); Mov (0, Imm 3); Halt ] in
   let m = Dr_machine.Machine.create p in
   let r =
     Dr_machine.Driver.run m
-      (Dr_machine.Driver.Scripted { schedule = [| (0, 2) |]; start = 0 })
+      (Dr_machine.Driver.Scripted
+         { schedule = Dr_machine.Schedule.of_runs [ (0, 2) ]; start = 0 })
   in
   (match r with
   | Dr_machine.Driver.Schedule_end -> ()
@@ -354,7 +356,8 @@ let test_snapshot_divergence_after_restore () =
     (fun () ->
       ignore
         (Dr_machine.Driver.run m3
-           (Dr_machine.Driver.Scripted { schedule = [| (7, 1) |]; start = 0 })))
+           (Dr_machine.Driver.Scripted
+              { schedule = Dr_machine.Schedule.of_runs [ (7, 1) ]; start = 0 })))
 
 (* a multi-thread workload long enough that a mid-run snapshot lands
    while several threads are live and holding state *)

@@ -77,6 +77,92 @@ let test_pinball_corrupt () =
   structured "empty" "";
   structured "trailing bytes" (Dr_pinplay.Pinball.to_bytes (fst (log_whole racy_src)) ^ "x")
 
+(* ---- the flat schedule: bytes on disk and decode allocation ---- *)
+
+(* the payload of section [id] in a serialized pinball, read straight
+   from the container's section table *)
+let section_bytes bytes id =
+  let open Dr_util.Codec in
+  let d = decoder bytes in
+  ignore (get_string d : string);
+  ignore (get_uint d : int);
+  ignore (get_uint d : int);
+  let table =
+    List.init (get_uint d) (fun _ ->
+        let id = get_uint d in
+        let len = get_uint d in
+        ignore (get_uint d : int);
+        (id, len))
+  in
+  let off = ref d.pos in
+  List.find_map
+    (fun (id', len) ->
+      let at = !off in
+      off := at + len;
+      if id' = id then Some (String.sub bytes at len) else None)
+    table
+  |> Option.get
+
+(* LEB128, written out by hand: 7 bits a byte, low group first *)
+let rec varint n =
+  if n < 0x80 then String.make 1 (Char.chr n)
+  else String.make 1 (Char.chr (0x80 lor (n land 0x7f))) ^ varint (n lsr 7)
+
+let prop_schedule_roundtrip =
+  let base = lazy (fst (log_whole racy_src)) in
+  let run =
+    QCheck.(
+      pair (int_bound 300)
+        (make
+           QCheck.Gen.(frequency [ (1, return 0); (4, int_bound 20_000) ])))
+  in
+  QCheck.Test.make ~name:"schedule runs round-trip through the pinball bytes"
+    ~count:200 (QCheck.small_list run)
+    (fun runs ->
+      let schedule = Dr_machine.Schedule.of_runs runs in
+      let pb = { (Lazy.force base) with Dr_pinplay.Pinball.schedule } in
+      let bytes = Dr_pinplay.Pinball.to_bytes pb in
+      let pb' = Dr_pinplay.Pinball.of_bytes bytes in
+      Dr_machine.Schedule.to_runs pb'.Dr_pinplay.Pinball.schedule = runs
+      && Dr_machine.Schedule.steps schedule
+         = List.fold_left (fun acc (_, n) -> acc + n) 0 runs
+      && section_bytes bytes 3 (* the schedule section *)
+         = String.concat ""
+             (varint (List.length runs)
+             :: List.concat_map (fun (tid, n) -> [ varint tid; varint n ]) runs))
+
+let test_decode_allocation () =
+  (* runs of 2-3 steps over 4 threads, so the recording has over 100k
+     runs; decoding fills one int array instead of boxing each run *)
+  let e = Option.get (Dr_workloads.Registry.find "fluidanimate") in
+  let prog = e.Dr_workloads.Registry.compile ~threads:4 ~iters:600 in
+  let pb =
+    match
+      Dr_pinplay.Logger.log
+        ~policy:(Dr_machine.Driver.Seeded { seed = 1; max_quantum = 2 })
+        prog Dr_pinplay.Logger.Whole
+    with
+    | Ok (pb, _) -> pb
+    | Error err -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error err
+  in
+  let runs = Dr_machine.Schedule.length pb.Dr_pinplay.Pinball.schedule in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 100k runs (%d)" runs)
+    true (runs >= 100_000);
+  let bytes = Dr_pinplay.Pinball.to_bytes pb in
+  let minor () =
+    let m, _, _ = Gc.counters () in
+    m
+  in
+  let w0 = minor () in
+  let pb' = Dr_pinplay.Pinball.of_bytes bytes in
+  let words = (minor () -. w0) /. float_of_int runs in
+  Alcotest.(check int) "runs decoded" runs
+    (Dr_machine.Schedule.length pb'.Dr_pinplay.Pinball.schedule);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per run" words)
+    true (words < 0.5)
+
 (* ---- logger + replayer: whole executions ---- *)
 
 let run_native ~seed ~input src =
@@ -362,11 +448,12 @@ let test_breakpoint_mid_run () =
   in
   let run_starts = Hashtbl.create 256 in
   ignore
-    (Array.fold_left
+    (List.fold_left
        (fun at (_, n) ->
          Hashtbl.replace run_starts at ();
          at + n)
-       0 pb.Dr_pinplay.Pinball.schedule);
+       0
+       (Dr_machine.Schedule.to_runs pb.Dr_pinplay.Pinball.schedule));
   check_breakpoint_mid_run "scripted" prog
     ~fresh:(fun hooks ->
       let r = Dr_pinplay.Replayer.create prog pb in
@@ -531,7 +618,8 @@ fn main() {
 
 (* the tids a scripted session steps from [start] until the schedule is
    exhausted, on a machine where threads 0 and 1 are both runnable *)
-let scripted_picks schedule start =
+let scripted_picks runs start =
+  let schedule = Dr_machine.Schedule.of_runs runs in
   let m = Dr_machine.Machine.create (compile spin_src) in
   (match
      Dr_machine.Driver.run m
@@ -552,10 +640,8 @@ let scripted_picks schedule start =
   | r -> Alcotest.failf "seek %d: %a" start Dr_machine.Driver.pp_stop_reason r);
   List.rev !tids
 
-let expand_schedule schedule =
-  List.concat_map
-    (fun (tid, n) -> List.init n (fun _ -> tid))
-    (Array.to_list schedule)
+let expand_schedule runs =
+  List.concat_map (fun (tid, n) -> List.init n (fun _ -> tid)) runs
 
 let test_seek_positions () =
   (* seeking [k] steps in picks exactly the schedule's suffix: at 0, at
@@ -570,8 +656,8 @@ let test_seek_positions () =
           (scripted_picks sched k))
       [ 0; 5; 6; 10; 2; 11 ]
   in
-  check [| (0, 5); (1, 3); (0, 2) |];
-  check [| (1, 0); (0, 5); (1, 0); (1, 3); (0, 0); (0, 2); (1, 0) |]
+  check [ (0, 5); (1, 3); (0, 2) ];
+  check [ (1, 0); (0, 5); (1, 0); (1, 3); (0, 0); (0, 2); (1, 0) ]
 
 (* several threads that print and draw rand() while they run, so a
    checkpoint lands with output printed and syscall results consumed *)
@@ -611,15 +697,16 @@ let seek_case =
 (* the same pinball with zero-count entries at the front, the back and
    after every third entry: it must replay identically *)
 let with_zero_entries (pb : Dr_pinplay.Pinball.t) =
-  let sched = pb.Dr_pinplay.Pinball.schedule in
+  let sched = Dr_machine.Schedule.to_runs pb.Dr_pinplay.Pinball.schedule in
   let out = ref [ (0, 0) ] in
-  Array.iteri
+  List.iteri
     (fun i (tid, n) ->
       out := (tid, n) :: !out;
       if i mod 3 = 0 then out := (tid, 0) :: !out)
     sched;
   { pb with
-    Dr_pinplay.Pinball.schedule = Array.of_list (List.rev ((1, 0) :: !out)) }
+    Dr_pinplay.Pinball.schedule =
+      Dr_machine.Schedule.of_runs (List.rev ((1, 0) :: !out)) }
 
 (* the end of a replay, everything an uninterrupted replay pins down *)
 let replay_end r =
@@ -653,9 +740,10 @@ let prop_seek_any_step =
     let _, pb = Lazy.force seek_case in
     let n = Dr_pinplay.Pinball.schedule_instructions pb in
     let boundaries =
-      Array.fold_left
+      List.fold_left
         (fun acc (_, c) -> (List.hd acc + c) :: acc)
-        [ 0 ] pb.Dr_pinplay.Pinball.schedule
+        [ 0 ]
+        (Dr_machine.Schedule.to_runs pb.Dr_pinplay.Pinball.schedule)
     in
     let k =
       QCheck.Gen.(
@@ -1017,7 +1105,9 @@ let () =
     [ ( "pinball",
         [ Alcotest.test_case "round-trip" `Quick test_pinball_roundtrip;
           Alcotest.test_case "file io" `Quick test_pinball_file;
-          Alcotest.test_case "corrupt" `Quick test_pinball_corrupt ] );
+          Alcotest.test_case "corrupt" `Quick test_pinball_corrupt;
+          QCheck_alcotest.to_alcotest prop_schedule_roundtrip;
+          Alcotest.test_case "decode allocation" `Quick test_decode_allocation ] );
       ( "log+replay",
         [ Alcotest.test_case "replay reproduces output" `Quick
             test_replay_reproduces_output;
