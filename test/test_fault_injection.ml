@@ -316,6 +316,55 @@ let test_verify_report () =
   Alcotest.(check bool) "flip detected" false (report_ok r');
   Alcotest.(check bool) "problems listed" true (r'.r_problems <> [])
 
+(* A section length read from the file must not overflow the range
+   checks.  With [len = 2^62 - payload_start] the sum [payload_start +
+   len] wraps to [min_int], so a check written as [off + len > limit]
+   passes and the CRC loop runs off the end of the string.  The report
+   must name the bad length instead; [of_bytes] must fail structured. *)
+let test_overflowing_section_length () =
+  let open Dr_util.Codec in
+  let container len =
+    let e = encoder () in
+    put_string e "DRPB2";
+    put_uint e 2 (* version *);
+    put_uint e 0 (* flags *);
+    put_uint e 1 (* section count *);
+    put_uint e 3 (* schedule *);
+    put_uint e len;
+    put_uint e 0 (* crc *);
+    let header = to_string e in
+    let body = header ^ String.make 8 '\x00' in
+    let crc = Dr_util.Crc32.string body in
+    (String.length header,
+     body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * (3 - i))) land 0xff)))
+  in
+  (* every length in [2^56, 2^63) takes 9 varint bytes, so the
+     placeholder gives the real payload start *)
+  let payload_start, _ = container (1 lsl 61) in
+  let len = (1 lsl 62) - payload_start in
+  let payload_start', bytes = container len in
+  Alcotest.(check int) "payload start fixed" payload_start payload_start';
+  Alcotest.(check int) "the sum wraps" min_int (payload_start + len);
+  let r =
+    try Dr_pinplay.Pinball.verify_bytes bytes
+    with e -> Alcotest.failf "verify_bytes raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check bool) "flagged" false (Dr_pinplay.Pinball.report_ok r);
+  Alcotest.(check bool) "trailer ok" true r.Dr_pinplay.Pinball.r_trailer_ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "names the length: %s"
+       (String.concat "; " r.Dr_pinplay.Pinball.r_problems))
+    true
+    (List.mem
+       (Printf.sprintf "section schedule length %d exceeds file" len)
+       r.Dr_pinplay.Pinball.r_problems);
+  expect_structured "overflowing section length" bytes;
+  (* the checksum's own range check must not wrap either *)
+  match Dr_util.Crc32.string ~pos:1 ~len:max_int "abc" with
+  | _ -> Alcotest.fail "Crc32 accepted a range past the string"
+  | exception Invalid_argument m ->
+    Alcotest.(check string) "rejected by the range check" "Crc32.update" m
+
 (* ---- divergence localization via digests ---- *)
 
 let test_digests_verify_clean () =
@@ -387,7 +436,9 @@ let () =
         [ Alcotest.test_case "v1 magic rejected" `Quick test_v1_rejected ] );
       ( "verify",
         [ Alcotest.test_case "report on intact and damaged" `Quick
-            test_verify_report ] );
+            test_verify_report;
+          Alcotest.test_case "overflowing section length" `Quick
+            test_overflowing_section_length ] );
       ( "divergence",
         [ Alcotest.test_case "clean replay passes digests" `Quick
             test_digests_verify_clean;
