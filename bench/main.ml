@@ -186,7 +186,7 @@ let measure_bug ~(b : Dr_workloads.Bugs.t) ~whole : bug_row =
     r_slice_instrs = slice_instrs;
     r_slice_pct = Dr_util.Stats.percent ~part:slice_instrs ~total:executed;
     r_log_time = stats.Dr_pinplay.Logger.log_time;
-    r_space_kb = float_of_int stats.Dr_pinplay.Logger.pinball_bytes /. 1024.0;
+    r_space_kb = float_of_int (Dr_pinplay.Pinball.size_bytes pb) /. 1024.0;
     r_replay_time = replay_time;
     r_slicing_time = slicing_time }
 
@@ -253,7 +253,7 @@ let measure_fig11 () =
                   stats.Dr_pinplay.Logger.log_time,
                   replay_s,
                   stats.Dr_pinplay.Logger.region_instructions,
-                  stats.Dr_pinplay.Logger.pinball_bytes ))
+                  Dr_pinplay.Pinball.size_bytes pb ))
               lengths
           in
           (w.Dr_workloads.Parsec.name, w.Dr_workloads.Parsec.kind, rows))

@@ -211,7 +211,7 @@ let run_slice workload source seed input stats trace_out report_out
           Printf.printf "logged %s: %d instructions, pinball %d bytes\n"
             prog.Dr_isa.Program.name
             lstats.Dr_pinplay.Logger.region_instructions
-            lstats.Dr_pinplay.Logger.pinball_bytes;
+            (Dr_pinplay.Pinball.size_bytes pb);
           Ok pb)
     in
     (match pinball with
@@ -709,10 +709,10 @@ let run_pinball_record name seed out threads iters digest_interval =
       Format.eprintf "recording failed: %a@." Dr_pinplay.Logger.pp_error e;
       1
     | Ok (pb, stats) ->
-      Dr_pinplay.Pinball.save_file out pb;
+      let bytes = Dr_pinplay.Pinball.to_bytes pb in
+      Dr_util.Atomic_file.write_string out bytes;
       Printf.printf "recorded %s: %d instructions -> %s (%d bytes)\n" name
-        stats.Dr_pinplay.Logger.region_instructions out
-        stats.Dr_pinplay.Logger.pinball_bytes;
+        stats.Dr_pinplay.Logger.region_instructions out (String.length bytes);
       0)
 
 open Cmdliner

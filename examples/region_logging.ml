@@ -29,7 +29,7 @@ let () =
            pinball %6d bytes, replayed in %.3fs\n"
           skip length stats.Dr_pinplay.Logger.region_instructions
           stats.Dr_pinplay.Logger.log_time
-          stats.Dr_pinplay.Logger.pinball_bytes replay_time)
+          (Dr_pinplay.Pinball.size_bytes pb) replay_time)
     [ (0, 5_000); (10_000, 5_000); (50_000, 5_000); (10_000, 50_000) ];
   print_endline "\nEvery region replays from its snapshot: no fast-forward, same";
   print_endline "heap/stack/schedule every time — the paper's replay efficiency."

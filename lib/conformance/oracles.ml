@@ -26,9 +26,10 @@
        unpruned closure because save/restore pruning bypasses the
        excluded restore and is only value-faithful under the relogger's
        injections, which (a) checks;}
-    {- {e exclusion sanity}: an independent walk of the per-thread traces
-       under the relogger's flag semantics confirms no slice record falls
-       inside an exclusion region and every bounded region closes;}
+    {- {e exclusion sanity}: the paper's exclusion regions derived from
+       the slice, read back under their half-open [(pc, instance)]
+       semantics, keep exactly the slice and forced records the relogger
+       is handed, and every bounded region closes;}
     {- {e static slice bound}: on programs whose refined CFG is fully
        resolved (no unknown indirect targets, every thread entered at a
        statically known entry), the pc set of every dynamic slice is
@@ -238,53 +239,33 @@ let check_race_soundness g (c : Collector.result) pb =
 
 (* ---- oracle 5: exclusion-region sanity ---- *)
 
-(* Re-walk each thread's records under the relogger's flag semantics
-   (end marker included; empty regions exclude nothing) and confirm no
-   slice record is flagged and every bounded region closes. *)
-let check_exclusions ~exclusions ~(c : Collector.result) ~in_slice =
-  let records = c.Collector.records in
-  Array.iteri
-    (fun tid gseqs ->
-      let queue =
-        ref (List.filter (fun x -> x.Relogger.x_tid = tid) exclusions)
-      in
-      let flag = ref false in
-      Array.iter
-        (fun g ->
-          let r = Segment_store.get records g in
-          let pc = r.Trace.pc and inst = r.Trace.instance in
-          let check_end () =
-            if !flag then
-              match !queue with
-              | { Relogger.x_end = Some (epc, einst); _ } :: rest
-                when epc = pc && einst = inst ->
-                flag := false;
-                queue := rest
-              | _ -> ()
-          in
-          check_end ();
-          (if not !flag then
-             match !queue with
-             | { Relogger.x_start_pc; x_start_instance; _ } :: _
-               when x_start_pc = pc && x_start_instance = inst ->
-               flag := true;
-               check_end ()
-             | _ -> ());
-          if !flag && Dr_util.Bitset.mem in_slice g then
-            fail Exclusion_sanity
-              "slice record inside an exclusion region: tid=%d pc=%d \
-               instance=%d (gseq %d)"
-              tid pc inst g)
-        gseqs;
-      if !flag then
-        match !queue with
-        | { Relogger.x_end = Some (epc, einst); _ } :: _ ->
-          fail Exclusion_sanity
-            "tid %d: bounded exclusion region never reached its end marker \
-             (pc %d instance %d)"
-            tid epc einst
-        | _ -> ())
-    c.Collector.per_thread
+(* Derive the paper's exclusion regions from the slice, read them back
+   under their half-open [(pc, instance)] semantics and confirm they keep
+   exactly the records the relogger is handed: every bounded region
+   closes, no kept record falls inside a region and no excluded record
+   outside one. *)
+let check_exclusions ~slice ~(c : Collector.result) ~keep =
+  let regions, _ = Dr_exeslice.Exclusion.build ~slice ~collector:c in
+  match Dr_exeslice.Exclusion.kept_by ~collector:c regions with
+  | Error { Dr_exeslice.Exclusion.x_tid; x_end; _ } ->
+    let epc, einst = Option.get x_end in
+    fail Exclusion_sanity
+      "tid %d: bounded exclusion region never reached its end marker \
+       (pc %d instance %d)"
+      x_tid epc einst
+  | Ok kept ->
+    for g = 0 to Dr_util.Bitset.length keep - 1 do
+      let want = Dr_util.Bitset.mem keep g in
+      if Dr_util.Bitset.mem kept g <> want then begin
+        let r = Segment_store.get c.Collector.records g in
+        fail Exclusion_sanity
+          "%s record %s an exclusion region: tid=%d pc=%d instance=%d \
+           (gseq %d)"
+          (if want then "kept" else "excluded")
+          (if want then "inside" else "outside every")
+          r.Trace.tid r.Trace.pc r.Trace.instance g
+      end
+    done
 
 (* ---- observation replay (feeds both soundness checks) ---- *)
 
@@ -797,24 +778,13 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
       in
       let crit_gseq = (Global_trace.record gt crit_pos).Trace.gseq in
       let nrec = Segment_store.length c.Collector.records in
-      let in_slice = Dr_util.Bitset.create nrec in
-      Array.iter
-        (fun pos ->
-          Dr_util.Bitset.add in_slice (Global_trace.record gt pos).Trace.gseq)
-        slice.Slicer.positions;
-      let included g =
-        Dr_util.Bitset.mem in_slice g
-        || Dr_exeslice.Exclusion.forced c.Collector.records g
-      in
-      let exclusions, _xstats =
-        Dr_exeslice.Exclusion.build ~slice ~collector:c
-      in
-      oracle_span Exclusion_sanity (fun () ->
-          check_exclusions ~exclusions ~c ~in_slice);
+      let keep = Dr_exeslice.Exclusion.keep ~slice ~collector:c in
+      let included = Dr_util.Bitset.mem keep in
+      oracle_span Exclusion_sanity (fun () -> check_exclusions ~slice ~c ~keep);
       let spb =
-        try Relogger.relog prog pb ~exclusions
+        try Relogger.relog prog pb ~keep
         with Relogger.Relog_error msg ->
-          fail Exclusion_sanity "relog rejected the exclusion regions: %s" msg
+          fail Exclusion_sanity "relog rejected the keep-set: %s" msg
       in
       oracle_span Slice_soundness @@ fun () ->
       let obs = observe prog pb c ~included ~crit_gseq in

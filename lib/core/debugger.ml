@@ -115,7 +115,7 @@ let exec (t : t) (line : string) : (string, string) result =
           "recorded whole execution: %d instructions (%d main thread), pinball %d bytes\n"
           stats.Dr_pinplay.Logger.region_instructions
           stats.Dr_pinplay.Logger.main_instructions
-          stats.Dr_pinplay.Logger.pinball_bytes;
+          (Dr_pinplay.Pinball.size_bytes (Option.get s.Session.pinball));
         buf_printf b "region ended: %s\n"
           (Format.asprintf "%a" Dr_machine.Driver.pp_stop_reason
              stats.Dr_pinplay.Logger.stop);
@@ -130,7 +130,7 @@ let exec (t : t) (line : string) : (string, string) result =
             "recorded region: skip=%d length=%d (%d instructions all threads), pinball %d bytes\n"
             skip stats.Dr_pinplay.Logger.main_instructions
             stats.Dr_pinplay.Logger.region_instructions
-            stats.Dr_pinplay.Logger.pinball_bytes;
+            (Dr_pinplay.Pinball.size_bytes (Option.get s.Session.pinball));
           Ok ())
       | _ -> Error "usage: record region <skip> <length>")
     | [ "record"; "until-fail" ] -> (

@@ -1,10 +1,11 @@
-(** Code-exclusion region construction from a dynamic slice (paper §4,
-    Fig. 6a).
+(** Code exclusion from a dynamic slice (paper §4, Fig. 6a).
 
-    Per thread, maximal runs of non-slice records become exclusion
-    regions.  Synchronization instructions and thread-final returns are
-    always kept: their effects (thread creation, lock state, heap growth)
-    are not expressible as memory/register injections. *)
+    A slice pinball keeps the slice's records plus the forced ones:
+    synchronization instructions and thread-final returns, whose effects
+    (thread creation, lock state, heap growth) are not expressible as
+    memory/register injections.  The relogger takes that keep-set over
+    gseq; this module alone derives the paper's exclusion regions from
+    it ({!build}) and reads them back ({!kept_by}). *)
 
 type stats = {
   total_records : int;
@@ -13,18 +14,46 @@ type stats = {
   regions : int;
 }
 
+(** One per-thread exclusion region
+    [[startPc:sinstance, endPc:einstance)]: the start instruction is the
+    first excluded, the end instruction the first included again.
+    Instances are 1-based per (thread, pc), counted from the region
+    start (the trace records' [instance]).  The interval is half-open: a
+    region whose end marker equals its start ([p:i, p:i)) is empty and
+    excludes nothing. *)
+type region = {
+  x_tid : int;
+  x_start_pc : int;
+  x_start_instance : int;
+  x_end : (int * int) option;  (** [None] = excluded through region end *)
+}
+
 (** Is the record with this gseq kept regardless of slice membership? *)
 val forced : Dr_slicing.Segment_store.t -> int -> bool
 
-(** Build the exclusion regions for [slice] over the collector's
-    per-thread traces. *)
+(** The gseqs a slice pinball keeps: the slice's and the forced ones. *)
+val keep :
+  slice:Dr_slicing.Slicer.t ->
+  collector:Dr_slicing.Collector.result ->
+  Dr_util.Bitset.t
+
+(** The paper's exclusion regions for [slice]: per thread, the maximal
+    runs of records outside {!keep}, in region order. *)
 val build :
   slice:Dr_slicing.Slicer.t ->
   collector:Dr_slicing.Collector.result ->
-  Dr_pinplay.Relogger.exclusion list * stats
+  region list * stats
 
-(** One-call pipeline: slice -> exclusion regions -> relogged slice
-    pinball.
+(** The gseqs [regions] keep: walking each thread's records in order, a
+    region's start marker turns exclusion on (that record is excluded)
+    and its end marker turns it off (that record is kept).  [Error r]
+    names a bounded region whose end marker never came. *)
+val kept_by :
+  collector:Dr_slicing.Collector.result ->
+  region list ->
+  (Dr_util.Bitset.t, region) result
+
+(** One-call pipeline: slice -> keep-set -> relogged slice pinball.
     @raise Dr_pinplay.Relogger.Relog_error if a forced instruction was
     somehow excluded (a builder invariant violation). *)
 val slice_pinball :

@@ -9,7 +9,6 @@
 
 open Dr_machine
 
-let h_pinball_bytes = Dr_obs.Metrics.histogram "logger.pinball_bytes"
 let h_region_instr = Dr_obs.Metrics.histogram "logger.region_instructions"
 
 type spec =
@@ -23,7 +22,6 @@ type spec =
 type stats = {
   ff_time : float;  (** fast-forward wall-clock seconds *)
   log_time : float;  (** logging wall-clock seconds *)
-  pinball_bytes : int;
   region_instructions : int;  (** retired instructions, all threads *)
   main_instructions : int;  (** retired instructions, main thread *)
   stop : Driver.stop_reason;  (** why the region ended *)
@@ -126,17 +124,13 @@ let log ?(policy = Driver.Seeded { seed = 1; max_quantum = 8 })
         ~schedule:(Schedule.recorded schedule)
         ~syscalls:(Dr_util.Vec.Int_vec.to_array syscalls) ()
     in
-    let pinball_bytes = Pinball.size_bytes pinball in
     Dr_obs.Obs.stop sp_log
       ~attrs:
         [ ("region_instructions", Dr_obs.Obs.Int region_instructions);
-          ("main_instructions", Dr_obs.Obs.Int main_instructions);
-          ("pinball_bytes", Dr_obs.Obs.Int pinball_bytes) ];
-    Dr_obs.Metrics.observe h_pinball_bytes (float_of_int pinball_bytes);
+          ("main_instructions", Dr_obs.Obs.Int main_instructions) ];
     Dr_obs.Metrics.observe h_region_instr (float_of_int region_instructions);
     let stats =
-      { ff_time; log_time; pinball_bytes; region_instructions;
-        main_instructions; stop }
+      { ff_time; log_time; region_instructions; main_instructions; stop }
     in
     Ok (pinball, stats)
   end

@@ -13,7 +13,6 @@ type spec =
 type stats = {
   ff_time : float;  (** fast-forward wall-clock seconds (uninstrumented) *)
   log_time : float;  (** logging wall-clock seconds *)
-  pinball_bytes : int;
   region_instructions : int;  (** retired instructions, all threads *)
   main_instructions : int;  (** retired instructions, main thread *)
   stop : Dr_machine.Driver.stop_reason;  (** why the region ended *)

@@ -233,6 +233,11 @@ let trailer_of_string s =
   let b i = Char.code s.[n - trailer_bytes + i] in
   (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
 
+let trailer_ok s =
+  let n = String.length s in
+  n >= trailer_bytes
+  && trailer_of_string s = Dr_util.Crc32.string ~pos:0 ~len:(n - trailer_bytes) s
+
 let section_payload encode_fn t =
   let e = Dr_util.Codec.encoder () in
   encode_fn e t;
@@ -278,36 +283,38 @@ let to_bytes t =
   let body = to_string e in
   body ^ crc_to_trailer (Dr_util.Crc32.string body)
 
-(* Parsed container skeleton: header fields + section table + payload
-   extent, before any section payload is interpreted.  Shared by decoding
-   and by the [verify] report. *)
+(* One section-table entry, located in the file.  Sections are laid end
+   to end from the end of the table; an entry whose length runs past the
+   trailer is [Overlong] and takes no room. *)
+type section =
+  | Section of { id : int; off : int; len : int; crc : int }
+  | Overlong of { id : int; len : int }
+
+(* Parsed container skeleton: header fields + section table, before any
+   section payload is interpreted. *)
 type container = {
   c_version : int;
-  c_flags : int;
-  c_table : (int * int * int) list;  (** (section id, byte length, crc) *)
+  c_sections : section list;  (** in table order *)
   c_payload_start : int;
-  c_trailer_ok : bool;
+  c_payload_end : int;  (** just past the last located section *)
 }
 
-let parse_container s (d : Dr_util.Codec.decoder) : container =
+(* The one reader of the header and section table, for decoding and for
+   the [verify] report alike.  [d] sits just past the magic.  A varint
+   error is a "header" [Pinball_error]; so is a foreign format version
+   when [strict] (decoding fails fast there, [verify_bytes] reads on and
+   reports it). *)
+let read_container ~strict s (d : Dr_util.Codec.decoder) : container =
   let open Dr_util.Codec in
   let n = String.length s in
-  if n < trailer_bytes then
-    corrupt ~section:"trailer" ~offset:n "file too short for trailer checksum";
-  let c_trailer_ok =
-    trailer_of_string s = Dr_util.Crc32.string ~pos:0 ~len:(n - trailer_bytes) s
-  in
-  if not c_trailer_ok then
-    corrupt ~section:"trailer" ~offset:(n - trailer_bytes)
-      "whole-file checksum mismatch";
   let header = fun f -> try f () with Corrupt r -> corrupt ~section:"header" ~offset:d.pos r in
   let c_version = header (fun () -> get_uint d) in
-  if c_version <> format_version then
+  if strict && c_version <> format_version then
     corrupt ~section:"header" ~offset:d.pos
       (Printf.sprintf "unsupported format version %d" c_version);
-  let c_flags = header (fun () -> get_uint d) in
+  let _flags = header (fun () -> get_uint d) in
   let nsec = header (fun () -> get_count ~min_elt_bytes:3 d "section table") in
-  let c_table =
+  let table =
     List.init nsec (fun _ ->
         header (fun () ->
             let id = get_uint d in
@@ -316,20 +323,44 @@ let parse_container s (d : Dr_util.Codec.decoder) : container =
             (id, len, crc)))
   in
   let c_payload_start = d.pos in
-  let total = List.fold_left (fun acc (_, len, _) -> acc + len) 0 c_table in
-  (* lengths are individually bounded below; the sum check rejects both
-     overlap past the trailer and trailing garbage between sections and
-     trailer *)
+  let off = ref c_payload_start in
+  let c_sections =
+    List.map
+      (fun (id, len, crc) ->
+        (* [len] comes straight from the file: compare it against the
+           room left, since [!off + len] can overflow *)
+        if len < 0 || len > n - trailer_bytes - !off then Overlong { id; len }
+        else begin
+          let sec = Section { id; off = !off; len; crc } in
+          off := !off + len;
+          sec
+        end)
+      table
+  in
+  { c_version; c_sections; c_payload_start; c_payload_end = !off }
+
+(* [read_container] for decoding: the trailer and every length checked,
+   and the sections must end exactly at the trailer (no trailing garbage
+   between them). *)
+let parse_container s (d : Dr_util.Codec.decoder) : container =
+  let n = String.length s in
+  if n < trailer_bytes then
+    corrupt ~section:"trailer" ~offset:n "file too short for trailer checksum";
+  if not (trailer_ok s) then
+    corrupt ~section:"trailer" ~offset:(n - trailer_bytes)
+      "whole-file checksum mismatch";
+  let c = read_container ~strict:true s d in
   List.iter
-    (fun (id, len, _) ->
-      if len < 0 || len > n then
-        corrupt ~section:(section_name id) ~offset:c_payload_start
-          "section length exceeds file")
-    c_table;
-  if c_payload_start + total <> n - trailer_bytes then
-    corrupt ~section:"header" ~offset:c_payload_start
+    (function
+      | Overlong { id; _ } ->
+        corrupt ~section:(section_name id) ~offset:c.c_payload_start
+          "section length exceeds file"
+      | Section _ -> ())
+    c.c_sections;
+  if c.c_payload_end <> n - trailer_bytes then
+    corrupt ~section:"header" ~offset:c.c_payload_start
       "section table does not cover the container payload";
-  { c_version; c_flags; c_table; c_payload_start; c_trailer_ok }
+  c
 
 (* Decode one section payload with a fresh decoder; wraps low-level
    [Corrupt] into a located [Pinball_error] and rejects intra-section
@@ -350,56 +381,56 @@ let decode_v2 s (d : Dr_util.Codec.decoder) : t =
   let meta = ref None and snapshot = ref None and schedule = ref None in
   let syscalls = ref None and injections = ref [||] in
   let slice_events = ref [||] and digests = ref [||] in
-  let off = ref c.c_payload_start in
   List.iter
-    (fun (id, len, crc) ->
-      let name = section_name id in
-      let payload = String.sub s !off len in
-      if Dr_util.Crc32.string payload <> crc then
-        corrupt ~section:name ~offset:!off "section checksum mismatch";
-      let seen_twice taken = if taken then corrupt ~section:name ~offset:!off "duplicate section" in
-      (if id = sec_meta then begin
-         seen_twice (Option.is_some !meta);
-         meta :=
-           Some
-             (decode_section ~name ~file_off:!off payload (fun d ->
-                  let open Dr_util.Codec in
-                  let program_name = get_string d in
-                  let kind =
-                    match get_uint d with
-                    | 0 -> Region
-                    | 1 -> Slice
-                    | _ -> raise (Corrupt "kind")
-                  in
-                  let skip = get_uint d in
-                  let length = get_uint d in
-                  let digest_interval = get_uint d in
-                  (program_name, kind, { skip; length }, digest_interval)))
-       end
-       else if id = sec_snapshot then begin
-         seen_twice (Option.is_some !snapshot);
-         snapshot :=
-           Some (decode_section ~name ~file_off:!off payload Dr_machine.Snapshot.decode)
-       end
-       else if id = sec_schedule then begin
-         seen_twice (Option.is_some !schedule);
-         schedule :=
-           Some (decode_section ~name ~file_off:!off payload Dr_machine.Schedule.decode)
-       end
-       else if id = sec_syscalls then begin
-         seen_twice (Option.is_some !syscalls);
-         syscalls :=
-           Some (decode_section ~name ~file_off:!off payload Dr_util.Codec.get_int_array)
-       end
-       else if id = sec_injections then
-         injections := decode_section ~name ~file_off:!off payload decode_injections
-       else if id = sec_slice_events then
-         slice_events := decode_section ~name ~file_off:!off payload decode_slice_events
-       else if id = sec_digests then
-         digests := decode_section ~name ~file_off:!off payload decode_digests
-       else corrupt ~section:name ~offset:!off "unknown section id");
-      off := !off + len)
-    c.c_table;
+    (function
+      | Overlong _ -> ()  (* rejected by [parse_container] *)
+      | Section { id; off; len; crc } ->
+        let name = section_name id in
+        let payload = String.sub s off len in
+        if Dr_util.Crc32.string payload <> crc then
+          corrupt ~section:name ~offset:off "section checksum mismatch";
+        let seen_twice taken = if taken then corrupt ~section:name ~offset:off "duplicate section" in
+        if id = sec_meta then begin
+          seen_twice (Option.is_some !meta);
+          meta :=
+            Some
+              (decode_section ~name ~file_off:off payload (fun d ->
+                   let open Dr_util.Codec in
+                   let program_name = get_string d in
+                   let kind =
+                     match get_uint d with
+                     | 0 -> Region
+                     | 1 -> Slice
+                     | _ -> raise (Corrupt "kind")
+                   in
+                   let skip = get_uint d in
+                   let length = get_uint d in
+                   let digest_interval = get_uint d in
+                   (program_name, kind, { skip; length }, digest_interval)))
+        end
+        else if id = sec_snapshot then begin
+          seen_twice (Option.is_some !snapshot);
+          snapshot :=
+            Some (decode_section ~name ~file_off:off payload Dr_machine.Snapshot.decode)
+        end
+        else if id = sec_schedule then begin
+          seen_twice (Option.is_some !schedule);
+          schedule :=
+            Some (decode_section ~name ~file_off:off payload Dr_machine.Schedule.decode)
+        end
+        else if id = sec_syscalls then begin
+          seen_twice (Option.is_some !syscalls);
+          syscalls :=
+            Some (decode_section ~name ~file_off:off payload Dr_util.Codec.get_int_array)
+        end
+        else if id = sec_injections then
+          injections := decode_section ~name ~file_off:off payload decode_injections
+        else if id = sec_slice_events then
+          slice_events := decode_section ~name ~file_off:off payload decode_slice_events
+        else if id = sec_digests then
+          digests := decode_section ~name ~file_off:off payload decode_digests
+        else corrupt ~section:name ~offset:off "unknown section id")
+    c.c_sections;
   let require what = function
     | Some v -> v
     | None -> corrupt ~section:what ~offset:c.c_payload_start "missing required section"
@@ -456,62 +487,35 @@ let verify_bytes s : report =
   let magic = try Some (get_string d) with Corrupt _ -> None in
   match magic with
   | Some m when m = magic_v2 ->
-    let n = String.length s in
-    let trailer_ok =
-      n >= trailer_bytes
-      && trailer_of_string s
-         = Dr_util.Crc32.string ~pos:0 ~len:(n - trailer_bytes) s
-    in
+    let trailer_ok = trailer_ok s in
     let problems = ref [] in
     let problem p = problems := !problems @ [ p ] in
     if not trailer_ok then problem "whole-file trailer checksum mismatch";
     (* parse the skeleton even with a bad trailer, to locate the damage *)
     let sections =
       match
-        (try
-           let d = decoder s in
-           let _ = get_string d in
-           let version = get_uint d in
-           let _flags = get_uint d in
-           let nsec = get_count ~min_elt_bytes:3 d "section table" in
-           let table =
-             List.init nsec (fun _ ->
-                 let id = get_uint d in
-                 let len = get_uint d in
-                 let crc = get_uint d in
-                 (id, len, crc))
-           in
-           Some (version, table, d.pos)
-         with Corrupt r | Pinball_error { pe_reason = r; _ } ->
+        (try Some (read_container ~strict:false s d)
+         with Pinball_error { pe_reason = r; _ } ->
            problem ("unreadable section table: " ^ r);
            None)
       with
       | None -> []
-      | Some (version, table, payload_start) ->
-        if version <> format_version then
-          problem (Printf.sprintf "unsupported format version %d" version);
-        let off = ref payload_start in
+      | Some c ->
+        if c.c_version <> format_version then
+          problem (Printf.sprintf "unsupported format version %d" c.c_version);
         List.filter_map
-          (fun (id, len, crc) ->
-            (* [len] comes straight from the file: compare it against the
-               room left, since [!off + len] can overflow *)
-            if len < 0 || len > n - trailer_bytes - !off then begin
+          (function
+            | Overlong { id; len } ->
               problem
                 (Printf.sprintf "section %s length %d exceeds file"
                    (section_name id) len);
               None
-            end
-            else begin
-              let crc_ok = Dr_util.Crc32.string ~pos:!off ~len s = crc in
+            | Section { id; off; len; crc } ->
+              let crc_ok = Dr_util.Crc32.string ~pos:off ~len s = crc in
               if not crc_ok then
                 problem (Printf.sprintf "section %s checksum mismatch" (section_name id));
-              let sr =
-                { sr_name = section_name id; sr_bytes = len; sr_crc_ok = crc_ok }
-              in
-              off := !off + len;
-              Some sr
-            end)
-          table
+              Some { sr_name = section_name id; sr_bytes = len; sr_crc_ok = crc_ok })
+          c.c_sections
     in
     let digest_count =
       match (try Some (of_bytes s) with Pinball_error e ->

@@ -1,36 +1,27 @@
-(** The PinPlay relogger: replay a region pinball while {e excluding} code
-    regions, producing a slice pinball (paper §4, Fig. 4b).
+(** The PinPlay relogger: replay a region pinball while {e excluding} code,
+    producing a slice pinball (paper §4, Fig. 4b).
 
-    While a thread's exclusion flag is on, side-effect detection records
-    the memory cells and registers the excluded code modifies; when it
-    turns off, an injection record restoring those values is emitted —
-    the same mechanism PinPlay uses for system-call side effects. *)
+    The code to keep is given as a set over gseq: the k-th instruction
+    the region's replay retires (all threads, in replay order) is gseq k,
+    the same numbering as the slicer's trace records.  While a thread
+    runs excluded code, side-effect detection records the memory cells
+    and registers it modifies; at the thread's next kept instruction, an
+    injection record restoring those values is emitted — the same
+    mechanism PinPlay uses for system-call side effects.  The paper's
+    [[startPc:sinstance, endPc:einstance)] exclusion regions are derived
+    from the same set by [Dr_exeslice.Exclusion]. *)
 
-(** The exclusion set is not replayable as-is: it covers a
-    synchronization instruction (spawn/join/lock/unlock/exit/alloc) or a
-    thread-final return, whose effects cannot be expressed as
-    memory/register injections. *)
+(** The keep-set is not replayable as-is: it excludes a synchronization
+    instruction (spawn/join/lock/unlock/exit/alloc) or a thread-final
+    return, whose effects cannot be expressed as memory/register
+    injections. *)
 exception Relog_error of string
 
-(** One per-thread exclusion region
-    [[startPc:sinstance, endPc:einstance)]: the start instruction is the
-    first excluded, the end instruction the first included again.
-    Instances are 1-based per (thread, pc), counted from the region
-    start.  The interval is half-open: a region whose end marker equals
-    its start ([p:i, p:i)) is empty and excludes nothing. *)
-type exclusion = {
-  x_tid : int;
-  x_start_pc : int;
-  x_start_instance : int;
-  x_end : (int * int) option;  (** [None] = excluded through region end *)
-}
-
 (** Replay [pinball] (a region pinball) and produce the slice pinball
-    that skips the given exclusion regions.  Each thread's exclusions
-    must be given in region order, non-overlapping.
+    that retires exactly the instructions whose gseq is in [keep].
+    @raise Invalid_argument if [pinball] is not a region pinball or
+    [Bitset.length keep] is not its instruction count
+    ({!Pinball.schedule_instructions}).
     @raise Relog_error per the exception's documentation. *)
 val relog :
-  Dr_isa.Program.t ->
-  Pinball.t ->
-  exclusions:exclusion list ->
-  Pinball.t
+  Dr_isa.Program.t -> Pinball.t -> keep:Dr_util.Bitset.t -> Pinball.t

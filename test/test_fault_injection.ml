@@ -68,18 +68,13 @@ let slice_pinball () =
     | Ok r -> r
     | Error e -> Alcotest.failf "log: %a" Dr_pinplay.Logger.pp_error e
   in
-  let trace = ref [] in
-  let hooks =
-    { Dr_machine.Driver.on_event =
-        (fun ev -> trace := (ev.Dr_machine.Event.tid, ev.Dr_machine.Event.pc) :: !trace) }
-  in
-  let _ = Dr_pinplay.Replayer.replay ~hooks prog pb in
-  let trace = Array.of_list (List.rev !trace) in
-  let _, spc = trace.(5) and _, epc = trace.(10) in
-  Dr_pinplay.Relogger.relog prog pb
-    ~exclusions:
-      [ { Dr_pinplay.Relogger.x_tid = 0; x_start_pc = spc; x_start_instance = 1;
-          x_end = Some (epc, 1) } ]
+  (* keep every event but 5..9 *)
+  let n = Dr_pinplay.Pinball.schedule_instructions pb in
+  let keep = Dr_util.Bitset.create n in
+  for k = 0 to n - 1 do
+    if k < 5 || k >= 10 then Dr_util.Bitset.add keep k
+  done;
+  Dr_pinplay.Relogger.relog prog pb ~keep
 
 (* Decoding corrupted bytes must yield exactly a structured error —
    anything else (success, Invalid_argument, Out_of_memory, ...) fails. *)

@@ -1372,13 +1372,20 @@ let test_pc_past_code_end () =
     (Printf.sprintf "#%d t%d pc=%d i=%d line=%d" r.Dr_slicing.Trace.gseq
        r.Dr_slicing.Trace.tid r.Dr_slicing.Trace.pc r.Dr_slicing.Trace.instance
        r.Dr_slicing.Trace.line);
-  let slice =
-    Dr_pinplay.Relogger.relog prog pb
-      ~exclusions:
-        [ { Dr_pinplay.Relogger.x_tid = 0; x_start_pc = 1; x_start_instance = 1;
-            x_end = Some (2, 1) } ]
-  in
-  Alcotest.(check bool) "end marker at pc 2 matched: inject, then step pc 2" true
+  (* keep gseqs 0 and 2: the fault event at pc 2 ends the excluded run *)
+  let keep = Dr_util.Bitset.create 3 in
+  Dr_util.Bitset.add keep 0;
+  Dr_util.Bitset.add keep 2;
+  Alcotest.(check bool) "the region [1:1, 2:1) keeps gseqs 0 and 2" true
+    (match
+       Dr_exeslice.Exclusion.kept_by ~collector:c
+         [ { Dr_exeslice.Exclusion.x_tid = 0; x_start_pc = 1;
+             x_start_instance = 1; x_end = Some (2, 1) } ]
+     with
+    | Ok kept -> Dr_util.Bitset.equal kept keep
+    | Error _ -> false);
+  let slice = Dr_pinplay.Relogger.relog prog pb ~keep in
+  Alcotest.(check bool) "kept event at pc 2: inject, then step pc 2" true
     (match slice.Dr_pinplay.Pinball.slice_events with
     | [| Dr_pinplay.Pinball.Step { tid = 0; pc = 0 }; Dr_pinplay.Pinball.Inject 0;
          Dr_pinplay.Pinball.Step { tid = 0; pc = 2 } |] -> true
