@@ -259,7 +259,7 @@ let run_slice workload source seed input stats trace_out report_out
            (visited %d records, skipped %d of %d blocks, %.6fs)%s\n"
           crit_pos n
           (Dr_slicing.Slicer.size slice)
-          (List.length (Dr_slicing.Slicer.source_lines slice))
+          (List.length (Dr_slicing.Slicer.source_lines prog slice))
           st.Dr_slicing.Slicer.visited st.Dr_slicing.Slicer.skipped_blocks
           st.Dr_slicing.Slicer.total_blocks st.Dr_slicing.Slicer.slice_time
           (if st.Dr_slicing.Slicer.truncated then " [TRUNCATED]" else "");
@@ -281,7 +281,7 @@ let run_slice workload source seed input stats trace_out report_out
         | None -> ());
         (match slice_out with
         | Some path ->
-          Dr_slicing.Slicer.save_file path slice;
+          Dr_slicing.Slicer.save_file prog path slice;
           Printf.printf "slice saved to %s\n" path
         | None -> ());
         finish ();

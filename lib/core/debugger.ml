@@ -38,21 +38,19 @@ let describe_stop (t : t) b (stop : Session.stop) =
 let int_of_string_opt' s = int_of_string_opt (String.trim s)
 
 let slice_statement_line (t : t) (slice : Dr_slicing.Slicer.t) idx =
+  let prog = t.session.Session.prog in
   let pos = slice.Dr_slicing.Slicer.positions.(idx) in
   let r = Dr_slicing.Global_trace.record slice.Dr_slicing.Slicer.gt pos in
+  let line = Dr_slicing.Trace.line_of_pc prog r.Dr_slicing.Trace.pc in
   let line_str =
-    if r.Dr_slicing.Trace.line >= 0 then
-      match
-        Dr_isa.Debug_info.source_line t.session.Session.prog.Dr_isa.Program.debug
-          r.Dr_slicing.Trace.line
-      with
+    if line >= 0 then
+      match Dr_isa.Debug_info.source_line prog.Dr_isa.Program.debug line with
       | Some src -> Printf.sprintf " | %s" (String.trim src)
       | None -> ""
     else ""
   in
   Printf.sprintf "[%d] tid %d pc %d #%d line %d%s" idx r.Dr_slicing.Trace.tid
-    r.Dr_slicing.Trace.pc r.Dr_slicing.Trace.instance r.Dr_slicing.Trace.line
-    line_str
+    r.Dr_slicing.Trace.pc r.Dr_slicing.Trace.instance line line_str
 
 let help_text =
   {|DrDebug commands:
@@ -365,7 +363,7 @@ let exec (t : t) (line : string) : (string, string) result =
       | Some slice ->
         buf_printf b "slice: %d statements, %d lines, %d edges\n"
           (Dr_slicing.Slicer.size slice)
-          (List.length (Dr_slicing.Slicer.source_lines slice))
+          (List.length (Dr_slicing.Slicer.source_lines s.Session.prog slice))
           (Array.length slice.Dr_slicing.Slicer.edges);
         buf_printf b "traversal: visited %d records, skipped %d/%d blocks\n"
           slice.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.visited
@@ -390,7 +388,7 @@ let exec (t : t) (line : string) : (string, string) result =
       | Ok slice ->
         buf_printf b "slice for %s: %d statements over %d source lines\n" var
           (Dr_slicing.Slicer.size slice)
-          (List.length (Dr_slicing.Slicer.source_lines slice));
+          (List.length (Dr_slicing.Slicer.source_lines s.Session.prog slice));
         Ok ())
     | [ "slice-failure" ] -> (
       match Session.slice_failure s with
@@ -398,7 +396,7 @@ let exec (t : t) (line : string) : (string, string) result =
       | Ok slice ->
         buf_printf b "failure slice: %d statements over %d source lines\n"
           (Dr_slicing.Slicer.size slice)
-          (List.length (Dr_slicing.Slicer.source_lines slice));
+          (List.length (Dr_slicing.Slicer.source_lines s.Session.prog slice));
         Ok ())
     | [ "slice-lines" ] -> (
       match s.Session.slice with
@@ -410,7 +408,7 @@ let exec (t : t) (line : string) : (string, string) result =
             match Dr_isa.Debug_info.source_line dbg l with
             | Some src -> buf_printf b "%4d* %s\n" l src
             | None -> buf_printf b "%4d*\n" l)
-          (Dr_slicing.Slicer.source_lines slice);
+          (Dr_slicing.Slicer.source_lines s.Session.prog slice);
         Ok ())
     | "slice-stmts" :: rest -> (
       match s.Session.slice with
@@ -505,7 +503,7 @@ let exec (t : t) (line : string) : (string, string) result =
       match s.Session.slice with
       | None -> Error "no slice"
       | Some slice ->
-        Dr_slicing.Slicer.save_file path slice;
+        Dr_slicing.Slicer.save_file s.Session.prog path slice;
         buf_printf b "slice saved to %s\n" path;
         Ok ())
     | [ "slice-pinball" ] -> (

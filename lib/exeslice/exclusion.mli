@@ -28,7 +28,9 @@ type region = {
   x_end : (int * int) option;  (** [None] = excluded through region end *)
 }
 
-(** Is the record with this gseq kept regardless of slice membership? *)
+(** Is the record with this gseq kept regardless of slice membership?
+    Its flag bits were set by {!Dr_pinplay.Relogger.forced}, the rule
+    the relogger enforces. *)
 val forced : Dr_slicing.Segment_store.t -> int -> bool
 
 (** The gseqs a slice pinball keeps: the slice's and the forced ones. *)

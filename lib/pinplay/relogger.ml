@@ -15,6 +15,21 @@ open Dr_machine
 
 exception Relog_error of string
 
+type forced = Not_forced | Forced_sync | Forced_final_ret
+
+(* Allocation-free: the Collector calls it once per trace record. *)
+let[@inline] forced (ev : Event.t) =
+  match ev.Event.sys with
+  | Event.Sys_spawn _ | Event.Sys_join _ | Event.Sys_lock _
+  | Event.Sys_unlock _ | Event.Sys_exit _ | Event.Sys_alloc _
+  | Event.Sys_wait _ | Event.Sys_signal _ ->
+    Forced_sync
+  | _ -> (
+    match ev.Event.instr with
+    | Dr_isa.Instr.Ret when ev.Event.mem_read_value = Machine.ret_sentinel ->
+      Forced_final_ret
+    | _ -> Not_forced)
+
 type per_thread = {
   pending_mem : (int, int) Hashtbl.t;
   pending_regs : int array;  (** register file after the last excluded instr *)
@@ -78,22 +93,18 @@ let relog (prog : Dr_isa.Program.t) (pinball : Pinball.t)
     let kept = Dr_util.Bitset.mem keep !gseq in
     incr gseq;
     if not kept then begin
-      (* side-effect detection for the excluded instruction *)
-      (match ev.Event.sys with
-      | Event.Sys_spawn _ | Event.Sys_join _ | Event.Sys_lock _
-      | Event.Sys_unlock _ | Event.Sys_exit _ | Event.Sys_alloc _
-      | Event.Sys_wait _ | Event.Sys_signal _ ->
+      (match forced ev with
+      | Not_forced -> ()
+      | Forced_sync ->
         raise
           (Relog_error
              (Printf.sprintf
                 "synchronization instruction excluded at tid=%d pc=%d" tid pc))
-      | _ -> ());
-      (match ev.Event.instr with
-      | Dr_isa.Instr.Ret when ev.Event.mem_read_value = Machine.ret_sentinel ->
+      | Forced_final_ret ->
         raise
           (Relog_error
-             (Printf.sprintf "thread-final return excluded at tid=%d pc=%d" tid pc))
-      | _ -> ());
+             (Printf.sprintf "thread-final return excluded at tid=%d pc=%d" tid pc)));
+      (* side-effect detection for the excluded instruction *)
       if ev.Event.mem_write >= 0 then
         Hashtbl.replace st.pending_mem ev.Event.mem_write ev.Event.mem_write_value;
       let th = Machine.thread m tid in

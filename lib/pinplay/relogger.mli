@@ -11,10 +11,20 @@
     [[startPc:sinstance, endPc:einstance)] exclusion regions are derived
     from the same set by [Dr_exeslice.Exclusion]. *)
 
-(** The keep-set is not replayable as-is: it excludes a synchronization
-    instruction (spawn/join/lock/unlock/exit/alloc) or a thread-final
-    return, whose effects cannot be expressed as memory/register
-    injections. *)
+(** Whether an instruction must stay in every slice pinball, and why: a
+    synchronization effect
+    (spawn/join/lock/unlock/exit/alloc/wait/signal) or a return that
+    finishes its thread.  Their effects (thread creation, lock state,
+    heap growth, thread exit) are not memory/register injections. *)
+type forced = Not_forced | Forced_sync | Forced_final_ret
+
+(** The one forced-instruction rule: {!relog} rejects a keep-set that
+    excludes a forced instruction, and the Collector flags forced
+    records so the slice's keep-set includes them.  Allocation-free. *)
+val forced : Dr_machine.Event.t -> forced
+
+(** The keep-set is not replayable as-is: it excludes a {!forced}
+    instruction. *)
 exception Relog_error of string
 
 (** Replay [pinball] (a region pinball) and produce the slice pinball

@@ -38,16 +38,14 @@ type cd_entry = { branch_gseq : int; ipdom_pc : int; cd_depth : int }
 type thread_st = {
   mutable stack : cd_entry list;  (* innermost region first *)
   mutable depth : int;  (* call depth *)
-  mutable lidx : int;  (* records of this thread so far *)
   instances : Instance_count.t;
 }
 
 (** The record-derivation state machine, factored out of the collection
     hook so that {!Reexec} can re-derive the {e exact} records of a
     window by replaying forward from a checkpoint: Xin–Zhang
-    control-dependence stacks, per-(tid, pc) instance counters,
-    per-thread local indices, and the line table.  The state is
-    {e prefix-dependent} — a record's cd/instance/lidx fields depend on
+    control-dependence stacks and per-(tid, pc) instance counters.  The
+    state is {e prefix-dependent} — a record's cd/instance fields depend on
     every earlier event of its thread — so a checkpoint that wants to
     resume derivation mid-trace must carry a {!Derive.copy} taken at the
     same event boundary as the machine snapshot.
@@ -62,10 +60,9 @@ type thread_st = {
     shared core. *)
 module Derive = struct
   type t = {
-    nline : int;
-    line_of_pc : int array;  (* shared, read-only *)
     region_end : Dr_cfg.Cfg.region_end array;
-        (* shared, read-only: [Cfg.branch_region_end] of every branch pc *)
+        (* shared, read-only: [Cfg.branch_region_end] of every branch pc,
+           one entry per pc of the code *)
     threads : thread_st array;
         (* tid-indexed (the machine numbers threads below [max_threads]);
            [no_thread] = not seen yet *)
@@ -74,24 +71,17 @@ module Derive = struct
   }
 
   let no_thread =
-    { stack = []; depth = 0; lidx = 0;
-      instances = Instance_count.create ~code_size:0 }
+    { stack = []; depth = 0; instances = Instance_count.create ~code_size:0 }
 
   let create ~(cfg : Dr_cfg.Cfg.t) (prog : Dr_isa.Program.t) : t =
     let code = prog.Dr_isa.Program.code in
-    let nline = Array.length code in
-    let line_of_pc =
-      Array.init nline (fun pc ->
-          Option.value ~default:(-1)
-            (Dr_isa.Debug_info.line_of_pc prog.Dr_isa.Program.debug pc))
-    in
     let region_end =
-      Array.init nline (fun pc ->
+      Array.init (Array.length code) (fun pc ->
           if Dr_isa.Instr.is_branch code.(pc) then
             Dr_cfg.Cfg.branch_region_end cfg ~pc
           else Dr_cfg.Cfg.Unknown)
     in
-    { nline; line_of_pc; region_end;
+    { region_end;
       threads = Array.make prog.Dr_isa.Program.max_threads no_thread;
       scratch_defs = Dr_util.Vec.Int_vec.create ();
       scratch_uses = Dr_util.Vec.Int_vec.create () }
@@ -115,8 +105,9 @@ module Derive = struct
     if st != no_thread then st
     else begin
       let st =
-        { stack = []; depth = 0; lidx = 0;
-          instances = Instance_count.create ~code_size:t.nline }
+        { stack = []; depth = 0;
+          instances =
+            Instance_count.create ~code_size:(Array.length t.region_end) }
       in
       t.threads.(tid) <- st;
       st
@@ -155,33 +146,19 @@ module Derive = struct
     Dr_util.Vec.Int_vec.clear t.scratch_uses;
     Def_use.collect ev ~defs:t.scratch_defs ~uses:t.scratch_uses;
     (* 4. flags and instance *)
-    let instr = ev.Event.instr in
-    let is_branch = Dr_isa.Instr.is_branch instr in
-    let is_final_ret =
-      match instr with
-      | Dr_isa.Instr.Ret -> ev.Event.mem_read_value = Machine.ret_sentinel
-      | _ -> false
-    in
     let flags =
-      (match ev.Event.sys with
-      | Event.Sys_spawn _ | Event.Sys_join _ | Event.Sys_lock _
-      | Event.Sys_unlock _ | Event.Sys_exit _ | Event.Sys_alloc _
-      | Event.Sys_wait _ | Event.Sys_signal _ ->
-        Trace.flag_sync
-      | Event.Sys_nondet _ -> Trace.flag_nondet
-      | _ -> 0)
-      lor (if is_final_ret then Trace.flag_final_ret lor Trace.flag_sync else 0)
-      lor (if is_branch then Trace.flag_branch else 0)
-      lor (if ev.Event.mem_read >= 0 then Trace.flag_load else 0)
-      lor if ev.Event.mem_write >= 0 then Trace.flag_store else 0
+      (match Dr_pinplay.Relogger.forced ev with
+      | Dr_pinplay.Relogger.Not_forced -> 0
+      | Dr_pinplay.Relogger.Forced_sync -> Trace.flag_sync
+      | Dr_pinplay.Relogger.Forced_final_ret ->
+        Trace.flag_final_ret lor Trace.flag_sync)
+      lor if ev.Event.mem_read >= 0 then Trace.flag_load else 0
     in
     let instance = Instance_count.next st.instances pc in
-    let lidx = st.lidx in
-    st.lidx <- lidx + 1;
-    Segment_store.Chunk.push chunk ~tid ~pc ~instance ~lidx ~cd ~flags
-      ~line:(if pc < t.nline then t.line_of_pc.(pc) else -1)
+    Segment_store.Chunk.push chunk ~tid ~pc ~instance ~cd ~flags
       ~defs:t.scratch_defs ~uses:t.scratch_uses;
     (* 5. maintain CD frame depth (the row above is already written) *)
+    let instr = ev.Event.instr in
     (match instr with
     | Dr_isa.Instr.Call _ | Dr_isa.Instr.Callind _ -> st.depth <- st.depth + 1
     | Dr_isa.Instr.Ret ->
@@ -191,7 +168,7 @@ module Derive = struct
       st.depth <- max 0 (d - 1)
     | _ -> ());
     (* 6. push a CD region for branches *)
-    if is_branch then begin
+    if Dr_isa.Instr.is_branch instr then begin
       match t.region_end.(pc) with
       | Dr_cfg.Cfg.Unknown ->
         (* unresolved indirect jump: control dependence is lost (§5.1) *)
@@ -279,8 +256,7 @@ let per_thread_of_tids ~nthreads tids =
     watchdog aborts collection (a partial trace is useless) with a
     structured {!Dr_util.Budget.Resource_error}. *)
 let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
-    ?seg_records (prog : Dr_isa.Program.t) (pinball : Dr_pinplay.Pinball.t) :
-    result =
+    (prog : Dr_isa.Program.t) (pinball : Dr_pinplay.Pinball.t) : result =
   Dr_obs.Obs.with_span ~cat:"trace" "collector.collect" @@ fun sp ->
   Dr_obs.Obs.add_attr sp "refine" (Dr_obs.Obs.Bool refine);
   Dr_obs.Obs.add_attr sp "indirect_pass"
@@ -295,7 +271,7 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
   let cands = Prune.static_candidates ~max_save prog ~functions:(Dr_cfg.Cfg.functions cfg) in
   let prune_state = Prune.create_state cands in
   let derive = Derive.create ~cfg prog in
-  let records = Segment_store.builder ?budget ?seg_records () in
+  let records = Segment_store.builder ?budget () in
   let watchdog =
     Option.bind budget (Dr_util.Budget.watchdog_of ~what:"collector.collect")
   in
@@ -310,7 +286,7 @@ let collect ?(refine = true) ?(max_save = Prune.default_max_save) ?budget
     let gseq = Segment_store.built_length records in
     (* cheap polled deadline: one clock read every 4096 records *)
     if gseq land 4095 = 0 then Option.iter Dr_util.Budget.check watchdog;
-    (* cd / def-use / flags / instance / lidx: the shared derivation
+    (* cd / def-use / flags / instance: the shared derivation
        core (also replayed window-by-window by {!Reexec}) *)
     Derive.next derive (Segment_store.sink records) ev;
     Dr_util.Codec.put_uint tids tid;

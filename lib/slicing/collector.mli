@@ -23,8 +23,7 @@ type result = {
 
 (** The record-derivation state machine shared between collection and
     on-demand re-execution ({!Reexec}): Xin–Zhang control-dependence
-    stacks, per-(tid, pc) instance counters, per-thread local indices,
-    and the line table.  The state is prefix-dependent, so a checkpoint
+    stacks and per-(tid, pc) instance counters.  The state is prefix-dependent, so a checkpoint
     that wants to resume derivation mid-trace carries a {!Derive.copy}
     taken at the same event boundary as the machine snapshot.  Both
     users call {!Derive.next} exactly once per retired instruction, in
@@ -57,15 +56,13 @@ val collect_indirect_targets :
 (** Collect the full region trace.  [refine] (default true) enables the
     two-pass CFG refinement of §5.1; [max_save] is the save/restore
     candidate window of §5.2.  With [budget], records past the memory
-    budget spill to disk in segments of [seg_records] records (rounded
-    up to a power of two) and the wall-clock watchdog aborts collection
+    budget spill to disk in segments and the wall-clock watchdog aborts collection
     with a structured {!Dr_util.Budget.Resource_error} (a partial trace
     is useless). *)
 val collect :
   ?refine:bool ->
   ?max_save:int ->
   ?budget:Dr_util.Budget.t ->
-  ?seg_records:int ->
   Dr_isa.Program.t ->
   Dr_pinplay.Pinball.t ->
   result

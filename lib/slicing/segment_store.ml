@@ -3,12 +3,12 @@
     The store holds the records of one collected region trace, indexed
     by gseq, in fixed-size {e chunks}.  A chunk is a structure of
     arrays: one int column per scalar field of {!Trace.record} ([tid],
-    [pc], [instance], [lidx], [cd], [flags], [line]; a row's gseq is
-    its index) plus a CSR pool for the def and use locations — an
-    offsets column with two entries per row and one flat column of
-    locations.  Collection and re-execution append rows straight into a
-    chunk ({!Chunk.push}); consumers read fields through by-gseq
-    accessors ({!pc}, {!Chunk.cd}, {!Chunk.iter_defs}, ...).  A boxed
+    [pc], [instance], [cd], [flags]; a row's gseq is its index) plus a
+    CSR pool for the def and use locations — an offsets column with two
+    entries per row and one flat column of locations.  Collection and
+    re-execution append rows straight into a chunk ({!Chunk.push});
+    consumers read fields through by-gseq accessors ({!pc},
+    {!Chunk.cd}, {!Chunk.iter_defs}, ...).  A boxed
     {!Trace.record} is only built on demand ({!get}), as a view for
     printing, oracles and tests.
 
@@ -77,10 +77,8 @@ module Chunk = struct
     tid : Bytes.t;
     pc : Bytes.t;
     instance : Bytes.t;
-    lidx : Bytes.t;
     cd : Bytes.t;
     flags : Bytes.t;
-    line : Bytes.t;
     off : Bytes.t;
         (** [2 * capacity + 1] cells: row [j]'s defs are the pool cells
             [off(2j) .. off(2j+1) - 1], its uses [off(2j+1) .. off(2j+2) - 1] *)
@@ -91,16 +89,15 @@ module Chunk = struct
   let[@inline] cell b j = Int32.to_int (Bytes.get_int32_le b (j lsl 2))
   let[@inline] set_cell b j v = Bytes.set_int32_le b (j lsl 2) (Int32.of_int v)
 
-  (** Fixed cells per row: seven scalar columns and two offsets. *)
-  let row_cells = 9
+  (** Fixed cells per row: five scalar columns and two offsets. *)
+  let row_cells = 7
 
   let make ~base ~cap ~locs =
     let col () = Bytes.create (4 * cap) in
     let off = Bytes.create (4 * ((2 * cap) + 1)) in
     set_cell off 0 0;
     { base; rows = 0; tid = col (); pc = col (); instance = col ();
-      lidx = col (); cd = col (); flags = col (); line = col (); off; locs;
-      nlocs = 0 }
+      cd = col (); flags = col (); off; locs; nlocs = 0 }
 
   (** An empty chunk for [cap] rows starting at gseq [base]. *)
   let create ~base ~cap = make ~base ~cap ~locs:(Bytes.create (12 * max 1 cap))
@@ -119,22 +116,18 @@ module Chunk = struct
   let out_of_range () =
     invalid_arg "Segment_store.Chunk.push: value outside the 32-bit cell range"
 
-  let begin_row c ~tid ~pc ~instance ~lidx ~cd ~flags ~line ~nlocs =
+  let begin_row c ~tid ~pc ~instance ~cd ~flags ~nlocs =
     let j = c.rows in
     if j >= Bytes.length c.tid lsr 2 then
       invalid_arg "Segment_store.Chunk.push: chunk full";
-    (* non-negative fields below 2^31, [cd] and [line] also -1 *)
-    if (tid lor pc lor instance lor lidx lor flags lor (cd + 1) lor (line + 1))
-       lsr 31
-       <> 0
-    then out_of_range ();
+    (* non-negative fields below 2^31, [cd] also -1 *)
+    if (tid lor pc lor instance lor flags lor (cd + 1)) lsr 31 <> 0 then
+      out_of_range ();
     set_cell c.tid j tid;
     set_cell c.pc j pc;
     set_cell c.instance j instance;
-    set_cell c.lidx j lidx;
     set_cell c.cd j cd;
     set_cell c.flags j flags;
-    set_cell c.line j line;
     let need = c.nlocs + nlocs in
     if 4 * need > Bytes.length c.locs then begin
       let cap = ref (max 16 (Bytes.length c.locs lsr 2)) in
@@ -161,11 +154,11 @@ module Chunk = struct
       {!Dr_isa.Loc} encodings.  Allocates only when the pool grows.
       @raise Invalid_argument when the chunk is full or a value does
       not fit a 32-bit cell. *)
-  let push c ~tid ~pc ~instance ~lidx ~cd ~flags ~line
-      ~(defs : Dr_util.Vec.Int_vec.t) ~(uses : Dr_util.Vec.Int_vec.t) =
+  let push c ~tid ~pc ~instance ~cd ~flags ~(defs : Dr_util.Vec.Int_vec.t)
+      ~(uses : Dr_util.Vec.Int_vec.t) =
     let nd = Dr_util.Vec.Int_vec.length defs
     and nu = Dr_util.Vec.Int_vec.length uses in
-    begin_row c ~tid ~pc ~instance ~lidx ~cd ~flags ~line ~nlocs:(nd + nu);
+    begin_row c ~tid ~pc ~instance ~cd ~flags ~nlocs:(nd + nu);
     for i = 0 to nd - 1 do
       add_loc c (Dr_util.Vec.Int_vec.unsafe_get defs i)
     done;
@@ -178,7 +171,7 @@ module Chunk = struct
   (** Append the row a record view describes (its [gseq] is ignored). *)
   let push_record c (r : Trace.record) =
     begin_row c ~tid:r.Trace.tid ~pc:r.Trace.pc ~instance:r.Trace.instance
-      ~lidx:r.Trace.lidx ~cd:r.Trace.cd ~flags:r.Trace.flags ~line:r.Trace.line
+      ~cd:r.Trace.cd ~flags:r.Trace.flags
       ~nlocs:(Array.length r.Trace.defs + Array.length r.Trace.uses);
     Array.iter (add_loc c) r.Trace.defs;
     end_defs c;
@@ -193,8 +186,7 @@ module Chunk = struct
     let fit b len = if Bytes.length b = len then b else Bytes.sub b 0 len in
     let col b = fit b (4 * n) in
     { base = c.base; rows = n; tid = col c.tid; pc = col c.pc;
-      instance = col c.instance; lidx = col c.lidx; cd = col c.cd;
-      flags = col c.flags; line = col c.line;
+      instance = col c.instance; cd = col c.cd; flags = col c.flags;
       off = fit c.off (4 * ((2 * n) + 1));
       locs = Bytes.sub c.locs 0 (4 * c.nlocs); nlocs = c.nlocs }
 
@@ -205,7 +197,6 @@ module Chunk = struct
   let instance c g = cell c.instance (g - c.base)
   let cd c g = cell c.cd (g - c.base)
   let flags c g = cell c.flags (g - c.base)
-  let line c g = cell c.line (g - c.base)
 
   (** Apply [f] to each def location of row [g], in order. *)
   let iter_defs c g f =
@@ -230,9 +221,8 @@ module Chunk = struct
     and mid = cell c.off ((2 * j) + 1)
     and hi = cell c.off ((2 * j) + 2) in
     { Trace.gseq = g; tid = cell c.tid j; pc = cell c.pc j;
-      instance = cell c.instance j; lidx = cell c.lidx j;
-      defs = locs_between c lo mid; uses = locs_between c mid hi;
-      cd = cell c.cd j; flags = cell c.flags j; line = cell c.line j }
+      instance = cell c.instance j; defs = locs_between c lo mid;
+      uses = locs_between c mid hi; cd = cell c.cd j; flags = cell c.flags j }
 
   (** Every row as a view, in gseq order. *)
   let records c = Array.init c.rows (fun j -> record c (c.base + j))
@@ -254,7 +244,7 @@ end
 
 (* ---- segment file format ---- *)
 
-let magic = "DRSEG2"
+let magic = "DRSEG3"
 
 let corrupt path reason =
   Dr_obs.Metrics.bump m_corrupt;
@@ -263,8 +253,8 @@ let corrupt path reason =
        (Dr_util.Budget.Segment_corrupt { re_path = path; re_reason = reason }))
 
 (** Encode a segment: the magic, varint row count [n], varint pool
-    length [m], the seven scalar columns ([4n] bytes each, in the order
-    tid pc instance lidx cd flags line), the offsets ([4(2n+1)] bytes)
+    length [m], the five scalar columns ([4n] bytes each, in the order
+    tid pc instance cd flags), the offsets ([4(2n+1)] bytes)
     and the pool ([4m] bytes), then a 4-byte little-endian CRC32
     trailer over everything before it. *)
 let encode_segment (c : Chunk.t) : string =
@@ -275,7 +265,7 @@ let encode_segment (c : Chunk.t) : string =
   Dr_util.Codec.put_uint e m;
   List.iter
     (fun col -> Buffer.add_subbytes e col 0 (4 * n))
-    Chunk.[ c.tid; c.pc; c.instance; c.lidx; c.cd; c.flags; c.line ];
+    Chunk.[ c.tid; c.pc; c.instance; c.cd; c.flags ];
   Buffer.add_subbytes e c.Chunk.off 0 (4 * ((2 * n) + 1));
   Buffer.add_subbytes e c.Chunk.locs 0 (4 * m);
   let payload = Buffer.contents e in
@@ -330,10 +320,8 @@ let decode_segment ~path ~base ~expected_count (raw : string) : Chunk.t =
   let tid = col () in
   let pc = col () in
   let instance = col () in
-  let lidx = col () in
   let cd = col () in
   let flags = col () in
-  let line = col () in
   let off = cut (4 * ((2 * n) + 1)) in
   let locs = cut (4 * m) in
   let prev = ref 0 in
@@ -344,8 +332,7 @@ let decode_segment ~path ~base ~expected_count (raw : string) : Chunk.t =
     prev := o
   done;
   if !prev <> m then corrupt path "offsets do not cover the pool";
-  { Chunk.base; rows = n; tid; pc; instance; lidx; cd; flags; line; off; locs;
-    nlocs = m }
+  { Chunk.base; rows = n; tid; pc; instance; cd; flags; off; locs; nlocs = m }
 
 (* ---- simulated write faults (conformance fault injection) ---- *)
 

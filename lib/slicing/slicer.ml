@@ -515,12 +515,12 @@ let statements t =
     t.positions
 
 (** Distinct source lines touched by the slice (for GUI highlighting). *)
-let source_lines t =
+let source_lines prog t =
   let lines = Hashtbl.create 32 in
   Array.iter
     (fun pos ->
       let c, g = row t pos in
-      let line = Segment_store.Chunk.line c g in
+      let line = Trace.line_of_pc prog (Segment_store.Chunk.pc c g) in
       if line >= 0 then Hashtbl.replace lines line ())
     t.positions;
   List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) lines [])
@@ -589,7 +589,7 @@ let slice_file_error sf_line sf_reason =
 (** Save in the paper's "normal slice file" form: statements plus
     dependence edges, usable across debug sessions.  The write is atomic
     (tmp + fsync + rename): a crash mid-save cannot clobber a good file. *)
-let save_file path t =
+let save_file prog path t =
   Dr_util.Atomic_file.with_out path
     (fun oc ->
       Printf.fprintf oc "%s\n" slice_file_header;
@@ -599,9 +599,9 @@ let save_file path t =
       Array.iter
         (fun pos ->
           let c, g = row t pos in
+          let pc = Segment_store.Chunk.pc c g in
           Printf.fprintf oc "stmt %d %d %d %d\n" (Segment_store.Chunk.tid c g)
-            (Segment_store.Chunk.pc c g) (Segment_store.Chunk.instance c g)
-            (Segment_store.Chunk.line c g))
+            pc (Segment_store.Chunk.instance c g) (Trace.line_of_pc prog pc))
         t.positions;
       Array.iter
         (fun e ->

@@ -136,8 +136,8 @@ val compute_governed :
 val statements : t -> (int * int * int) array
 
 (** Distinct source lines touched by the slice, sorted (for
-    highlighting). *)
-val source_lines : t -> int list
+    highlighting), read from the sliced program's debug info. *)
+val source_lines : Dr_isa.Program.t -> t -> int list
 
 (** Dependence edges out of the record at [pos] — what it depends on
     (backwards navigation).  One hash lookup once the lazy adjacency
@@ -153,9 +153,10 @@ val pp_kind : Format.formatter -> dep_kind -> unit
 exception Slice_file_error of { sf_line : int; sf_reason : string }
 
 (** Save in the paper's "normal slice file" form (statements plus
-    dependence edges), reusable across debug sessions.  The write is
-    atomic (tmp + fsync + rename). *)
-val save_file : string -> t -> unit
+    dependence edges), reusable across debug sessions; each statement's
+    source line comes from the sliced program's debug info.  The write
+    is atomic (tmp + fsync + rename). *)
+val save_file : Dr_isa.Program.t -> string -> t -> unit
 
 (** Statements read back from a slice file: (tid, pc, instance, line).
     @raise Slice_file_error on a missing/bad header or a malformed

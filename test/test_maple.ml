@@ -129,7 +129,7 @@ let test_exposed_bug_slices () =
       | None -> Alcotest.fail "no assert in exposed trace"
     in
     let slice = Dr_slicing.Slicer.compute gt crit in
-    let lines = Dr_slicing.Slicer.source_lines slice in
+    let lines = Dr_slicing.Slicer.source_lines prog slice in
     (* x = 1 in t1 (line 3) is the root cause and must be in the slice *)
     Alcotest.(check bool) "root cause in slice" true (List.mem 3 lines)
 

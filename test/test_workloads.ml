@@ -142,7 +142,7 @@ let test_bug_slices_reach_root_cause () =
         let slice =
           Dr_slicing.Slicer.compute ~pairs:c.Dr_slicing.Collector.pairs gt crit
         in
-        let lines = Dr_slicing.Slicer.source_lines slice in
+        let lines = Dr_slicing.Slicer.source_lines prog slice in
         Alcotest.(check bool)
           (Printf.sprintf "%s: root cause (line %d) in slice"
              b.Dr_workloads.Bugs.name b.Dr_workloads.Bugs.root_cause_line)
