@@ -4,10 +4,11 @@
     the index stores the ascending array of merge positions whose record
     defines it.  Built in one pass over the trace (positions are visited
     in ascending order, so the per-location arrays come out sorted for
-    free) and shared by {!Lp} (block summaries are derived from it) and
-    the indexed {!Slicer} fast path, which resolves "the most recent
-    definition of [loc] at or before [pos]" with one binary search
-    instead of a linear backwards scan. *)
+    free) and shared by {!Lp} (whose block skipping asks whether a
+    location is defined inside a block) and the indexed {!Slicer} fast
+    path, which resolves "the most recent definition of [loc] at or
+    before [pos]" with one binary search instead of a linear backwards
+    scan. *)
 
 let m_builds = Dr_obs.Metrics.counter "def_index.builds"
 let m_locations = Dr_obs.Metrics.counter "def_index.locations"
@@ -62,11 +63,9 @@ let num_locations t = Hashtbl.length t.defs_by_loc
 let positions t ~loc =
   match Hashtbl.find_opt t.defs_by_loc loc with Some a -> a | None -> [||]
 
-(** Position of the latest definition of [loc] at or before [pos], or
-    [-1] when none exists.  One binary search in the location's def
-    array. *)
-let latest_at_or_before t ~loc ~pos : int =
-  Dr_obs.Metrics.bump m_lookups;
+(* The latest definition of [loc] at or before [pos], or [-1]: one
+   binary search in the location's def array. *)
+let latest t ~loc ~pos : int =
   match Hashtbl.find_opt t.defs_by_loc loc with
   | None -> -1
   | Some a ->
@@ -81,5 +80,16 @@ let latest_at_or_before t ~loc ~pos : int =
       done;
       a.(!lo)
     end
+
+(** Position of the latest definition of [loc] at or before [pos], or
+    [-1] when none exists.  Counted in [def_index.lookups]. *)
+let latest_at_or_before t ~loc ~pos : int =
+  Dr_obs.Metrics.bump m_lookups;
+  latest t ~loc ~pos
+
+(** Does some record in positions [lo..hi] define [loc]?  Not counted
+    in [def_index.lookups], which counts the indexed driver's searches
+    only. *)
+let defined_in t ~loc ~lo ~hi = latest t ~loc ~pos:hi >= lo
 
 let iter t f = Hashtbl.iter (fun loc a -> f loc a) t.defs_by_loc

@@ -3,10 +3,10 @@
     Maps each defined {!Dr_isa.Loc} encoding to the ascending array of
     global-trace positions whose record defines it.  Built once per
     trace ({!build} is criterion-independent) and shared by {!Lp}
-    (block summaries derive from it) and the indexed {!Slicer} fast
-    path, which finds "the most recent definition of [loc] at or
-    before [pos]" by binary search instead of a linear backwards
-    scan. *)
+    (block skipping: {!defined_in} over a block's positions) and the
+    indexed {!Slicer} fast path, which finds "the most recent
+    definition of [loc] at or before [pos]" by binary search instead of
+    a linear backwards scan. *)
 
 type t
 
@@ -28,8 +28,12 @@ val num_locations : t -> int
 val positions : t -> loc:int -> int array
 
 (** Position of the latest definition of [loc] at or before [pos], or
-    [-1] when none exists. *)
+    [-1] when none exists.  Counted in the [def_index.lookups] metric. *)
 val latest_at_or_before : t -> loc:int -> pos:int -> int
+
+(** Does some record in positions [lo..hi] (inclusive) define [loc]?
+    Not counted in [def_index.lookups]. *)
+val defined_in : t -> loc:int -> lo:int -> hi:int -> bool
 
 (** Iterate over (location, ascending def positions) pairs, in
     unspecified order. *)

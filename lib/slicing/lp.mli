@@ -1,31 +1,29 @@
-(** Limited Preprocessing (LP) block summaries for fast backwards
+(** Limited Preprocessing (LP) block skipping for fast backwards
     traversal (Zhang et al. [33], paper §3(iii)).
 
-    The global trace is divided into fixed-size blocks, each summarised
-    by the set of locations it defines; the slicer skips whole blocks
-    whose summary can satisfy no wanted location.  Summaries are
-    criterion-independent: prepare once per global trace and reuse for
-    every slice. *)
+    The global trace is divided into fixed-size blocks; the slicer skips
+    a whole block when it defines none of the wanted locations, which is
+    a range query on the per-location {!Def_index} over the block's
+    positions.  The index is criterion-independent: prepare once per
+    global trace and reuse for every slice. *)
 
 val default_block_size : int
 
 type t = {
   block_size : int;
   num_blocks : int;
-  summaries : int array array;
-      (** per block: sorted distinct defined locations *)
   index : Def_index.t;
-      (** per-location definition index the summaries derive from *)
+      (** per-location definition index the block queries read *)
 }
 
-(** Prepare summaries + definition index: one sequential pass over the
-    trace ({!Def_index.build}), then one over the index. *)
+(** Block geometry plus {!Def_index.build}: one sequential pass over
+    the trace. *)
 val prepare : ?block_size:int -> Global_trace.t -> t
 
-(** A degraded LP with correct block geometry but empty summaries and an
-    empty index, built in O(1) memory.  Only valid for the [`Scan] and
-    [`Reexec] drivers (which consult neither) — the memory-budget rung
-    of {!Slicer.compute_governed}. *)
+(** A degraded LP with correct block geometry but an empty index, built
+    in O(1) memory.  Only valid for the [`Scan] and [`Reexec] drivers
+    (which never consult the index) — the memory-budget rung of
+    {!Slicer.compute_governed}. *)
 val prepare_lite : ?block_size:int -> Global_trace.t -> t
 
 (** The per-location definition index built by {!prepare}. *)
@@ -40,6 +38,6 @@ val block_range : t -> int -> int * int
 (** Does the block define [loc]? *)
 val defines : t -> block:int -> loc:int -> bool
 
-(** Can the block satisfy any currently wanted location?  Iterates the
-    smaller of the two sets, stopping at the first hit. *)
+(** Can the block satisfy any currently wanted location?  Asks
+    {!defines} for each wanted location, stopping at the first hit. *)
 val may_satisfy : t -> block:int -> wanted:(int, 'a) Hashtbl.t -> bool

@@ -20,9 +20,10 @@
       targets, and deferred-bypass definitions — touching only
       positions that can change the slice state;
     - the {e scan} path walks every position backwards, skipping whole
-      blocks via the {!Lp} summaries when they can satisfy nothing
-      (Zhang et al.'s Limited Preprocessing) — kept as the reference
-      implementation and the ablation baseline.
+      {!Lp} blocks that define no wanted location (Zhang et al.'s
+      Limited Preprocessing, answered by range queries on the
+      {!Def_index}) — kept as the reference implementation and the
+      ablation baseline.
 
     Both produce the same positions and dependence edges (the edge
     array order is unspecified; compare canonically).
@@ -140,7 +141,7 @@ let driver_name : driver -> string = function
 
 (** Compute the backwards dynamic slice for [criterion].
 
-    [lp]: reuse precomputed block summaries and definition index (they
+    [lp]: reuse a precomputed block geometry and definition index (they
     are valid for any slice over the same global trace).  [pairs]:
     enable save/restore bypassing (§5.2).  [watchdog]: a polled
     wall-clock deadline; when it fires mid-walk the traversal stops and
@@ -172,7 +173,7 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
     | None -> (
       match driver with
       (* the re-execution driver must not walk the stored records to
-         build summaries — that would defeat its purpose *)
+         build the index — that would defeat its purpose *)
       | `Reexec _ -> Lp.prepare_lite gt
       | _ -> Lp.prepare gt)
   in
@@ -415,8 +416,8 @@ let m_par_criteria = Dr_obs.Metrics.counter "slicer.parallel_criteria"
 
     Results come back in criterion order and each slice is {e identical}
     to what a sequential [compute] would produce: slices share only
-    read-only state (the trace, the LP summaries and definition index,
-    the save/restore pairs) plus the mutex-guarded segment cache, and
+    read-only state (the trace, the LP definition index, the
+    save/restore pairs) plus the mutex-guarded segment cache, and
     all per-slice traversal state is local to each call.  Only
     [stats.slice_time] is schedule-dependent.
 
@@ -453,9 +454,9 @@ type governed = {
   g_rung : rung;  (** the driver actually used *)
 }
 
-(** Rough resident bytes of [Lp.prepare] (definition index + block
-    summaries) — the quantity {!compute_governed} tests against the
-    memory budget before committing to the indexed rung. *)
+(** Rough resident bytes of [Lp.prepare] (the definition index) — the
+    quantity {!compute_governed} tests against the memory budget before
+    committing to the indexed rung. *)
 let index_estimate_bytes gt = 40 * Global_trace.length gt
 
 (** Compute the slice under [budget], stepping down the degradation
