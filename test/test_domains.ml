@@ -138,19 +138,11 @@ let spill_budget () =
   in
   Dr_util.Budget.create ~mem_bytes:0 ~spill_dir:dir ()
 
-let cleanup_spill budget =
-  let dir = Dr_util.Budget.spill_dir budget in
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
 let test_segment_store_concurrent_readers () =
   let _, c, _, _, _ = Lazy.force fixture in
   let budget = spill_budget () in
-  Fun.protect ~finally:(fun () -> cleanup_spill budget) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Dr_util.Budget.cleanup_spill budget)
+  @@ fun () ->
   let store =
     Dr_slicing.Segment_store.rebuild ~budget ~seg_records:16 ~cache_segments:2
       c.Dr_slicing.Collector.records
