@@ -167,3 +167,12 @@ let find_last (t : t) ~(p : Trace.record -> bool) : int option =
     else go (pos - 1)
   in
   go (length t - 1)
+
+(** Position of the last print record, else of the last record. *)
+let last_print_pos (prog : Dr_isa.Program.t) (t : t) : int =
+  let is_print (r : Trace.record) =
+    match Dr_isa.Program.instr prog r.Trace.pc with
+    | Some (Dr_isa.Instr.Sys Dr_isa.Instr.Print) -> true
+    | _ -> false
+  in
+  match find_last t ~p:is_print with Some p -> p | None -> length t - 1

@@ -58,3 +58,10 @@ val is_topological : t -> Collector.result -> bool
 (** Position of the last record satisfying [p], if any: a backwards
     scan. *)
 val find_last : t -> p:(Trace.record -> bool) -> int option
+
+(** The default slicing criterion's position: the last record whose
+    instruction is a print (a value-bearing statement, as when slicing
+    at a failure point), or the last record when no print ran; [-1] on
+    an empty trace.  [drdebug_cli slice] and the conformance oracles
+    slice here. *)
+val last_print_pos : Dr_isa.Program.t -> t -> int
