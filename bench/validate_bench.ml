@@ -92,6 +92,14 @@ let check_workload i w =
     fail "%s: re-execution peak %g not below stored trace bytes %g"
       (ctx "reexec_peak_mem") (num "reexec_peak_mem")
       (num "record_bytes_total");
+  (* the byte counts were measured with the row size recorded here; an
+     artifact from before a row-layout change no longer describes the
+     code and must be regenerated *)
+  let row_cells = Dr_slicing.Segment_store.Chunk.row_cells in
+  if num "row_cells" <> float_of_int row_cells then
+    fail "%s: measured with %g-cell rows, the store now has %d: regenerate \
+          the artifact"
+      (ctx "row_cells") (num "row_cells") row_cells;
   (* slice sizes are schedule-independent: the domain-parallel fan-out
      must land on exactly the sequential totals *)
   let seq_total = num "slice_size_total" and par_total = num "par_slice_size_total" in
