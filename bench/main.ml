@@ -684,12 +684,11 @@ fn main() {
 (* ---------- driver ---------- *)
 
 let bench_out = ref "BENCH_slicing.json"
-let bench_domains = ref 2
 let races_out = ref "BENCH_races.json"
 
 let slicing () =
   section "Slicing fast path: indexed traversal vs backwards scan";
-  Slicing_bench.run ~quick:!quick ~domains:!bench_domains ~out:!bench_out ()
+  Slicing_bench.run ~quick:!quick ~out:!bench_out ()
 
 let races () =
   section "Race detection: static candidates vs Maple campaign";
@@ -713,11 +712,6 @@ let () =
       parse acc rest
     | "--races-out" :: path :: rest ->
       races_out := path;
-      parse acc rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some d when d >= 1 -> bench_domains := d
-      | _ -> printf "ignoring bad --domains %s\n" n);
       parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in

@@ -1,7 +1,7 @@
 (* Slicing fast-path benchmark: indexed traversal vs the backwards scan
    (with and without LP block skipping), across registry workloads and
    randomly generated programs.  Emits BENCH_slicing.json (schema
-   drdebug-bench-slicing-v1, see README "Benchmarking") so the perf
+   drdebug-bench-slicing-v2, see README "Benchmarking") so the perf
    trajectory of the slicer is tracked in-repo; a dune runtest smoke
    runs this in --quick mode and validates the emitted JSON. *)
 
@@ -11,7 +11,7 @@ module Timer = Dr_util.Timer
 
 module J = Dr_util.Json
 
-let schema_version = "drdebug-bench-slicing-v1"
+let schema_version = "drdebug-bench-slicing-v2"
 
 let log_or_fail ?policy prog spec =
   match Dr_pinplay.Logger.log ?policy prog spec with
@@ -151,9 +151,6 @@ type measured = {
   spill_read_s : float;  (* one indexed pass over the spilled store *)
   degradations : int;  (* ladder steps recorded by the governed rerun *)
   spill_identical : bool;  (* spilled rerun matches in-memory, all drivers *)
-  par_slice_s : float;  (* all criteria through compute_many on the pool *)
-  par_slice_size_total : int;  (* total slice size of the parallel run *)
-  par_identical : bool;  (* parallel slices byte-identical to sequential *)
   record_bytes_total : int;  (* stored size of every trace record *)
   reexec_slice_s : float;  (* one re-execution pass over all criteria *)
   reexec_peak_mem : int;  (* peak resident record bytes during it *)
@@ -266,7 +263,7 @@ let measure_spill (p : prepared) =
     Dr_slicing.Segment_store.cache_hit_rate store,
     reexec_window_hit_rate )
 
-let measure ~reps ~pool (p : prepared) : measured =
+let measure ~reps (p : prepared) : measured =
   let gt = p.gt and lp = p.lp in
   let records = Dr_slicing.Global_trace.length gt in
   let compute ?driver crit = Dr_slicing.Slicer.compute ~lp ?driver gt crit in
@@ -305,30 +302,11 @@ let measure ~reps ~pool (p : prepared) : measured =
     in
     t
   in
-  (* domain-parallel fan-out: same criteria through compute_many; the
-     validator fails the run if these differ from the sequential slices *)
-  let par = Dr_slicing.Slicer.compute_many ~lp ~pool gt p.criteria in
-  let par_identical =
-    List.for_all2
-      (fun crit par_s ->
-        let seq = compute crit in
-        Dr_slicing.Slicer.equal par_s seq)
-      p.criteria par
-  in
-  let par_slice_size_total =
-    List.fold_left (fun acc s -> acc + Dr_slicing.Slicer.size s) 0 par
-  in
   let was_enabled = Dr_obs.Obs.enabled () in
   Dr_obs.Obs.set_enabled false;
   let indexed_s = timed () in
   let scan_skip_s = timed ~driver:`Scan_skip () in
   let scan_noskip_s = timed ~driver:`Scan () in
-  let _, par_slice_s =
-    Timer.time (fun () ->
-        for _ = 1 to reps do
-          ignore (Dr_slicing.Slicer.compute_many ~lp ~pool gt p.criteria)
-        done)
-  in
   Dr_obs.Obs.set_enabled was_enabled;
   let ( spilled_segments,
         spill_read_s,
@@ -346,8 +324,7 @@ let measure ~reps ~pool (p : prepared) : measured =
     scan_skip_s; scan_noskip_s; blocks_skipped;
     total_blocks = lp.Dr_slicing.Lp.num_blocks; visited_indexed;
     visited_scan; slice_size_total; identical; spilled_segments;
-    spill_read_s; degradations; spill_identical; par_slice_s;
-    par_slice_size_total; par_identical; record_bytes_total;
+    spill_read_s; degradations; spill_identical; record_bytes_total;
     reexec_slice_s; reexec_peak_mem; reexec_identical;
     segstore_hit_rate; reexec_window_hit_rate }
 
@@ -391,10 +368,6 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("spill_read_s", J.Num m.spill_read_s);
       ("degradations", J.int m.degradations);
       ("spill_identical", J.Bool m.spill_identical);
-      ("par_slice_s", J.Num m.par_slice_s);
-      ("par_speedup", J.Num (ratio m.indexed_s m.par_slice_s));
-      ("par_slice_size_total", J.int m.par_slice_size_total);
-      ("par_identical", J.Bool m.par_identical);
       ("record_bytes_total", J.int m.record_bytes_total);
       ("row_cells", J.int Dr_slicing.Segment_store.Chunk.row_cells);
       ("reexec_slice_s", J.Num m.reexec_slice_s);
@@ -403,32 +376,8 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("segstore_hit_rate", J.Num m.segstore_hit_rate);
       ("reexec_window_hit_rate", J.Num m.reexec_window_hit_rate) ]
 
-(* Per-slot pool utilization from the always-on registry, read out of
-   the run report: how many tasks each pool slot (0 = caller, 1.. =
-   workers) claimed across the whole run and how long it spent executing
-   them.  Slot balance close to uniform means the claim loop is not
-   starving workers. *)
-let pool_utilization_json ~domains (report : J.t) : J.t =
-  let find path =
-    List.fold_left (fun v k -> Option.bind v (J.member k)) (Some report) path
-    |> Fun.flip Option.bind J.to_float
-    |> Option.value ~default:0.0
-  in
-  let slot i =
-    let busy = Printf.sprintf "pool.slot%d.busy" i in
-    J.Obj
-      [ ("slot", J.int i);
-        ( "tasks_claimed",
-          J.Num
-            (find [ "counters"; Printf.sprintf "pool.slot%d.tasks_claimed" i ]) );
-        ("busy_s", J.Num (find [ "timers"; busy; "seconds" ]));
-        ("busy_events", J.Num (find [ "timers"; busy; "events" ])) ]
-  in
-  J.List (List.init domains slot)
-
-(** Run the slicing benchmark and write [out] (BENCH_slicing.json).
-    [domains] sizes the pool the parallel fan-out measurements use. *)
-let run ~quick ?(domains = 2) ~out () =
+(** Run the slicing benchmark and write [out] (BENCH_slicing.json). *)
+let run ~quick ~out () =
   (* tracing on for the preparation and stats passes (their spans feed
      the embedded run report); [measure] turns it off around the timed
      loops so the measurements stay gate-check-only *)
@@ -448,12 +397,10 @@ let run ~quick ?(domains = 2) ~out () =
   in
   printf "%-16s %-10s %9s %10s %10s %10s %8s %6s %s\n" "workload" "kind"
     "records" "indexed" "scan+skip" "scan" "speedup" "spill" "identical";
-  let domains = max 1 domains in
-  let pool = Dr_util.Pool.create ~domains in
   let rows =
     List.map
       (fun p ->
-        let m = measure ~reps ~pool p in
+        let m = measure ~reps p in
         printf "%-16s %-10s %9d %9.4fs %9.4fs %9.4fs %7.1fx %6d %b/%b\n"
           p.w_name p.w_kind m.records m.indexed_s m.scan_skip_s
           m.scan_noskip_s
@@ -462,7 +409,6 @@ let run ~quick ?(domains = 2) ~out () =
         (p, m))
       prepared
   in
-  Dr_util.Pool.shutdown pool;
   let largest_generated =
     rows
     |> List.filter (fun (p, _) -> p.w_kind = "generated")
@@ -481,10 +427,8 @@ let run ~quick ?(domains = 2) ~out () =
     J.Obj
       [ ("schema", J.Str schema_version);
         ("quick", J.Bool quick);
-        ("domains", J.int domains);
         ("workloads", J.List (List.map (fun (p, m) -> workload_json p m) rows));
         ("largest_generated", largest_generated);
-        ("pool_utilization", pool_utilization_json ~domains report);
         ("report", report) ]
   in
   Dr_obs.Obs.set_enabled false;

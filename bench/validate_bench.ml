@@ -1,7 +1,7 @@
 (* Schema validator for the repo's benchmark and observability JSON
    artifacts.  Dispatches on the document's "schema" field:
 
-   - drdebug-bench-slicing-v1: the slicing bench output, including its
+   - drdebug-bench-slicing-v2: the slicing bench output, including its
      embedded drdebug-report-v1 run report;
    - drdebug-bench-races-v1: the race-detection bench output (static
      candidates vs seeded Maple campaigns);
@@ -61,8 +61,7 @@ let check_workload i w =
       "records_per_s_indexed"; "blocks_skipped"; "total_blocks";
       "visited_ratio_indexed";
       "visited_ratio_scan"; "slice_size_avg"; "spilled_segments";
-      "spill_read_s"; "degradations"; "slice_size_total"; "par_slice_s";
-      "par_speedup"; "par_slice_size_total"; "record_bytes_total";
+      "spill_read_s"; "degradations"; "slice_size_total"; "record_bytes_total";
       "reexec_slice_s"; "reexec_peak_mem"; "segstore_hit_rate";
       "reexec_window_hit_rate" ];
   (* hit rates are ratios *)
@@ -79,8 +78,6 @@ let check_workload i w =
   then fail "%s: drivers disagree" (ctx "results_identical");
   if not (want_bool (ctx "spill_identical") (get w "spill_identical")) then
     fail "%s: spilled rerun disagrees with in-memory run" (ctx "spill_identical");
-  if not (want_bool (ctx "par_identical") (get w "par_identical")) then
-    fail "%s: parallel slices disagree with sequential" (ctx "par_identical");
   if not (want_bool (ctx "reexec_identical") (get w "reexec_identical")) then
     fail "%s: re-execution slices disagree with indexed"
       (ctx "reexec_identical");
@@ -99,13 +96,7 @@ let check_workload i w =
   if num "row_cells" <> float_of_int row_cells then
     fail "%s: measured with %g-cell rows, the store now has %d: regenerate \
           the artifact"
-      (ctx "row_cells") (num "row_cells") row_cells;
-  (* slice sizes are schedule-independent: the domain-parallel fan-out
-     must land on exactly the sequential totals *)
-  let seq_total = num "slice_size_total" and par_total = num "par_slice_size_total" in
-  if seq_total <> par_total then
-    fail "%s: parallel slice size total %g <> sequential %g"
-      (ctx "par_slice_size_total") par_total seq_total
+      (ctx "row_cells") (num "row_cells") row_cells
 
 let check_report ctx r =
   match Dr_obs.Report.validate r with
@@ -156,8 +147,6 @@ let check_races doc =
 
 let check_slicing doc =
   ignore (want_bool "quick" (get doc "quick"));
-  if want_num "domains" (get doc "domains") < 1.0 then
-    fail "domains: must be >= 1";
   let workloads = want_list "workloads" (get doc "workloads") in
   if workloads = [] then fail "workloads: empty";
   List.iteri check_workload workloads;
@@ -170,22 +159,6 @@ let check_slicing doc =
         (want_bool "largest_generated.results_identical"
            (get lg "results_identical"))
     then fail "largest_generated: drivers disagree");
-  (* per-slot pool utilization: slot 0 is the caller, 1.. the workers;
-     across the whole bench at least one task must have been claimed *)
-  let slots = want_list "pool_utilization" (get doc "pool_utilization") in
-  if slots = [] then fail "pool_utilization: empty";
-  let total_claimed =
-    List.fold_left
-      (fun acc s ->
-        let ctx k = Printf.sprintf "pool_utilization[].%s" k in
-        let num k = want_num (ctx k) (get s k) in
-        List.iter
-          (fun k -> if num k < 0.0 then fail "%s: negative" (ctx k))
-          [ "slot"; "tasks_claimed"; "busy_s"; "busy_events" ];
-        acc +. num "tasks_claimed")
-      0.0 slots
-  in
-  if total_claimed < 1.0 then fail "pool_utilization: no tasks claimed";
   check_report "report" (get doc "report");
   List.length workloads
 
@@ -210,7 +183,7 @@ let () =
     | Error e -> fail "does not parse: %s" e
   in
   match want_str "schema" (get doc "schema") with
-  | "drdebug-bench-slicing-v1" as schema ->
+  | "drdebug-bench-slicing-v2" as schema ->
     let n = check_slicing doc in
     Printf.printf "ok: %s matches %s (%d workloads)\n" path schema n
   | "drdebug-bench-races-v1" as schema ->

@@ -125,12 +125,6 @@ let summary_json (s : summary) : Dr_util.Json.t =
       ("failures_by_oracle", Dr_util.Json.Obj by_kind);
       ("elapsed_s", Dr_util.Json.Num s.s_elapsed) ]
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 (* ---- corpus files: load + replay ---- *)
 
 type corpus_case = {
@@ -328,53 +322,45 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     through a disk-spilled segment store and a deterministic, seed-
     derived disk fault plan is injected ({!fault_plan}).
 
-    [domains] (default 1) workers claim cases off one atomic cursor
-    (dynamic work-stealing — good balance against uneven shrink costs);
-    a single worker runs on the calling domain and spawns nothing.
-    Because case derivation is pure in [(seed, case_id)], sharding
-    changes nothing about any individual case: every reported failure
-    replays bit-identically via {!replay_case} on one domain, and with
-    no [budget_s] cutoff the summary (counts and failure list, ordered
-    by case id) is identical to a 1-domain run's.  Each case's spill
-    directory and artifact file are keyed by its case id, so concurrent
-    cases never share disk paths. *)
+    Every case is one {!Dr_util.Pool.run} task over [domains]
+    (default 1) domains, claimed dynamically (good balance against
+    uneven shrink costs); one domain spawns nothing.  Because case
+    derivation is pure in [(seed, case_id)], sharding changes nothing
+    about any individual case: every reported failure replays
+    bit-identically via {!replay_case} on one domain, and with no
+    [budget_s] cutoff the summary (counts and failure list, ordered by
+    case id) is identical to a 1-domain run's; a traced run's spans
+    splice in case order too.  Each case's spill directory and artifact
+    file are keyed by its case id, so concurrent cases never share disk
+    paths.  [out_dir] is created before any case runs.
+    @raise Sys_error when [out_dir] cannot be created. *)
 let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
     ?out_dir ?(log = ignore)
     ?(domains = 1) ~seed ~runs () : summary =
   let t0 = Dr_util.Timer.now () in
-  (match out_dir with Some d -> mkdir_p d | None -> ());
+  Option.iter (fun d -> ignore (Dr_util.Atomic_file.mkdir_p d)) out_dir;
   let within_budget () =
     match budget_s with
     | None -> true
     | Some b -> Dr_util.Timer.now () -. t0 < b
   in
-  let results : outcome option array = Array.make (max runs 0) None in
-  (* [log] is the only shared sink the workers write concurrently;
+  let runs = max runs 0 in
+  let results : outcome option array = Array.make runs None in
+  (* [log] is the only shared sink the cases write concurrently;
      serialize it so interleaved lines stay whole *)
   let log_lock = Mutex.create () in
   let log msg =
     Mutex.lock log_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () -> log msg)
   in
-  let next = Atomic.make 0 in
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      if not (within_budget ()) then continue := false
-      else begin
-        let id = Atomic.fetch_and_add next 1 in
-        if id >= runs then continue := false
-        else
-          results.(id) <-
-            Some
-              (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir
-                 ~log ~seed id)
-      end
-    done
+  let case id () =
+    if within_budget () then
+      results.(id) <-
+        Some
+          (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log
+             ~seed id)
   in
-  let domains = max 1 domains in
-  Dr_util.Pool.with_pool ~domains (fun pool ->
-      Dr_util.Pool.run pool (Array.init domains (fun _ -> worker)));
+  Dr_util.Pool.run ~domains (Array.init runs case);
   let passes = ref 0 and skips = ref 0 and cases = ref 0 in
   let failures = ref [] in
   Array.iter

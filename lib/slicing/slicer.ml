@@ -406,43 +406,6 @@ let compute ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
         total_blocks = lp.Lp.num_blocks; slice_time; truncated = !truncated };
     adj = None }
 
-(* ---- parallel fan-out over independent criteria ---- *)
-
-let m_par_batches = Dr_obs.Metrics.counter "slicer.parallel_batches"
-let m_par_criteria = Dr_obs.Metrics.counter "slicer.parallel_criteria"
-
-(** Slice every criterion of [criteria] over the same trace, fanning
-    the independent computations over [pool] (sequential without one).
-
-    Results come back in criterion order and each slice is {e identical}
-    to what a sequential [compute] would produce: slices share only
-    read-only state (the trace, the LP definition index, the
-    save/restore pairs) plus the mutex-guarded segment cache, and
-    all per-slice traversal state is local to each call.  Only
-    [stats.slice_time] is schedule-dependent.
-
-    The LP preparation (unless passed in) happens once, up front, on
-    the calling domain ({!Lp.prepare}). *)
-let compute_many ?(lp : Lp.t option) ?(pairs : Prune.pairs option)
-    ?(pool : Dr_util.Pool.t option) (gt : Global_trace.t)
-    (criteria : criterion list) : t list =
-  Dr_obs.Metrics.bump m_par_batches;
-  Dr_obs.Metrics.add m_par_criteria (List.length criteria);
-  Dr_obs.Obs.with_span ~cat:"slice" "slicer.compute_many" @@ fun sp ->
-  Dr_obs.Obs.add_attr sp "criteria" (Dr_obs.Obs.Int (List.length criteria));
-  let lp = match lp with Some l -> l | None -> Lp.prepare gt in
-  let crits = Array.of_list criteria in
-  let one c = compute ~lp ?pairs gt c in
-  let results =
-    (* a provided pool is used even at size 1: every batch runs the same
-       instrumented task wrapper, so a traced 1-domain batch records the
-       same merged span sequence as a 4-domain one *)
-    match pool with
-    | Some p -> Dr_util.Pool.map p one crits
-    | None -> Array.map one crits
-  in
-  Array.to_list results
-
 (* ---- resource-governed slicing: the degradation ladder ---- *)
 
 type rung = Rung_indexed | Rung_scan

@@ -87,20 +87,6 @@ val compute :
   criterion ->
   t
 
-(** Slice every criterion over the same trace, fanning the independent
-    computations over [pool] (sequential without one).  Results come
-    back in criterion order, and each slice is identical to a
-    sequential {!compute} of the same criterion — only
-    [stats.slice_time] is schedule-dependent.  The LP preparation
-    (unless passed in) happens once up front, on the calling domain. *)
-val compute_many :
-  ?lp:Lp.t ->
-  ?pairs:Prune.pairs ->
-  ?pool:Dr_util.Pool.t ->
-  Global_trace.t ->
-  criterion list ->
-  t list
-
 (** {2 Resource-governed slicing} *)
 
 (** The rung of the degradation ladder a governed slice ran on. *)

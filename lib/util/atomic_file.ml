@@ -21,3 +21,21 @@ let with_out path f =
   Sys.rename tmp path
 
 let write_string path s = with_out path (fun oc -> output_string oc s)
+
+(** Create [dir] and any missing parents; returns the directories it
+    made, deepest first.  One made concurrently by someone else counts
+    as existing.  On failure the directories made so far are removed
+    again before the [Sys_error] propagates. *)
+let mkdir_p dir =
+  let rec walk dir =
+    if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then []
+    else
+      let made = walk (Filename.dirname dir) in
+      match Sys.mkdir dir 0o755 with
+      | () -> dir :: made
+      | exception Sys_error _ when Sys.file_exists dir -> made
+      | exception e ->
+        List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) made;
+        raise e
+  in
+  walk dir

@@ -170,24 +170,21 @@ let pp_degradation fmt d =
 
 (* ---- spill directory management ---- *)
 
-(* Create [dir] and any missing parents, noting each one made. *)
-let rec mkdir_p t dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p t (Filename.dirname dir);
-    try
-      Unix.mkdir dir 0o755;
-      t.created_dirs <- dir :: t.created_dirs
-    with
-    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | Unix.Unix_error (e, _, _) ->
-      error (Disk_full { re_path = dir; re_reason = Unix.error_message e })
-  end
-
 (** Ensure the spill directory exists and is a writable directory.
     @raise Resource_error [Disk_full] when it cannot be created (e.g.
     the path names an existing regular file). *)
 let ensure_spill_dir t =
-  mkdir_p t t.spill_dir;
+  (match Atomic_file.mkdir_p t.spill_dir with
+  | made -> t.created_dirs <- made @ t.created_dirs
+  | exception Sys_error msg ->
+    (* [msg] reads "<dir>: <reason>" for the directory that failed *)
+    let re_path, re_reason =
+      match String.rindex_opt msg ':' with
+      | Some i when i + 2 <= String.length msg ->
+        (String.sub msg 0 i, String.sub msg (i + 2) (String.length msg - i - 2))
+      | _ -> (t.spill_dir, msg)
+    in
+    error (Disk_full { re_path; re_reason }));
   if not (try Sys.is_directory t.spill_dir with Sys_error _ -> false) then
     error
       (Disk_full

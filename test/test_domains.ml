@@ -1,8 +1,7 @@
-(* Domain-parallelism tests: compute_many determinism across domain
-   counts and criterion orderings, spilled segment-store reads under
-   concurrent readers, and the
-   sharded fuzz farm (parallel summary identical to sequential; every
-   failure reproduces from its (seed, case-id) coordinates alone). *)
+(* Domain-parallelism tests: spilled segment-store reads under
+   concurrent readers, and the sharded fuzz farm (parallel summary
+   identical to sequential; every failure reproduces from its
+   (seed, case-id) coordinates alone). *)
 
 module Slicer = Dr_slicing.Slicer
 module Pool = Dr_util.Pool
@@ -25,8 +24,8 @@ let collect ?input ?seed prog =
   let pb = log_whole ?seed ?input prog in
   Dr_slicing.Collector.collect ~refine:true prog pb
 
-(* Multithreaded program with a loop: enough records and blocks for the
-   criterion fan-out and the block-skipping scan to have real work. *)
+(* Multithreaded program with a loop: enough records to spill many
+   tiny segments. *)
 let par_src = {|global int x;
 global int y;
 global int z;
@@ -47,87 +46,8 @@ fn main() {
   assert(k > 0, "k");
 }|}
 
-(* Several load-record criteria spread over the trace (same recipe as
-   the bench), so a fan-out has independent work items. *)
-let criteria_of gt ~n =
-  let len = Dr_slicing.Global_trace.length gt in
-  let picks = ref [] and found = ref 0 and pos = ref (len - 1) in
-  while !found < n && !pos > 0 do
-    if Dr_slicing.Trace.is_load (Dr_slicing.Global_trace.record gt !pos)
-    then begin
-      picks := !pos :: !picks;
-      incr found
-    end;
-    decr pos
-  done;
-  let picks = if !picks = [] then [ len - 1 ] else List.rev !picks in
-  List.map
-    (fun p -> { Slicer.crit_pos = p; crit_locs = None })
-    picks
-
-(* everything but slice_time, which is schedule-dependent by contract *)
-let stats_eq (a : Slicer.stats) (b : Slicer.stats) =
-  a.Slicer.visited = b.Slicer.visited
-  && a.Slicer.skipped_blocks = b.Slicer.skipped_blocks
-  && a.Slicer.total_blocks = b.Slicer.total_blocks
-  && a.Slicer.truncated = b.Slicer.truncated
-
-let slice_eq (a : Slicer.t) (b : Slicer.t) =
-  Slicer.equal a b
-  && stats_eq a.Slicer.stats b.Slicer.stats
-
-(* shared fixture: trace, criteria, and sequential reference slices *)
-let fixture =
-  lazy
-    (let prog = compile par_src in
-     let c = collect prog in
-     let gt = Dr_slicing.Global_trace.construct c in
-     let crits = criteria_of gt ~n:6 in
-     let seq =
-       List.map (fun crit -> (crit, Slicer.compute gt crit)) crits
-     in
-     (prog, c, gt, crits, seq))
-
-(* ---- compute_many: parallel fan-out equals sequential compute ---- *)
-
-let test_compute_many_matches_sequential () =
-  let _, _, gt, crits, seq = Lazy.force fixture in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let par = Slicer.compute_many ~pool gt crits in
-          Alcotest.(check int)
-            (Printf.sprintf "%d domains: result count" domains)
-            (List.length crits) (List.length par);
-          List.iter2
-            (fun (_, s) p ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%d domains: slice identical" domains)
-                true (slice_eq s p))
-            seq par))
-    [ 1; 2; 4 ]
-
-let prop_compute_many_shuffled =
-  QCheck.Test.make
-    ~name:"compute_many: shuffled criteria x 1/2/4 domains = sequential"
-    ~count:8
-    QCheck.(pair (int_range 1 4) (int_bound 10_000))
-    (fun (domains, shuffle_seed) ->
-      let _, _, gt, crits, seq = Lazy.force fixture in
-      let rng = Random.State.make [| shuffle_seed |] in
-      let shuffled =
-        List.map (fun c -> (Random.State.bits rng, c)) crits
-        |> List.sort compare |> List.map snd
-      in
-      Pool.with_pool ~domains (fun pool ->
-          let par = Slicer.compute_many ~pool gt shuffled in
-          (* results come back in (shuffled) criterion order, each equal
-             to the sequential slice of that same criterion *)
-          List.for_all2
-            (fun crit p ->
-              p.Slicer.criterion = crit
-              && slice_eq (List.assoc crit seq) p)
-            shuffled par))
+(* shared fixture: the collected trace *)
+let fixture = lazy (collect (compile par_src))
 
 (* ---- spilled segment store under concurrent readers ---- *)
 
@@ -139,7 +59,7 @@ let spill_budget () =
   Dr_util.Budget.create ~mem_bytes:0 ~spill_dir:dir ()
 
 let test_segment_store_concurrent_readers () =
-  let _, c, _, _, _ = Lazy.force fixture in
+  let c = Lazy.force fixture in
   let budget = spill_budget () in
   Fun.protect ~finally:(fun () -> Dr_util.Budget.cleanup_spill budget)
   @@ fun () ->
@@ -156,25 +76,22 @@ let test_segment_store_concurrent_readers () =
   in
   (* four readers scanning in opposite directions churn the tiny LRU
      cache with concurrent hits, misses, and evictions *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let oks =
-        Pool.map pool
-          (fun d ->
-            let ok = ref true in
-            for k = 0 to n - 1 do
-              let i = if d mod 2 = 0 then k else n - 1 - k in
-              if Dr_slicing.Segment_store.get store i <> expect.(i) then
-                ok := false
-            done;
-            !ok)
-          [| 0; 1; 2; 3 |]
-      in
-      Array.iteri
-        (fun d ok ->
-          Alcotest.(check bool)
-            (Printf.sprintf "reader %d saw every record intact" d)
-            true ok)
-        oks)
+  let oks = Array.make 4 false in
+  Pool.run ~domains:4
+    (Array.init 4 (fun d () ->
+         let ok = ref true in
+         for k = 0 to n - 1 do
+           let i = if d mod 2 = 0 then k else n - 1 - k in
+           if Dr_slicing.Segment_store.get store i <> expect.(i) then
+             ok := false
+         done;
+         oks.(d) <- !ok));
+  Array.iteri
+    (fun d ok ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reader %d saw every record intact" d)
+        true ok)
+    oks
 
 (* ---- sharded fuzz farm ---- *)
 
@@ -259,11 +176,7 @@ let test_fuzz_sharded_failures_reproduce () =
 
 let () =
   Alcotest.run "domains"
-    [ ( "compute_many",
-        [ Alcotest.test_case "matches sequential at 1/2/4 domains" `Quick
-            test_compute_many_matches_sequential;
-          QCheck_alcotest.to_alcotest prop_compute_many_shuffled ] );
-      ( "core safety",
+    [ ( "core safety",
         [ Alcotest.test_case "segment store concurrent readers" `Quick
             test_segment_store_concurrent_readers ] );
       ( "fuzz farm",

@@ -32,7 +32,7 @@ let barrier_tasks n =
 
 let test_pool_spans_multi_domain () =
   fresh ();
-  Pool.with_pool ~domains:2 (fun pool -> Pool.run pool (barrier_tasks 2));
+  Pool.run ~domains:2 (barrier_tasks 2);
   Obs.set_enabled false;
   let spans = Obs.spans () in
   let by_name n =
@@ -79,7 +79,7 @@ let test_pool_spans_multi_domain () =
 let test_batch_between_main_spans () =
   fresh ();
   Obs.with_span ~cat:"test" "main.before" (fun _ -> ());
-  Pool.with_pool ~domains:2 (fun pool -> Pool.run pool (barrier_tasks 2));
+  Pool.run ~domains:2 (barrier_tasks 2);
   Obs.with_span ~cat:"test" "main.after" (fun _ -> ());
   Obs.set_enabled false;
   let names = Array.to_list (Obs.spans ()) |> List.map (fun s -> s.Obs.sp_name) in
@@ -138,7 +138,7 @@ let criteria_of gt ~n =
       { Slicer.crit_pos = len - 1 - (i * step); crit_locs = None })
 
 (* trace + criteria + an LP prepared once up front, so the traced
-   sequence covers the slicing fan-out itself *)
+   sequence covers only the slices fanned out below *)
 let fixture =
   lazy
     (let prog = compile par_src in
@@ -163,45 +163,65 @@ let merged_shape () =
   Array.to_list (Obs.spans ())
   |> List.map (fun s -> (s.Obs.sp_name, s.Obs.sp_depth))
 
-let traced_compute_many ~domains () =
+(* one pool task per criterion, each slicing with [Slicer.compute] *)
+let traced_slicing ~domains () =
   let gt, lp, crits = Lazy.force fixture in
   fresh ();
-  Pool.with_pool ~domains (fun pool ->
-      ignore (Slicer.compute_many ~lp ~pool gt crits : Slicer.t list));
+  Pool.run ~domains
+    (Array.of_list
+       (List.map (fun crit () -> ignore (Slicer.compute ~lp gt crit)) crits));
   Obs.set_enabled false;
   merged_shape ()
 
 let prop_merge_independent_of_domains =
   QCheck.Test.make
-    ~name:"traced compute_many: 1/2/4 domains export one merged sequence"
+    ~name:"traced slicing fan-out: 1/2/4 domains export one merged sequence"
     ~count:6
     QCheck.(int_bound 1000)
     (fun _ ->
-      let one = traced_compute_many ~domains:1 () in
+      let one = traced_slicing ~domains:1 () in
       one <> []
       && List.for_all
-           (fun domains -> traced_compute_many ~domains () = one)
+           (fun domains -> traced_slicing ~domains () = one)
            [ 2; 4 ])
 
 let test_consecutive_runs_identical () =
-  let a = traced_compute_many ~domains:4 () in
-  let b = traced_compute_many ~domains:4 () in
+  let a = traced_slicing ~domains:4 () in
+  let b = traced_slicing ~domains:4 () in
   Alcotest.(check bool) "some spans recorded" true (a <> []);
   Alcotest.(check bool) "consecutive traced runs identical" true (a = b)
+
+(* The fuzz farm runs one pool task per case, so a traced farm's spans
+   splice in case order whichever domain ran each case. *)
+let traced_fuzz ~domains () =
+  fresh ();
+  let s = Dr_conformance.Fuzz.run ~domains ~seed:7 ~runs:4 () in
+  Obs.set_enabled false;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains: farm green" domains)
+    true
+    (Dr_conformance.Fuzz.all_green s);
+  merged_shape ()
+
+let test_fuzz_farm_merge () =
+  let one = traced_fuzz ~domains:1 () in
+  let two = traced_fuzz ~domains:2 () in
+  Alcotest.(check bool) "some spans recorded" true (one <> []);
+  Alcotest.(check int) "same span count" (List.length one) (List.length two);
+  Alcotest.(check bool) "same merged sequence" true (one = two)
 
 (* ---- disabled mode on worker domains ---- *)
 
 let test_disabled_worker_records_nothing () =
   fresh ~enabled:false ();
   let baseline = Obs.span_count () in
-  Pool.with_pool ~domains:2 (fun pool ->
-      Pool.run pool
-        (Array.init 4 (fun i ->
-             fun () ->
-               let tok = Obs.start "ghost" in
-               Obs.add_attr tok "i" (Obs.Int i);
-               Obs.stop tok;
-               Obs.with_span "ghost2" (fun _ -> ()))));
+  Pool.run ~domains:2
+    (Array.init 4 (fun i ->
+         fun () ->
+           let tok = Obs.start "ghost" in
+           Obs.add_attr tok "i" (Obs.Int i);
+           Obs.stop tok;
+           Obs.with_span "ghost2" (fun _ -> ())));
   Alcotest.(check int) "nothing recorded" baseline (Obs.span_count ());
   Alcotest.(check int) "no mismatches" 0 (Obs.mismatch_count ())
 
@@ -251,7 +271,9 @@ let () =
           ( "deterministic merge",
             [ QCheck_alcotest.to_alcotest prop_merge_independent_of_domains;
               Alcotest.test_case "consecutive traced runs identical" `Quick
-                test_consecutive_runs_identical ] );
+                test_consecutive_runs_identical;
+              Alcotest.test_case "traced fuzz farm: 1 and 2 domains merge the same"
+                `Quick test_fuzz_farm_merge ] );
           ( "disabled mode",
             [ Alcotest.test_case "worker span calls record nothing" `Quick
                 test_disabled_worker_records_nothing;

@@ -1,6 +1,6 @@
 (* On-demand re-execution driver tests (Reexec): the qcheck property
    that re-exec slices equal indexed slices on generated programs over
-   shuffled criteria x 1/2/4 domains, a handwritten corpus case whose
+   shuffled criteria, a handwritten corpus case whose
    checkpoint boundaries land mid-block (open control-dependence stack
    and mid-call at the window edge), byte-identity of every re-derived
    record against the stored trace, watchdog truncation through the
@@ -10,7 +10,6 @@ module Slicer = Dr_slicing.Slicer
 module Reexec = Dr_slicing.Reexec
 module Lp = Dr_slicing.Lp
 module Global_trace = Dr_slicing.Global_trace
-module Pool = Dr_util.Pool
 
 let compile ?(name = "test") src =
   match Dr_lang.Codegen.compile_result ~name src with
@@ -100,14 +99,14 @@ let fixtures =
        Alcotest.fail "fewer than two generated fixtures survived";
      fxs)
 
-(* ---- property: reexec = indexed, shuffled criteria x 1/2/4 domains ---- *)
+(* ---- property: reexec = indexed, shuffled criteria ---- *)
 
 let prop_reexec_matches_indexed =
   QCheck.Test.make
-    ~name:"reexec slices = indexed slices, shuffled criteria x 1/2/4 domains"
+    ~name:"reexec slices = indexed slices, shuffled criteria"
     ~count:8
-    QCheck.(pair (int_range 1 4) (int_bound 10_000))
-    (fun (domains, shuffle_seed) ->
+    QCheck.(int_bound 10_000)
+    (fun shuffle_seed ->
       let fxs = Lazy.force fixtures in
       let fx = List.nth fxs (shuffle_seed mod List.length fxs) in
       let rng = Random.State.make [| shuffle_seed |] in
@@ -115,16 +114,14 @@ let prop_reexec_matches_indexed =
         List.map (fun c -> (Random.State.bits rng, c)) fx.f_crits
         |> List.sort compare |> List.map snd
       in
-      Pool.with_pool ~domains (fun pool ->
-          let indexed = Slicer.compute_many ~lp:fx.f_lp ~pool fx.f_gt shuffled in
-          List.for_all2
-            (fun crit (ix : Slicer.t) ->
-              let re =
-                Slicer.compute ~lp:fx.f_lp ~driver:(`Reexec fx.f_rx) fx.f_gt
-                  crit
-              in
-              ix.Slicer.criterion = crit && slice_eq re ix)
-            shuffled indexed))
+      let indexed = List.map (Slicer.compute ~lp:fx.f_lp fx.f_gt) shuffled in
+      List.for_all2
+        (fun crit (ix : Slicer.t) ->
+          let re =
+            Slicer.compute ~lp:fx.f_lp ~driver:(`Reexec fx.f_rx) fx.f_gt crit
+          in
+          ix.Slicer.criterion = crit && slice_eq re ix)
+        shuffled indexed)
 
 (* ---- handwritten corpus case: checkpoint boundary mid-block ---- *)
 

@@ -273,59 +273,47 @@ let prop_heap_sorts =
 
 exception Boom of int
 
+(* Task [i] writes slot [i] of the result, whichever domain claims it. *)
+let pool_map ~domains f xs =
+  let out = Array.make (Array.length xs) None in
+  Dr_util.Pool.run ~domains
+    (Array.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
+  Array.map Option.get out
+
 let test_pool_map_order () =
   let xs = Array.init 100 (fun i -> i) in
   let expect = Array.map (fun x -> (x * x) + 1) xs in
   List.iter
     (fun domains ->
-      Dr_util.Pool.with_pool ~domains (fun p ->
-          Alcotest.(check int) "size" (max 1 domains) (Dr_util.Pool.size p);
-          let got = Dr_util.Pool.map p (fun x -> (x * x) + 1) xs in
-          Alcotest.(check (array int))
-            (Printf.sprintf "map @ %d domains deterministic" domains)
-            expect got))
+      Alcotest.(check (array int))
+        (Printf.sprintf "slots @ %d domains deterministic" domains)
+        expect
+        (pool_map ~domains (fun x -> (x * x) + 1) xs))
     [ 1; 2; 4 ]
-
-let test_pool_reuse () =
-  Dr_util.Pool.with_pool ~domains:3 (fun p ->
-      (* several batches through the same pool: stale drains from the
-         previous batch must not corrupt the next one *)
-      for round = 1 to 5 do
-        let xs = Array.init (17 * round) (fun i -> i) in
-        let got = Dr_util.Pool.map p (fun x -> x + round) xs in
-        Alcotest.(check (array int))
-          (Printf.sprintf "round %d" round)
-          (Array.map (fun x -> x + round) xs)
-          got
-      done)
 
 let test_pool_exception () =
   (* at one domain the caller drains the batch alone; the contract is
      the same as with helpers *)
   List.iter
     (fun domains ->
-      Dr_util.Pool.with_pool ~domains (fun p ->
-          let ran = Array.make 8 false in
-          let tasks =
-            Array.init 8 (fun i () ->
-                ran.(i) <- true;
-                if i = 3 then raise (Boom i))
-          in
-          (match Dr_util.Pool.run p tasks with
-          | () -> Alcotest.fail "task exception was swallowed"
-          | exception Boom 3 -> ()
-          | exception e ->
-            Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-          (* the batch is not torn down: every task still ran *)
-          Array.iteri
-            (fun i r ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%d domains: task %d ran" domains i)
-                true r)
-            ran;
-          (* and the pool is still usable afterwards *)
-          let got = Dr_util.Pool.map p (fun x -> x * 2) [| 1; 2; 3 |] in
-          Alcotest.(check (array int)) "pool survives" [| 2; 4; 6 |] got))
+      let ran = Array.make 8 false in
+      let tasks =
+        Array.init 8 (fun i () ->
+            ran.(i) <- true;
+            if i = 3 then raise (Boom i))
+      in
+      (match Dr_util.Pool.run ~domains tasks with
+      | () -> Alcotest.fail "task exception was swallowed"
+      | exception Boom 3 -> ()
+      | exception e ->
+        Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+      (* the batch is not torn down: every task still ran *)
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domains: task %d ran" domains i)
+            true r)
+        ran)
     [ 1; 2 ]
 
 let prop_pool_map_matches_sequential =
@@ -333,8 +321,7 @@ let prop_pool_map_matches_sequential =
     QCheck.(pair (int_range 1 4) (list small_int))
     (fun (domains, xs) ->
       let xs = Array.of_list xs in
-      Dr_util.Pool.with_pool ~domains (fun p ->
-          Dr_util.Pool.map p (fun x -> x * 7) xs = Array.map (fun x -> x * 7) xs))
+      pool_map ~domains (fun x -> x * 7) xs = Array.map (fun x -> x * 7) xs)
 
 let () =
   Alcotest.run "util"
@@ -365,7 +352,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorts ] );
       ( "pool",
         [ Alcotest.test_case "map order" `Quick test_pool_map_order;
-          Alcotest.test_case "reuse across batches" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception;
           QCheck_alcotest.to_alcotest prop_pool_map_matches_sequential ] ) ]
