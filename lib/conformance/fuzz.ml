@@ -54,14 +54,13 @@ let gen_cfg =
     are [Skip] — the fuzz loop treats the generator producing
     uncompilable source as its own (generator) bug surfaced by the
     skip count, not as a pipeline failure. *)
-let check_case ?mutate_slice ?resource ?reexec_clobber
-    ~(lines : string array) ~(sched : Sched.t) ~(nondet_seed : int) () :
-    Oracles.verdict =
+let check_case ?mutate_slice ?resource ~(lines : string array)
+    ~(sched : Sched.t) ~(nondet_seed : int) () : Oracles.verdict =
   let src = String.concat "\n" (Array.to_list lines) ^ "\n" in
   match Dr_lang.Codegen.compile_result ~name:"fuzz-case" src with
   | Error msg -> Oracles.Skip ("compile error: " ^ msg)
   | Ok prog ->
-    Oracles.check ?mutate_slice ?resource ?reexec_clobber prog
+    Oracles.check ?mutate_slice ?resource prog
       ~policy:(Sched.policy sched) ~nondet_seed
 
 type failure = {
@@ -225,12 +224,10 @@ let case_inputs ~disk_faults ~seed case_id =
     contract of the (possibly domain-sharded) fuzz farm: a failure
     reported by {!run} with [(seed, case_id)] yields the same verdict
     here, on one domain, with no farm state involved. *)
-let replay_case ?mutate_slice ?reexec_clobber ?(disk_faults = false) ~seed
-    ~case_id () :
+let replay_case ?mutate_slice ?(disk_faults = false) ~seed ~case_id () :
     Oracles.verdict =
   let lines, sched, nds, resource = case_inputs ~disk_faults ~seed case_id in
-  check_case ?mutate_slice ?resource ?reexec_clobber ~lines ~sched
-      ~nondet_seed:nds ()
+  check_case ?mutate_slice ?resource ~lines ~sched ~nondet_seed:nds ()
 
 (* per-case result, folded into a summary in case-id order *)
 type outcome = O_pass | O_skip | O_fail of failure
@@ -238,8 +235,8 @@ type outcome = O_pass | O_skip | O_fail of failure
 (* Check one case end-to-end (oracles, shrink, artifact).  Pure in the
    case coordinates apart from [log]/[out_dir] side effects, so it runs
    unchanged on any domain. *)
-let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
-    case_id : outcome =
+let run_case ?mutate_slice ~disk_faults ~out_dir ~log ~seed case_id :
+    outcome =
   Dr_obs.Metrics.bump cases_counter;
   let lines, sched, nds, resource = case_inputs ~disk_faults ~seed case_id in
   let verdict =
@@ -254,8 +251,7 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
            | None -> "none"))
     | None -> ());
     let v =
-      check_case ?mutate_slice ?resource ?reexec_clobber ~lines ~sched
-      ~nondet_seed:nds ()
+      check_case ?mutate_slice ?resource ~lines ~sched ~nondet_seed:nds ()
     in
     Dr_obs.Obs.add_attr sp "verdict"
       (Dr_obs.Obs.Str
@@ -279,8 +275,7 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     (* keep a reduction iff the same oracle still fails *)
     let still_fails ~lines ~sched =
       match
-        check_case ?mutate_slice ?resource ?reexec_clobber ~lines ~sched
-      ~nondet_seed:nds ()
+        check_case ?mutate_slice ?resource ~lines ~sched ~nondet_seed:nds ()
       with
       | Oracles.Fail { Oracles.f_kind = k; _ } -> k = f_kind
       | _ -> false
@@ -291,8 +286,7 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     (* re-run the shrunk case for the final failure detail *)
     let detail =
       match
-        check_case ?mutate_slice ?resource ?reexec_clobber ~lines:s_lines
-          ~sched:s_sched
+        check_case ?mutate_slice ?resource ~lines:s_lines ~sched:s_sched
           ~nondet_seed:nds ()
       with
       | Oracles.Fail { Oracles.f_detail = d; _ } -> d
@@ -334,9 +328,8 @@ let run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log ~seed
     file are keyed by its case id, so concurrent cases never share disk
     paths.  [out_dir] is created before any case runs.
     @raise Sys_error when [out_dir] cannot be created. *)
-let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
-    ?out_dir ?(log = ignore)
-    ?(domains = 1) ~seed ~runs () : summary =
+let run ?mutate_slice ?(disk_faults = false) ?budget_s ?out_dir
+    ?(log = ignore) ?(domains = 1) ~seed ~runs () : summary =
   let t0 = Dr_util.Timer.now () in
   Option.iter (fun d -> ignore (Dr_util.Atomic_file.mkdir_p d)) out_dir;
   let within_budget () =
@@ -357,8 +350,7 @@ let run ?mutate_slice ?reexec_clobber ?(disk_faults = false) ?budget_s
     if within_budget () then
       results.(id) <-
         Some
-          (run_case ?mutate_slice ?reexec_clobber ~disk_faults ~out_dir ~log
-             ~seed id)
+          (run_case ?mutate_slice ~disk_faults ~out_dir ~log ~seed id)
   in
   Dr_util.Pool.run ~domains (Array.init runs case);
   let passes = ref 0 and skips = ref 0 and cases = ref 0 in

@@ -56,9 +56,8 @@ type t = {
 
 (* Re-derive the records of window [w] into a fresh chunk by replaying
    forward from its checkpoint; [offset] is the requested record's
-   place in the window.  [clobber], a test hook, rewrites the window's
-   rows as views.  Runs under the store's cache lock. *)
-let rederive ~prog ~pinball ~clobber ~interval ~nrec (ckpts : ckpt array) w
+   place in the window.  Runs under the store's cache lock. *)
+let rederive ~prog ~pinball ~interval ~nrec (ckpts : ckpt array) w
     ~offset : Segment_store.Chunk.t =
   Dr_obs.Metrics.observe h_seek (float_of_int offset);
   let base = w * interval in
@@ -83,16 +82,12 @@ let rederive ~prog ~pinball ~clobber ~interval ~nrec (ckpts : ckpt array) w
          len);
   Dr_obs.Metrics.add m_windows 1;
   Dr_obs.Metrics.add m_records len;
-  match clobber with
-  | Some f ->
-    Segment_store.Chunk.of_records ~base
-      (Array.map f (Segment_store.Chunk.records chunk))
-  | None -> Segment_store.Chunk.seal chunk
+  Segment_store.Chunk.seal chunk
 
 (** Build the checkpoint ladder with one full replay of the region.
     [cfg] must be the {e refined} CFG the collector used (pass
     [c.Collector.cfg]) or re-derived control dependences would differ. *)
-let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ~cfg ?clobber
+let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ~cfg
     (prog : Dr_isa.Program.t) (pinball : Dr_pinplay.Pinball.t) : t =
   if ckpt_interval <= 0 then invalid_arg "Reexec.create: ckpt_interval <= 0";
   Dr_obs.Obs.with_span ~cat:"slice" "reexec.build" @@ fun sp ->
@@ -132,7 +127,7 @@ let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ~cfg ?clobber
   { store =
       Segment_store.derived ~seg_records:ckpt_interval
         ~cache_segments:cache_windows ~total:nrec
-        (rederive ~prog ~pinball ~clobber ~interval:ckpt_interval ~nrec ckpts);
+        (rederive ~prog ~pinball ~interval:ckpt_interval ~nrec ckpts);
     checkpoints = Array.length ckpts }
 
 let length t = Segment_store.length t.store

@@ -227,12 +227,6 @@ module Chunk = struct
   (** Every row as a view, in gseq order. *)
   let records c = Array.init c.rows (fun j -> record c (c.base + j))
 
-  (** A chunk holding the rows the views describe, from gseq [base]. *)
-  let of_records ~base (rs : Trace.record array) =
-    let c = create ~base ~cap:(Array.length rs) in
-    Array.iter (push_record c) rs;
-    seal c
-
   (** The budget unit: bytes of row [g]'s cells. *)
   let row_bytes c g =
     let j = g - c.base in

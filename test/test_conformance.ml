@@ -106,61 +106,6 @@ let test_broken_slicer_caught () =
         (Dr_conformance.Oracles.kind_name f_kind)
         f_detail)
 
-(* ---- broken reexec driver: a disagreement only driver four shows ---- *)
-
-(* The corruption a buggy re-execution backend would produce: re-derived
-   records lose their definitions, so only the reexec slice drops every
-   data dependence.  The other three drivers read the stored trace and
-   stay correct — the four-way agreement oracle is the only one that can
-   see it, and the shrinker must still converge re-running that same
-   clobbered pipeline. *)
-let clobber_rederived_defs (r : Dr_slicing.Trace.record) :
-    Dr_slicing.Trace.record =
-  if r.Dr_slicing.Trace.defs <> [||] then
-    { r with Dr_slicing.Trace.defs = [||] }
-  else r
-
-let test_broken_reexec_shrinks () =
-  let out_dir = "corpus-out-reexec" in
-  let s =
-    Dr_conformance.Fuzz.run ~reexec_clobber:clobber_rederived_defs ~out_dir
-      ~seed:42 ~runs:3 ()
-  in
-  let disagreements =
-    List.filter
-      (fun (f : Dr_conformance.Fuzz.failure) ->
-        f.Dr_conformance.Fuzz.fr_kind = Dr_conformance.Oracles.Driver_agreement)
-      s.Dr_conformance.Fuzz.s_failures
-  in
-  if disagreements = [] then
-    Alcotest.fail
-      "a re-execution backend that loses definitions was not caught by the \
-       driver-agreement oracle";
-  (* the reexec-only disagreement still shrinks to a small repro *)
-  let f = List.hd disagreements in
-  let lines = Array.length f.Dr_conformance.Fuzz.fr_lines in
-  if lines > 15 then
-    Alcotest.failf "shrunk repro has %d lines, expected <= 15:\n%s" lines
-      (String.concat "\n" (Array.to_list f.Dr_conformance.Fuzz.fr_lines));
-  let path =
-    Filename.concat out_dir
-      (Printf.sprintf "case-%d.json" f.Dr_conformance.Fuzz.fr_case_id)
-  in
-  Alcotest.(check bool) "shrunk case persisted" true (Sys.file_exists path);
-  match Dr_conformance.Fuzz.load_corpus_case path with
-  | Error e -> Alcotest.failf "persisted case unreadable: %s" e
-  | Ok c -> (
-    (* with an HONEST re-execution backend the same case passes: the
-       disagreement was the injected clobber, not the pipeline *)
-    match Dr_conformance.Fuzz.replay_corpus_case c with
-    | Dr_conformance.Oracles.Pass -> ()
-    | Dr_conformance.Oracles.Skip r ->
-      Alcotest.failf "persisted case skipped on honest replay: %s" r
-    | Dr_conformance.Oracles.Fail { f_kind; f_detail } ->
-      Alcotest.failf "honest reexec fails the persisted case: %s: %s"
-        (Dr_conformance.Oracles.kind_name f_kind)
-        f_detail)
-
 (* ---- quick green run: a handful of cases, all five oracles ---- *)
 
 let test_fuzz_quick_green () =
@@ -207,8 +152,6 @@ let () =
       ( "oracles",
         [ Alcotest.test_case "broken slicer caught" `Quick
             test_broken_slicer_caught;
-          Alcotest.test_case "broken reexec caught and shrunk" `Quick
-            test_broken_reexec_shrinks;
           Alcotest.test_case "quick fuzz green" `Quick test_fuzz_quick_green ]
       );
       ( "plumbing",
