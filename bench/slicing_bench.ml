@@ -1,7 +1,7 @@
 (* Slicing fast-path benchmark: indexed traversal vs the backwards scan
    (with and without LP block skipping), across registry workloads and
    randomly generated programs.  Emits BENCH_slicing.json (schema
-   drdebug-bench-slicing-v2, see README "Benchmarking") so the perf
+   drdebug-bench-slicing-v3, see README "Benchmarking") so the perf
    trajectory of the slicer is tracked in-repo; a dune runtest smoke
    runs this in --quick mode and validates the emitted JSON. *)
 
@@ -11,7 +11,7 @@ module Timer = Dr_util.Timer
 
 module J = Dr_util.Json
 
-let schema_version = "drdebug-bench-slicing-v2"
+let schema_version = "drdebug-bench-slicing-v3"
 
 let log_or_fail ?policy prog spec =
   match Dr_pinplay.Logger.log ?policy prog spec with
@@ -25,9 +25,6 @@ let log_or_fail ?policy prog spec =
 type prepared = {
   w_name : string;
   w_kind : string;  (* "registry" | "generated" *)
-  w_prog : Dr_isa.Program.t;
-  w_pinball : Dr_pinplay.Pinball.t;
-      (* retained for the re-execution tier *)
   w_collect : Dr_slicing.Collector.result;
       (* retained for the out-of-core rerun *)
   gt : Dr_slicing.Global_trace.t;
@@ -86,8 +83,8 @@ let prepare ~name ~kind ~n_criteria prog pb =
   let c, collect_s = Timer.time (fun () -> Dr_slicing.Collector.collect prog pb) in
   let gt, construct_s = Timer.time (fun () -> Dr_slicing.Global_trace.construct c) in
   let lp, lp_s = Timer.time (fun () -> Dr_slicing.Lp.prepare gt) in
-  { w_name = name; w_kind = kind; w_prog = prog; w_pinball = pb;
-    w_collect = c; gt; lp; collect_s; construct_s; lp_s;
+  { w_name = name; w_kind = kind; w_collect = c; gt; lp; collect_s;
+    construct_s; lp_s;
     criteria = criteria_of gt ~n:n_criteria @ register_criterion gt lp }
 
 let prepare_registry ~name ~main_instrs ~n_criteria =
@@ -134,13 +131,27 @@ let prepare_generated ~seeds ~keep ~n_criteria =
 
 (* ---- measurement ---- *)
 
+(* Single-pass times (one pass = every criterion sliced once) over the
+   reps: back-to-back passes of one binary differ by up to 2x, so the
+   artifact keeps the median with the spread beside it. *)
+type spread = { median : float; lo : float; hi : float }
+
+let spread_of (times : float list) =
+  let a = Array.of_list times in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let median =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
+  { median; lo = a.(0); hi = a.(n - 1) }
+
 type measured = {
   records : int;
   n_criteria : int;
   reps : int;
-  indexed_s : float;
-  scan_skip_s : float;
-  scan_noskip_s : float;
+  indexed_s : spread;
+  scan_skip_s : spread;
+  scan_noskip_s : spread;
   blocks_skipped : int;
   total_blocks : int;
   visited_indexed : int;
@@ -152,17 +163,14 @@ type measured = {
   degradations : int;  (* ladder steps recorded by the governed rerun *)
   spill_identical : bool;  (* spilled rerun matches in-memory, all drivers *)
   record_bytes_total : int;  (* stored size of every trace record *)
-  reexec_slice_s : float;  (* one re-execution pass over all criteria *)
-  reexec_peak_mem : int;  (* peak resident record bytes during it *)
-  reexec_identical : bool;  (* re-exec slices byte-identical to indexed *)
   segstore_hit_rate : float;  (* segment-cache hits/(hits+misses), spilled run *)
-  reexec_window_hit_rate : float;  (* window-cache hits/(hits+rederives) *)
 }
 
 (* Out-of-core rerun: rebuild the trace through a segment store whose
    memory budget is a quarter of the record bytes, so most segments
-   spill to disk, then re-slice every criterion with all four drivers
-   and demand byte-identical positions and edges vs the in-memory run.
+   spill to disk, then re-slice every criterion with the three drivers
+   and the governed ladder, and demand byte-identical positions and
+   edges vs the in-memory run.
    The governed driver runs under the same budget, which cannot fit the
    definition index either — the recorded indexed->scan degradation is
    the ladder exercising itself. *)
@@ -217,51 +225,12 @@ let measure_spill (p : prepared) =
   let _, spill_read_s =
     Timer.time (fun () -> List.iter (fun crit -> ignore (spilled crit)) p.criteria)
   in
-  (* records-beyond-RAM tier: the same criteria answered by on-demand
-     re-execution — record lookups replay forward from periodic
-     checkpoints and the stored (spilled) records are never read, so
-     resident record memory is bounded by the checkpoint interval (two
-     cached windows), not the trace length.  The validator enforces
-     both the byte-identity and the memory bound. *)
-  let ckpt_interval = max 16 (n / 16) in
-  let rx =
-    Dr_slicing.Reexec.create ~cfg:c.Dr_slicing.Collector.cfg ~ckpt_interval
-      ~cache_windows:2 p.w_prog p.w_pinball
-  in
-  let lp_lite = Dr_slicing.Lp.prepare_lite gt' in
-  let reexec crit =
-    Dr_slicing.Slicer.compute ~lp:lp_lite ~driver:(`Reexec rx) gt' crit
-  in
-  let reexec_identical =
-    List.for_all
-      (fun crit ->
-        let base = clean crit in
-        let s = reexec crit in
-        Dr_slicing.Slicer.equal s base)
-      p.criteria
-  in
-  let _, reexec_slice_s =
-    Timer.time (fun () -> List.iter (fun crit -> ignore (reexec crit)) p.criteria)
-  in
-  let rx_stats = Dr_slicing.Reexec.stats rx in
-  let reexec_peak_mem = rx_stats.Dr_slicing.Reexec.peak_resident_bytes in
-  let reexec_window_hit_rate =
-    let hits = rx_stats.Dr_slicing.Reexec.window_hits in
-    let misses = rx_stats.Dr_slicing.Reexec.windows_rederived in
-    if hits + misses > 0 then
-      float_of_int hits /. float_of_int (hits + misses)
-    else 0.0
-  in
   ( spilled_segments,
     spill_read_s,
     List.length (Dr_util.Budget.degradations budget),
     spill_identical,
     !total_bytes,
-    reexec_slice_s,
-    reexec_peak_mem,
-    reexec_identical,
-    Dr_slicing.Segment_store.cache_hit_rate store,
-    reexec_window_hit_rate )
+    Dr_slicing.Segment_store.cache_hit_rate store )
 
 let measure ~reps (p : prepared) : measured =
   let gt = p.gt and lp = p.lp in
@@ -292,61 +261,69 @@ let measure ~reps (p : prepared) : measured =
   let visited_indexed, _, slice_size_total = stats () in
   let visited_scan, blocks_skipped, _ = stats ~driver:`Scan_skip () in
   (* timed runs: tracing off, so the measured loops stay comparable to
-     pre-observability baselines (the gate is a single field check) *)
-  let timed ?driver () =
-    let _, t =
-      Timer.time (fun () ->
-          for _ = 1 to reps do
-            List.iter (fun crit -> ignore (compute ?driver crit)) p.criteria
-          done)
-    in
-    t
+     pre-observability baselines (the gate is a single field check).
+     Each rep times one pass per driver, the drivers taking turns, so a
+     slow stretch of the host lands on all three. *)
+  let pass ?driver () =
+    snd
+      (Timer.time (fun () ->
+           List.iter (fun crit -> ignore (compute ?driver crit)) p.criteria))
   in
   let was_enabled = Dr_obs.Obs.enabled () in
   Dr_obs.Obs.set_enabled false;
-  let indexed_s = timed () in
-  let scan_skip_s = timed ~driver:`Scan_skip () in
-  let scan_noskip_s = timed ~driver:`Scan () in
+  let passes =
+    List.init reps (fun _ ->
+        let i = pass () in
+        let sk = pass ~driver:`Scan_skip () in
+        (i, sk, pass ~driver:`Scan ()))
+  in
   Dr_obs.Obs.set_enabled was_enabled;
+  let spread_by f = spread_of (List.map f passes) in
   let ( spilled_segments,
         spill_read_s,
         degradations,
         spill_identical,
         record_bytes_total,
-        reexec_slice_s,
-        reexec_peak_mem,
-        reexec_identical,
-        segstore_hit_rate,
-        reexec_window_hit_rate ) =
+        segstore_hit_rate ) =
     measure_spill p
   in
-  { records; n_criteria = List.length p.criteria; reps; indexed_s;
-    scan_skip_s; scan_noskip_s; blocks_skipped;
-    total_blocks = lp.Dr_slicing.Lp.num_blocks; visited_indexed;
-    visited_scan; slice_size_total; identical; spilled_segments;
-    spill_read_s; degradations; spill_identical; record_bytes_total;
-    reexec_slice_s; reexec_peak_mem; reexec_identical;
-    segstore_hit_rate; reexec_window_hit_rate }
+  { records; n_criteria = List.length p.criteria; reps;
+    indexed_s = spread_by (fun (i, _, _) -> i);
+    scan_skip_s = spread_by (fun (_, sk, _) -> sk);
+    scan_noskip_s = spread_by (fun (_, _, s) -> s);
+    blocks_skipped; total_blocks = lp.Dr_slicing.Lp.num_blocks;
+    visited_indexed; visited_scan; slice_size_total; identical;
+    spilled_segments; spill_read_s; degradations; spill_identical;
+    record_bytes_total; segstore_hit_rate }
 
 let ratio a b = if b > 0.0 then a /. b else 0.0
 
+let speedup_vs_scan_skip m = ratio m.scan_skip_s.median m.indexed_s.median
+
+(* [name] is the median single-pass time; [name_min]/[name_max] its spread *)
+let timing_json name t =
+  [ (name, J.Num t.median); (name ^ "_min", J.Num t.lo);
+    (name ^ "_max", J.Num t.hi) ]
+
 let workload_json (p : prepared) (m : measured) : J.t =
-  let slices = float_of_int (m.n_criteria * m.reps) in
-  let per_slice_indexed = m.indexed_s /. Float.max slices 1.0 in
+  let per_slice_indexed =
+    m.indexed_s.median /. Float.max (float_of_int m.n_criteria) 1.0
+  in
   J.Obj
-    [ ("name", J.Str p.w_name);
+    ([ ("name", J.Str p.w_name);
       ("kind", J.Str p.w_kind);
       ("records", J.int m.records);
       ("criteria", J.int m.n_criteria);
       ("reps", J.int m.reps);
       ("collect_s", J.Num p.collect_s);
       ("construct_s", J.Num p.construct_s);
-      ("lp_prepare_s", J.Num p.lp_s);
-      ("indexed_s", J.Num m.indexed_s);
-      ("scan_skip_s", J.Num m.scan_skip_s);
-      ("scan_noskip_s", J.Num m.scan_noskip_s);
-      ("speedup_vs_scan_skip", J.Num (ratio m.scan_skip_s m.indexed_s));
-      ("speedup_vs_scan_noskip", J.Num (ratio m.scan_noskip_s m.indexed_s));
+      ("lp_prepare_s", J.Num p.lp_s) ]
+    @ timing_json "indexed_s" m.indexed_s
+    @ timing_json "scan_skip_s" m.scan_skip_s
+    @ timing_json "scan_noskip_s" m.scan_noskip_s
+    @ [ ("speedup_vs_scan_skip", J.Num (speedup_vs_scan_skip m));
+      ( "speedup_vs_scan_noskip",
+        J.Num (ratio m.scan_noskip_s.median m.indexed_s.median) );
       ( "records_per_s_indexed",
         J.Num (ratio (float_of_int m.records) per_slice_indexed) );
       ("blocks_skipped", J.int m.blocks_skipped);
@@ -370,11 +347,7 @@ let workload_json (p : prepared) (m : measured) : J.t =
       ("spill_identical", J.Bool m.spill_identical);
       ("record_bytes_total", J.int m.record_bytes_total);
       ("row_cells", J.int Dr_slicing.Segment_store.Chunk.row_cells);
-      ("reexec_slice_s", J.Num m.reexec_slice_s);
-      ("reexec_peak_mem", J.int m.reexec_peak_mem);
-      ("reexec_identical", J.Bool m.reexec_identical);
-      ("segstore_hit_rate", J.Num m.segstore_hit_rate);
-      ("reexec_window_hit_rate", J.Num m.reexec_window_hit_rate) ]
+      ("segstore_hit_rate", J.Num m.segstore_hit_rate) ])
 
 (** Run the slicing benchmark and write [out] (BENCH_slicing.json). *)
 let run ~quick ~out () =
@@ -402,9 +375,9 @@ let run ~quick ~out () =
       (fun p ->
         let m = measure ~reps p in
         printf "%-16s %-10s %9d %9.4fs %9.4fs %9.4fs %7.1fx %6d %b/%b\n"
-          p.w_name p.w_kind m.records m.indexed_s m.scan_skip_s
-          m.scan_noskip_s
-          (ratio m.scan_skip_s m.indexed_s)
+          p.w_name p.w_kind m.records m.indexed_s.median
+          m.scan_skip_s.median m.scan_noskip_s.median
+          (speedup_vs_scan_skip m)
           m.spilled_segments m.identical m.spill_identical;
         (p, m))
       prepared
@@ -419,7 +392,7 @@ let run ~quick ~out () =
       J.Obj
         [ ("name", J.Str p.w_name);
           ("records", J.int m.records);
-          ("speedup_vs_scan_skip", J.Num (ratio m.scan_skip_s m.indexed_s));
+          ("speedup_vs_scan_skip", J.Num (speedup_vs_scan_skip m));
           ("results_identical", J.Bool m.identical) ]
   in
   let report = Dr_obs.Report.document ~label:"slicing-bench" () in

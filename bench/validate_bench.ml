@@ -1,7 +1,7 @@
 (* Schema validator for the repo's benchmark and observability JSON
    artifacts.  Dispatches on the document's "schema" field:
 
-   - drdebug-bench-slicing-v2: the slicing bench output, including its
+   - drdebug-bench-slicing-v3: the slicing bench output, including its
      embedded drdebug-report-v1 run report;
    - drdebug-bench-races-v1: the race-detection bench output (static
      candidates vs seeded Maple campaigns);
@@ -56,19 +56,22 @@ let check_workload i w =
       let v = num k in
       if v < 0.0 then fail "%s: negative" (ctx k))
     [ "records"; "criteria"; "reps"; "collect_s"; "construct_s";
-      "lp_prepare_s"; "indexed_s"; "scan_skip_s"; "scan_noskip_s";
-      "speedup_vs_scan_skip"; "speedup_vs_scan_noskip";
-      "records_per_s_indexed"; "blocks_skipped"; "total_blocks";
-      "visited_ratio_indexed";
-      "visited_ratio_scan"; "slice_size_avg"; "spilled_segments";
-      "spill_read_s"; "degradations"; "slice_size_total"; "record_bytes_total";
-      "reexec_slice_s"; "reexec_peak_mem"; "segstore_hit_rate";
-      "reexec_window_hit_rate" ];
-  (* hit rates are ratios *)
+      "lp_prepare_s"; "indexed_s"; "indexed_s_min"; "indexed_s_max";
+      "scan_skip_s"; "scan_skip_s_min"; "scan_skip_s_max"; "scan_noskip_s";
+      "scan_noskip_s_min"; "scan_noskip_s_max"; "speedup_vs_scan_skip";
+      "speedup_vs_scan_noskip"; "records_per_s_indexed"; "blocks_skipped";
+      "total_blocks"; "visited_ratio_indexed"; "visited_ratio_scan";
+      "slice_size_avg"; "spilled_segments"; "spill_read_s"; "degradations";
+      "slice_size_total"; "record_bytes_total"; "segstore_hit_rate" ];
+  (* each timing is a median over the reps, with its spread beside it *)
   List.iter
     (fun k ->
-      if num k > 1.0 then fail "%s: hit rate above 1.0" (ctx k))
-    [ "segstore_hit_rate"; "reexec_window_hit_rate" ];
+      if not (num (k ^ "_min") <= num k && num k <= num (k ^ "_max")) then
+        fail "%s: median %g outside [%g, %g]" (ctx k) (num k)
+          (num (k ^ "_min")) (num (k ^ "_max")))
+    [ "indexed_s"; "scan_skip_s"; "scan_noskip_s" ];
+  if num "segstore_hit_rate" > 1.0 then
+    fail "%s: hit rate above 1.0" (ctx "segstore_hit_rate");
   if num "records" < 1.0 then fail "%s: empty trace" (ctx "records");
   if num "spilled_segments" < 1.0 then
     fail "%s: out-of-core rerun never spilled" (ctx "spilled_segments");
@@ -78,17 +81,6 @@ let check_workload i w =
   then fail "%s: drivers disagree" (ctx "results_identical");
   if not (want_bool (ctx "spill_identical") (get w "spill_identical")) then
     fail "%s: spilled rerun disagrees with in-memory run" (ctx "spill_identical");
-  if not (want_bool (ctx "reexec_identical") (get w "reexec_identical")) then
-    fail "%s: re-execution slices disagree with indexed"
-      (ctx "reexec_identical");
-  (* the point of the re-execution tier: resident record memory bounded
-     by the checkpoint interval, not the trace length (small traces are
-     exempt — a couple of windows can legitimately cover them) *)
-  if num "records" >= 1024.0 && num "reexec_peak_mem" >= num "record_bytes_total"
-  then
-    fail "%s: re-execution peak %g not below stored trace bytes %g"
-      (ctx "reexec_peak_mem") (num "reexec_peak_mem")
-      (num "record_bytes_total");
   (* the byte counts were measured with the row size recorded here; an
      artifact from before a row-layout change no longer describes the
      code and must be regenerated *)
@@ -183,7 +175,7 @@ let () =
     | Error e -> fail "does not parse: %s" e
   in
   match want_str "schema" (get doc "schema") with
-  | "drdebug-bench-slicing-v2" as schema ->
+  | "drdebug-bench-slicing-v3" as schema ->
     let n = check_slicing doc in
     Printf.printf "ok: %s matches %s (%d workloads)\n" path schema n
   | "drdebug-bench-races-v1" as schema ->
