@@ -81,7 +81,6 @@ let create ?(input = [||]) prog =
     total_icount = 0;
     ev = Event.create () }
 
-let program t = t.prog
 let outcome t = t.outcome
 let num_threads t = t.nthreads
 let total_icount t = t.total_icount

@@ -27,8 +27,6 @@ let remove t i =
   Bytes.set t.bits byte
     (Char.chr (Char.code (Bytes.get t.bits byte) land lnot (1 lsl (i land 7)) land 0xff))
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
 let cardinal t =
   let c = ref 0 in
   for i = 0 to t.n - 1 do
@@ -36,19 +34,12 @@ let cardinal t =
   done;
   !c
 
-let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
-
 let to_list t =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do
     if mem t i then acc := i :: !acc
   done;
   !acc
-
-let copy t = { bits = Bytes.copy t.bits; n = t.n }
 
 let check_same a b =
   if a.n <> b.n then invalid_arg "Bitset: length mismatch"

@@ -15,10 +15,6 @@ let create ~dummy =
 let length h = h.len
 let is_empty h = h.len = 0
 
-let clear h =
-  Array.fill h.vals 0 h.len h.dummy;
-  h.len <- 0
-
 let ensure h n =
   if n > Array.length h.keys then begin
     let cap = ref (Array.length h.keys) in

@@ -49,19 +49,9 @@ let pop v =
 
 let to_array v = Array.sub v.data 0 v.len
 
-let of_array ~dummy a =
-  let v = { data = Array.copy a; len = Array.length a; dummy } in
-  if Array.length v.data = 0 then v.data <- Array.make 16 dummy;
-  v
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
-  done
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
   done
 
 let fold f acc v =
